@@ -20,14 +20,14 @@ teacher, _ = fd.train_teacher(data, iterations=1500, batch_size=512, lr=3e-4, se
 
 grid = fd.TimeGrid.uniform(50)
 store = fd.generate_store(teacher, N=256, grid=grid, seed=7)
-endpoints = np.array([t.endpoint[0] for t in store.trajectories])
+endpoints = store.states[:, 0, 0]  # states is (N, n+1, d); index 0 is t=0
 print(f"store: N={store.N}, n={store.grid.n}, d={store.d}")
 print(f"endpoint range: [{endpoints.min():+.3f}, {endpoints.max():+.3f}], "
       f"share near +3: {np.mean(endpoints > 0):.2f}")
 
-# the m+1 key latents of one trajectory, from pure noise down to data
+# the m+1 key latents of every trajectory, (N, m+1, d), from noise down to data
 schedule = fd.make_key_schedule(n=50, m=5)
-keys = fd.key_points(store.trajectories[0], schedule)
+keys = fd.key_points(store, schedule)[0]
 print("\nkey timesteps and latents of trajectory 0:")
 for t, val in zip(schedule.times, keys[:, 0]):
     print(f"  t'={t:.1f}  latent={val:+.4f}")

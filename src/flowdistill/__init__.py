@@ -17,17 +17,17 @@ from .analysis import KDConfig, MetricsRecord, MismatchReport, endpoint_error, \
     kd_baseline_distill, mismatch_degree, mismatch_report, mismatch_sweep, \
     shifted_dataset, useless_frequency, w1_distance
 from .distill import DistillConfig, DistillResult, KeySchedule, LatentQueues, \
-    QueueEntry, distill, make_key_schedule, queue_pop, queue_push, sample_student, \
-    sample_student_batch, traj_loss
+    QueueEntry, distill, make_key_schedule, sample_student, sample_student_batch, \
+    traj_loss
 from .errors import ConfigError, FlowDistillError, NumericsError, QueueEmpty, \
     StoreFormatError, StoreIntegrityError
-from .flow import TimeGrid, ToyDataset, denoise, denoise_batch, euler_step, fm_loss, \
-    interpolate, sample_model, train_teacher
+from .flow import TimeGrid, ToyDataset, Trajectory, denoise, denoise_batch, euler_step, \
+    fm_loss, integrate, interpolate, sample_model, train_teacher
 from .nn import OptimizerState, ParamSet, VelocityModel, build_velocity_model, \
     eval_velocity, grad, init_optimizer, load_model, load_paramset, optimizer_step, \
     save_model, save_paramset, value_and_grad
 from .seeds import derive_seed
-from .trajstore import Trajectory, TrajectoryStore, generate_store, key_points, \
-    load_store, noise_from_seed, save_store, validate_store
+from .trajstore import TrajectoryStore, generate_store, key_points, load_store, \
+    noise_from_seed, recurrence_errors, save_store, validate_store
 
 __version__ = "0.1.0"

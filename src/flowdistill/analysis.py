@@ -15,9 +15,9 @@ import numpy as np
 from . import autodiff as ad
 from .distill import DistillConfig, distill, make_key_schedule, sample_student_batch
 from .errors import ConfigError, NumericsError
-from .flow import TimeGrid, ToyDataset, denoise_batch, interpolate
-from .nn import VelocityModel, eval_velocity, forward_velocity, init_optimizer, \
-    optimizer_step, value_and_grad
+from .flow import TimeGrid, ToyDataset, denoise_batch, integrate, interpolate
+from .nn import VelocityModel, forward_velocity, init_optimizer, optimizer_step, \
+    value_and_grad
 from .seeds import derive_seed
 from .trajstore import TrajectoryStore
 
@@ -117,31 +117,16 @@ def useless_frequency(teacher: VelocityModel, store: TrajectoryStore, p_d: ToyDa
     xt = interpolate(x0, x1, grid.times[j_idx])
 
     useless = np.zeros(t_samples, dtype=bool)
-    if mode == "trajectory-proximity":
-        states = store.states_array()  # (N, n+1, d)
-        for j in np.unique(j_idx):
-            mask = j_idx == j
-            ref = states[:, j, :]
-            diff = xt[mask][:, None, :] - ref[None, :, :]
-            near = np.sqrt(np.sum(diff * diff, axis=-1)).min(axis=1)
-            useless[mask] = near > epsilon
-    else:
-        for j in np.unique(j_idx):
-            mask = j_idx == j
-            endpoints = _integrate_to_zero(teacher, xt[mask], grid, int(j))
-            diff = endpoints[:, None, :] - teacher_support[None, :, :]
-            near = np.sqrt(np.sum(diff * diff, axis=-1)).min(axis=1)
-            useless[mask] = near > epsilon
+    for j in np.unique(j_idx):
+        mask = j_idx == j
+        if mode == "trajectory-proximity":
+            near = nearest_distances(xt[mask], store.states[:, j, :])
+        else:
+            # teacher-denoise from grid time t_j down to t_0 = 0
+            endpoints = integrate(teacher, xt[mask], grid.times[j::-1])[-1]
+            near = nearest_distances(endpoints, teacher_support)
+        useless[mask] = near > epsilon
     return float(np.mean(useless))
-
-
-def _integrate_to_zero(model: VelocityModel, X, grid: TimeGrid, j: int) -> np.ndarray:
-    """Euler-step a batch from grid time t_j down to t_0 = 0."""
-    X = np.array(X, dtype=np.float64)
-    for step in range(j, 0, -1):
-        dt = grid.times[step - 1] - grid.times[step]
-        X = X + dt * eval_velocity(model, X, grid.times[step])
-    return X
 
 
 @dataclass(frozen=True)
@@ -196,10 +181,7 @@ def kd_baseline_distill(teacher: VelocityModel, p_d: ToyDataset, windows: int,
             x0 = p_d.sample(per_start, rng)
             x1 = rng.standard_normal((per_start, p_d.d))
             x_start = interpolate(x0, x1, t_start)
-            x_end = np.array(x_start)
-            for step in range(j, j_lo, -1):
-                dt = grid.times[step - 1] - grid.times[step]
-                x_end = x_end + dt * eval_velocity(teacher, x_end, grid.times[step])
+            x_end = integrate(teacher, x_start, grid.times[j_lo:j + 1][::-1])[-1]
             xs.append(x_start)
             ts.append(np.full(per_start, t_start))
             vs.append((x_end - x_start) / (t_lo - t_start))
@@ -265,15 +247,8 @@ def w1_distance(samples_a, samples_b) -> float:
 
 def endpoint_error(samples, support) -> float:
     """Mean distance from each sample to its nearest support point."""
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim == 1:
-        samples = samples.reshape(-1, 1)
-    if samples.shape[0] == 0:
-        raise ValueError("samples must be non-empty")
-    ref = _support_of(support)
-    diff = samples[:, None, :] - ref[None, :, :]
-    near = np.sqrt(np.sum(diff * diff, axis=-1)).min(axis=1)
-    return math.fsum(near) / samples.shape[0]
+    near = nearest_distances(samples, support)
+    return math.fsum(near) / near.size
 
 
 @dataclass(frozen=True)

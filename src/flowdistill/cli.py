@@ -197,8 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="run config JSON")
         p.add_argument("--seed", type=int, default=None, help="override root seed")
         p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (reserved; runs are single-process)")
 
     p = sub.add_parser("train-teacher", help="train the velocity-field teacher")
     common(p)

@@ -24,10 +24,9 @@ from . import autodiff as ad
 from .adversarial import FeatureTapConfig, ProjectionHead, build_projection_head, \
     d_loss_node, features_node, g_loss_node, head_logit_node
 from .errors import ConfigError, NumericsError, QueueEmpty
-from .flow import euler_step
-from .nn import OptimizerState, VelocityModel, eval_velocity, \
-    forward_velocity, init_optimizer, optimizer_step, params_from_payload, \
-    params_to_payload, value_and_grad, zeros_like
+from .flow import integrate
+from .nn import OptimizerState, VelocityModel, forward_velocity, init_optimizer, \
+    optimizer_step, params_from_payload, params_to_payload, value_and_grad, zeros_like
 from .seeds import derive_seed
 from .trajstore import TrajectoryStore, key_points
 
@@ -96,19 +95,20 @@ def traj_loss(student: VelocityModel, keys, schedule: KeySchedule, k: int) -> fl
 
 @dataclass
 class QueueEntry:
-    """Generated latent(s) tagged with a key index, carried together
-    with the real key latents of the paired source trajectories.
+    """A batch of B generated latents tagged with a key index, carried
+    together with the real key latents of the paired source
+    trajectories. B may be 1; the arrays are batched regardless."""
 
-    A latent row always has the data dimension d; entries may carry a
-    single latent (shape (d,)) or a small batch (shape (B, d)) with
-    real_keys and traj_index shaped to match, mirroring how training
-    processes minibatches.
-    """
-
-    latent: np.ndarray
-    real_keys: np.ndarray  # (m+1, d) or (B, m+1, d), ordered like KeySchedule.times
-    traj_index: object  # int or integer array of length B
+    latent: np.ndarray  # (B, d)
+    real_keys: np.ndarray  # (B, m+1, d), ordered like KeySchedule.times
+    traj_index: np.ndarray  # (B,) integer
     key_index: int
+
+    def __post_init__(self):
+        B = self.latent.shape[0]
+        if (self.latent.ndim != 2 or self.real_keys.ndim != 3
+                or self.real_keys.shape[0] != B or self.traj_index.shape != (B,)):
+            raise ValueError("queue entry arrays must be (B, d), (B, m+1, d) and (B,)")
 
 
 class LatentQueues:
@@ -137,14 +137,6 @@ class LatentQueues:
 
     def sizes(self) -> list:
         return [len(q) for q in self._queues]
-
-
-def queue_push(queues: LatentQueues, k: int, entry: QueueEntry):
-    queues.push(k, entry)
-
-
-def queue_pop(queues: LatentQueues, k: int) -> QueueEntry:
-    return queues.pop(k)
 
 
 @dataclass(frozen=True)
@@ -283,8 +275,7 @@ def save_checkpoint(path, state: _DistillState, config: DistillConfig):
                 {
                     "latent": e.latent.tolist(),
                     "real_keys": e.real_keys.tolist(),
-                    "traj_index": e.traj_index.tolist()
-                    if isinstance(e.traj_index, np.ndarray) else e.traj_index,
+                    "traj_index": e.traj_index.tolist(),
                     "key_index": e.key_index,
                 }
                 for e in state.queues._queues[k]
@@ -325,14 +316,14 @@ def load_checkpoint(path, teacher: VelocityModel, config: DistillConfig) -> _Dis
     state.adv_g_count = payload["adv_g_count"]
     state.adv_h_sum = [params_from_payload(p) for p in payload["adv_h_sum"]]
     state.adv_h_count = list(payload["adv_h_count"])
+    # older checkpoints hold 1-row entries unbatched: (d,), (m+1, d), int
+    d = teacher.d
     for k, entries in enumerate(payload["queues"]):
         for e in entries:
-            traj_index = (np.asarray(e["traj_index"])
-                          if isinstance(e["traj_index"], list) else e["traj_index"])
             state.queues.push(k, QueueEntry(
-                np.asarray(e["latent"], dtype=np.float64),
-                np.asarray(e["real_keys"], dtype=np.float64),
-                traj_index, e["key_index"],
+                np.asarray(e["latent"], dtype=np.float64).reshape(-1, d),
+                np.asarray(e["real_keys"], dtype=np.float64).reshape(-1, config.m + 1, d),
+                np.atleast_1d(np.asarray(e["traj_index"])), e["key_index"],
             ))
     state.metrics = [tuple(row) for row in payload["metrics"]]
     return state
@@ -355,16 +346,15 @@ def _adv_gradients(teacher, taps, schedule, config, state, k, entry, fresh_keys,
     dt = t_lo - t_hi
     head_idx = state.head_for(k)
     head = state.heads[head_idx]
-    l_prev = np.atleast_2d(entry.latent)
+    l_prev = entry.latent
 
     if config.adv_real_source == "queued":
-        rk = entry.real_keys
-        real = rk[m - k].reshape(1, -1) if rk.ndim == 2 else rk[:, m - k, :]
+        real = entry.real_keys[:, m - k, :]
         adv_traj_index = entry.traj_index
     else:
         B = l_prev.shape[0]
         real = fresh_keys[:B, m - k, :]
-        adv_traj_index = fresh_indices[:B] if B > 1 else int(fresh_indices[0])
+        adv_traj_index = fresh_indices[:B]
 
     def gen_loss(ps):
         v = forward_velocity(ps, l_prev, t_hi, teacher.R)
@@ -395,8 +385,7 @@ def _adv_gradients(teacher, taps, schedule, config, state, k, entry, fresh_keys,
     state.adv_h_sum[head_idx] = state.adv_h_sum[head_idx].zip_with(h_grads, np.add)
     state.adv_h_count[head_idx] += 1
 
-    latents = l_gen_value[0].copy() if entry.latent.ndim == 1 else l_gen_value.copy()
-    advanced = QueueEntry(latents, entry.real_keys, adv_traj_index, k)
+    advanced = QueueEntry(l_gen_value, entry.real_keys, adv_traj_index, k)
     return d_loss_val, g_loss_val, advanced
 
 
@@ -451,7 +440,7 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
         raise ConfigError(f"feature taps {taps} out of range for R={teacher.R}")
 
     teacher_print = teacher.fingerprint()
-    keys_all = np.stack([key_points(t, schedule) for t in store.trajectories])
+    keys_all = key_points(store, schedule)
     m, B, N = config.m, config.batch_size, store.N
 
     if resume and checkpoint_path and os.path.exists(checkpoint_path):
@@ -483,10 +472,7 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
                     # fresh noise paired with this iteration's trajectories
                     nb = min(config.adv_batch, B)
                     z = state.rng_noise.standard_normal((nb, store.d))
-                    entry = QueueEntry(z if nb > 1 else z[0],
-                                       keys_b[:nb] if nb > 1 else keys_b[0],
-                                       idx[:nb] if nb > 1 else int(idx[0]), m)
-                    state.queues.push(m, entry)
+                    state.queues.push(m, QueueEntry(z, keys_b[:nb], idx[:nb], m))
                 try:
                     entry = state.queues.pop(k + 1)
                 except QueueEmpty:
@@ -525,21 +511,11 @@ def sample_student(student: VelocityModel, schedule: KeySchedule, z):
 
     Returns (sample, nfe); nfe counts model evaluations and equals m.
     """
-    x = np.asarray(z, dtype=np.float64)
-    nfe = 0
-    for i in range(schedule.m):
-        x = euler_step(student, x, float(schedule.times[i]), float(schedule.times[i + 1]))
-        nfe += 1
-    return x, nfe
+    X, nfe = sample_student_batch(student, schedule, np.reshape(z, (1, -1)))
+    return X[0], nfe
 
 
 def sample_student_batch(student: VelocityModel, schedule: KeySchedule, Z):
     """Batched few-step sampling: (B, d) noise to (B, d) samples in
     exactly m model evaluations."""
-    X = np.asarray(Z, dtype=np.float64)
-    nfe = 0
-    for i in range(schedule.m):
-        t_hi, t_lo = float(schedule.times[i]), float(schedule.times[i + 1])
-        X = X + (t_lo - t_hi) * eval_velocity(student, X, t_hi)
-        nfe += 1
-    return X, nfe
+    return integrate(student, Z, schedule.times)[-1], schedule.m

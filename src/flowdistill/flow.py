@@ -19,6 +19,16 @@ from .nn import VelocityModel, build_velocity_model, eval_velocity, forward_velo
     init_optimizer, optimizer_step, value_and_grad
 from .seeds import derive_seed
 
+# glibc's malloc gives freed memory at the top of the heap back to the
+# kernel once it exceeds a threshold (128 KB at start, then twice the
+# largest mmap'd block freed so far), and the next allocation faults it
+# in again. The (B, H) temporaries of a B=2048 training step are 0.5 MB
+# each, so every step paid thousands of page faults, more or fewer with
+# the process layout. Freeing one untouched block of this size first
+# lifts the threshold above a step's temporaries by glibc's own rule. It
+# changes no result; elsewhere it is one allocation of untouched memory.
+_HEAP_WARMUP_BYTES = 16 << 20
+
 
 @dataclass(frozen=True)
 class ToyDataset:
@@ -150,6 +160,7 @@ def train_teacher(data: ToyDataset, iterations: int, batch_size: int, lr: float,
     params = model.params
     opt = init_optimizer(params, lr)
     losses = np.empty(iterations)
+    np.empty(_HEAP_WARMUP_BYTES // 8)
     for i in range(iterations):
         x0 = data.sample(batch_size, rng)
         x1 = rng.standard_normal((batch_size, data.d))
@@ -165,49 +176,58 @@ def train_teacher(data: ToyDataset, iterations: int, batch_size: int, lr: float,
     return model.with_params(params), losses
 
 
-def euler_step(model: VelocityModel, x, t_from: float, t_to: float):
-    """One explicit Euler step of the velocity ODE from t_from to t_to."""
-    if not (0.0 <= t_from <= 1.0 and 0.0 <= t_to <= 1.0):
+def integrate(model: VelocityModel, X, times) -> np.ndarray:
+    """Explicit Euler integration of the velocity ODE through `times`,
+    given in integration order: (B, d) states at times[0] to
+    (len(times), B, d) states, one model evaluation per step. Equal
+    consecutive times make a zero step."""
+    X = np.asarray(X, dtype=np.float64)
+    times = np.asarray(times, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"states must be a (B, d) batch, got shape {X.shape}")
+    if times.ndim != 1 or np.any(times < 0.0) or np.any(times > 1.0):
         raise ValueError("step times must lie in [0, 1]")
-    x = np.asarray(x, dtype=np.float64)
-    return x + (t_to - t_from) * eval_velocity(model, x, t_from)
+    states = np.empty((times.size,) + X.shape)
+    states[0] = X
+    for i in range(times.size - 1):
+        t, t_next = times[i], times[i + 1]
+        states[i + 1] = states[i] + (t_next - t) * eval_velocity(model, states[i], t)
+        if not np.all(np.isfinite(states[i + 1])):
+            raise NumericsError(f"Euler integration produced a non-finite state at t={t_next}")
+    return states
 
 
-def denoise(model: VelocityModel, x1, grid: TimeGrid):
-    """Integrate from noise at t=1 down to t=0, keeping every state.
+def euler_step(model: VelocityModel, x, t_from: float, t_to: float):
+    """One explicit Euler step of one state vector from t_from to t_to."""
+    return integrate(model, np.reshape(x, (1, -1)), (t_from, t_to))[-1, 0]
 
-    Performs exactly grid.n model evaluations and returns a Trajectory
-    whose states satisfy the Euler recurrence by construction.
-    """
-    from .trajstore import Trajectory  # stores are built on top of flow
 
+@dataclass
+class Trajectory:
+    """One denoising path: states[j] is the latent at grid.times[j], so
+    states[n] is the initial noise and states[0] the clean endpoint."""
+
+    grid: TimeGrid
+    states: np.ndarray
+
+    @property
+    def endpoint(self) -> np.ndarray:
+        return self.states[0]
+
+
+def denoise(model: VelocityModel, x1, grid: TimeGrid) -> Trajectory:
+    """Integrate one noise draw from t=1 down to t=0, keeping every
+    state; exactly grid.n model evaluations."""
     x1 = np.asarray(x1, dtype=np.float64)
     if x1.ndim != 1 or x1.size != model.d:
         raise ValueError(f"noise draw must be a vector of length {model.d}")
-    n = grid.n
-    states = np.empty((n + 1, model.d))
-    states[n] = x1
-    for j in range(n, 0, -1):
-        states[j - 1] = euler_step(model, states[j], grid.times[j], grid.times[j - 1])
-        if not np.all(np.isfinite(states[j - 1])):
-            raise NumericsError(f"denoising produced non-finite state at step j={j - 1}")
-    return Trajectory(grid=grid, states=states, noise_seed=None,
-                      fingerprint=model.fingerprint())
+    return Trajectory(grid, denoise_batch(model, x1.reshape(1, -1), grid)[:, 0])
 
 
 def denoise_batch(model: VelocityModel, X1: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Batched form of `denoise`: (B, d) noise draws to (n+1, B, d) states,
-    one model evaluation per timestep for the whole batch."""
-    X1 = np.asarray(X1, dtype=np.float64)
-    n = grid.n
-    states = np.empty((n + 1,) + X1.shape)
-    states[n] = X1
-    for j in range(n, 0, -1):
-        dt = grid.times[j - 1] - grid.times[j]
-        states[j - 1] = states[j] + dt * eval_velocity(model, states[j], grid.times[j])
-        if not np.all(np.isfinite(states[j - 1])):
-            raise NumericsError(f"denoising produced non-finite state at step j={j - 1}")
-    return states
+    indexed like grid.times, one model evaluation per timestep."""
+    return integrate(model, X1, grid.times[::-1])[::-1]
 
 
 def sample_model(model: VelocityModel, count: int, steps: int, seed: int) -> np.ndarray:
@@ -217,4 +237,4 @@ def sample_model(model: VelocityModel, count: int, steps: int, seed: int) -> np.
         raise ConfigError(f"sample count must be positive, got {count}")
     rng = np.random.default_rng(seed)
     X1 = rng.standard_normal((count, model.d))
-    return denoise_batch(model, X1, TimeGrid.uniform(steps))[0]
+    return integrate(model, X1, TimeGrid.uniform(steps).times[::-1])[-1]

@@ -276,7 +276,9 @@ def init_optimizer(params: ParamSet, lr: float, beta1=0.9, beta2=0.999,
 def optimizer_step(params: ParamSet, grads: ParamSet, state: OptimizerState):
     """One Adam step (decoupled weight decay when configured).
 
-    Returns new (params, state); inputs are left untouched.
+    Returns new (params, state); inputs are left untouched. The update
+    is elementwise, so it runs once on all tensors concatenated into one
+    vector; every element gets the same arithmetic as tensor by tensor.
     """
     params._check_congruent(grads)
     params._check_congruent(state.m)
@@ -284,22 +286,24 @@ def optimizer_step(params: ParamSet, grads: ParamSet, state: OptimizerState):
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1**step
     bias2 = 1.0 - b2**step
-    new_p, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params.tensors, grads.tensors, state.m.tensors, state.v.tensors):
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * (g * g)
-        update = (m / bias1) / (np.sqrt(v / bias2) + state.eps)
-        p = p - state.lr * update
-        if state.weight_decay:
-            p = p - state.lr * state.weight_decay * p
-        new_p.append(p)
-        new_m.append(m)
-        new_v.append(v)
-    names = params.names
-    new_state = dataclasses.replace(
-        state, m=ParamSet(names, tuple(new_m)), v=ParamSet(names, tuple(new_v)), step=step
-    )
-    return ParamSet(names, tuple(new_p)), new_state
+    p, g, m, v = (np.concatenate([t.ravel() for t in ps.tensors])
+                  for ps in (params, grads, state.m, state.v))
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * (g * g)
+    update = (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+    p = p - state.lr * update
+    if state.weight_decay:
+        p = p - state.lr * state.weight_decay * p
+
+    def unflatten(flat):
+        parts, start = [], 0
+        for t in params.tensors:
+            parts.append(flat[start:start + t.size].reshape(t.shape))
+            start += t.size
+        return ParamSet(params.names, tuple(parts))
+
+    new_state = dataclasses.replace(state, m=unflatten(m), v=unflatten(v), step=step)
+    return unflatten(p), new_state
 
 
 def params_to_payload(params: ParamSet) -> list:

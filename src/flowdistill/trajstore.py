@@ -1,6 +1,13 @@
 """Synthetic trajectory dataset: generate, validate, persist, and query
 full teacher denoising paths.
 
+A store is columnar: one (N, n+1, d) float64 array holds every path,
+states[i, j] being path i's latent at grid.times[j] (so states[:, n] is
+the noise each path starts from and states[:, 0] its clean endpoint),
+and one (N,) int64 array holds the seed of each path's noise draw.
+The grid, the generating seed and the teacher fingerprint are shared by
+all paths and held once.
+
 The on-disk format is JSON Lines: one header object, then one record
 per trajectory. All reals are serialized with round-trip precision, so
 save followed by load is bit-exact and the store bytes are a pure
@@ -15,11 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, StoreFormatError, StoreIntegrityError
-from .flow import TimeGrid, denoise_batch, eval_velocity
-from .nn import VelocityModel
+from .flow import TimeGrid, denoise_batch
+from .nn import VelocityModel, eval_velocity
 from .seeds import derive_seed
 
 RECURRENCE_TOL = 1e-9
+# rows per model evaluation when re-checking the recurrence, so the
+# memory a validation needs does not grow with N
+VALIDATION_BLOCK = 1024
 
 
 def noise_from_seed(noise_seed: int, d: int) -> np.ndarray:
@@ -29,86 +39,45 @@ def noise_from_seed(noise_seed: int, d: int) -> np.ndarray:
 
 
 @dataclass
-class Trajectory:
-    """One denoising path: states[j] is the latent at grid.times[j], so
-    states[n] is the initial noise and states[0] the clean endpoint."""
+class TrajectoryStore:
+    """N denoising paths of one teacher on one grid, held column-wise:
+    states is (N, n+1, d) and noise_seeds (N,)."""
 
     grid: TimeGrid
+    seed: int
+    teacher_fingerprint: str
     states: np.ndarray
-    noise_seed: int | None
-    fingerprint: str
+    noise_seeds: np.ndarray
 
     def __post_init__(self):
         self.states = np.asarray(self.states, dtype=np.float64)
-        if self.states.ndim != 2 or self.states.shape[0] != self.grid.n + 1:
+        self.noise_seeds = np.asarray(self.noise_seeds, dtype=np.int64)
+        if self.states.ndim != 3 or self.states.shape[1] != self.grid.n + 1:
             raise ValueError(
-                f"trajectory needs {self.grid.n + 1} states, got {self.states.shape}"
+                f"store states must be (N, {self.grid.n + 1}, d), got {self.states.shape}"
             )
-
-    @property
-    def d(self) -> int:
-        return self.states.shape[1]
-
-    @property
-    def noise(self) -> np.ndarray:
-        return self.states[-1]
-
-    @property
-    def endpoint(self) -> np.ndarray:
-        return self.states[0]
-
-    def state_at(self, t: float) -> np.ndarray:
-        return self.states[self.grid.index_of(t)]
-
-    def max_recurrence_error(self, model: VelocityModel) -> float:
-        """Largest per-coordinate deviation from the Euler recurrence
-        when re-evaluating the generating model on the stored states."""
-        if model.d != self.d:
-            raise ValueError("model dimension does not match trajectory")
-        times = self.grid.times
-        v = eval_velocity(model, self.states[1:], times[1:])
-        dt = (times[:-1] - times[1:])[:, None]
-        residual = self.states[:-1] - self.states[1:] - dt * v
-        return float(np.max(np.abs(residual)))
-
-
-@dataclass
-class TrajectoryStore:
-    """A collection of trajectories sharing one grid, dimension, and
-    generating-model fingerprint."""
-
-    grid: TimeGrid
-    d: int
-    seed: int
-    teacher_fingerprint: str
-    trajectories: list
-
-    def __post_init__(self):
-        for traj in self.trajectories:
-            if traj.d != self.d or traj.grid.n != self.grid.n:
-                raise ValueError("store members must share grid and dimension")
-            if traj.fingerprint != self.teacher_fingerprint:
-                raise ValueError("store members must share the teacher fingerprint")
+        if self.noise_seeds.shape != self.states.shape[:1]:
+            raise ValueError("store needs one noise seed per trajectory")
 
     @property
     def N(self) -> int:
-        return len(self.trajectories)
+        return self.states.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.states.shape[2]
 
     def states_array(self) -> np.ndarray:
-        """All states stacked as (N, n+1, d)."""
-        return np.stack([traj.states for traj in self.trajectories])
+        """All states as (N, n+1, d); the store's own array, not a copy."""
+        return self.states
 
     def equal(self, other: "TrajectoryStore") -> bool:
         return (
-            self.N == other.N
-            and self.d == other.d
-            and self.seed == other.seed
+            self.seed == other.seed
             and self.teacher_fingerprint == other.teacher_fingerprint
             and np.array_equal(self.grid.times, other.grid.times)
-            and all(
-                a.noise_seed == b.noise_seed and np.array_equal(a.states, b.states)
-                for a, b in zip(self.trajectories, other.trajectories)
-            )
+            and np.array_equal(self.noise_seeds, other.noise_seeds)
+            and np.array_equal(self.states, other.states)
         )
 
 
@@ -122,15 +91,8 @@ def generate_store(teacher: VelocityModel, N: int, grid: TimeGrid, seed: int) ->
         raise ConfigError(f"store size must be positive, got {N}")
     noise_seeds = [derive_seed(seed, f"trajectory-{i}") for i in range(N)]
     X1 = np.stack([noise_from_seed(s, teacher.d) for s in noise_seeds])
-    states = denoise_batch(teacher, X1, grid)  # (n+1, N, d)
-    fingerprint = teacher.fingerprint()
-    trajectories = [
-        Trajectory(grid=grid, states=states[:, i, :], noise_seed=noise_seeds[i],
-                   fingerprint=fingerprint)
-        for i in range(N)
-    ]
-    return TrajectoryStore(grid=grid, d=teacher.d, seed=seed,
-                           teacher_fingerprint=fingerprint, trajectories=trajectories)
+    states = denoise_batch(teacher, X1, grid).swapaxes(0, 1)
+    return TrajectoryStore(grid, seed, teacher.fingerprint(), states, noise_seeds)
 
 
 def save_store(store: TrajectoryStore, path):
@@ -145,11 +107,11 @@ def save_store(store: TrajectoryStore, path):
     }
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for i, traj in enumerate(store.trajectories):
+        for i, (noise_seed, states) in enumerate(zip(store.noise_seeds, store.states)):
             record = {
                 "index": i,
-                "noise_seed": traj.noise_seed,
-                "states": traj.states.tolist(),
+                "noise_seed": int(noise_seed),
+                "states": states.tolist(),
             }
             f.write(json.dumps(record, separators=(",", ":")) + "\n")
 
@@ -168,9 +130,12 @@ def load_store(path, teacher: VelocityModel | None = None) -> TrajectoryStore:
 
     def parse(line_no, text):
         try:
-            return json.loads(text)
+            obj = json.loads(text)
         except json.JSONDecodeError as e:
             raise StoreFormatError(f"{path}: line {line_no}: {e}") from e
+        if not isinstance(obj, dict):
+            raise StoreFormatError(f"{path}: line {line_no}: not a JSON object")
+        return obj
 
     header = parse(1, lines[0])
     for key in ("version", "N", "n", "d", "teacher_fingerprint", "seed", "grid"):
@@ -180,32 +145,63 @@ def load_store(path, teacher: VelocityModel | None = None) -> TrajectoryStore:
     if grid.n != header["n"]:
         raise StoreFormatError(f"{path}: line 1: grid length disagrees with n")
     N, d = header["N"], header["d"]
+    if type(N) is not int or type(d) is not int or d < 1:
+        raise StoreFormatError(f"{path}: line 1: N and d must be integers, d positive")
     if len(lines) - 1 != N:
         raise StoreFormatError(
             f"{path}: line {len(lines)}: expected {N} trajectory records, "
             f"found {len(lines) - 1}"
         )
-    trajectories = []
+    states = np.empty((N, grid.n + 1, d))
+    noise_seeds = np.empty(N, dtype=np.int64)
     for i in range(N):
+        where = f"{path}: line {i + 2}"
         record = parse(i + 2, lines[i + 1])
-        states = np.asarray(record["states"], dtype=np.float64)
         if record.get("index") != i:
-            raise StoreFormatError(f"{path}: line {i + 2}: record out of order")
-        if states.shape != (grid.n + 1, d):
+            raise StoreFormatError(f"{where}: record out of order")
+        for key in ("noise_seed", "states"):
+            if key not in record:
+                raise StoreFormatError(f"{where}: record is missing {key!r}")
+        noise_seed = record["noise_seed"]
+        if type(noise_seed) is not int or not 0 <= noise_seed < 2**63:
+            raise StoreFormatError(f"{where}: noise_seed {noise_seed!r} is not a seed")
+        try:
+            row = np.asarray(record["states"])
+        except ValueError as e:  # ragged nesting
+            raise StoreFormatError(f"{where}: states are not an array: {e}") from e
+        if row.dtype.kind not in "if":
+            raise StoreFormatError(f"{where}: states are not all numbers")
+        if row.shape != (grid.n + 1, d):
             raise StoreFormatError(
-                f"{path}: line {i + 2}: states have shape {states.shape}, "
-                f"expected {(grid.n + 1, d)}"
+                f"{where}: states have shape {row.shape}, expected {(grid.n + 1, d)}"
             )
-        trajectories.append(
-            Trajectory(grid=grid, states=states, noise_seed=record["noise_seed"],
-                       fingerprint=header["teacher_fingerprint"])
-        )
-    store = TrajectoryStore(grid=grid, d=d, seed=header["seed"],
-                            teacher_fingerprint=header["teacher_fingerprint"],
-                            trajectories=trajectories)
+        states[i] = row
+        noise_seeds[i] = noise_seed
+    store = TrajectoryStore(grid, header["seed"], header["teacher_fingerprint"],
+                            states, noise_seeds)
     if teacher is not None:
         validate_store(store, teacher)
     return store
+
+
+def recurrence_errors(model: VelocityModel, grid: TimeGrid, states) -> np.ndarray:
+    """Each path's largest per-coordinate deviation from the Euler
+    recurrence when re-evaluating `model` on its stored states:
+    (N, n+1, d) states on `grid` to (N,) maxima (NaN for a path with a
+    non-finite state)."""
+    states = np.asarray(states, dtype=np.float64)
+    if states.ndim != 3 or states.shape[1] != grid.n + 1:
+        raise ValueError(f"states must be (N, {grid.n + 1}, d), got {states.shape}")
+    times = grid.times
+    worst = np.zeros(states.shape[0])
+    for lo in range(0, states.shape[0], VALIDATION_BLOCK):
+        block = states[lo:lo + VALIDATION_BLOCK]
+        block_worst = worst[lo:lo + VALIDATION_BLOCK]
+        for j in range(grid.n, 0, -1):
+            v = eval_velocity(model, block[:, j], times[j])
+            residual = block[:, j - 1] - block[:, j] - (times[j - 1] - times[j]) * v
+            np.maximum(block_worst, np.max(np.abs(residual), axis=1), out=block_worst)
+    return worst
 
 
 def validate_store(store: TrajectoryStore, teacher: VelocityModel):
@@ -215,22 +211,23 @@ def validate_store(store: TrajectoryStore, teacher: VelocityModel):
             "store was generated by a different teacher "
             f"(fingerprint {store.teacher_fingerprint[:12]}… on file)"
         )
-    for i, traj in enumerate(store.trajectories):
-        err = traj.max_recurrence_error(teacher)
-        if err > RECURRENCE_TOL:
+    errors = recurrence_errors(teacher, store.grid, store.states)
+    bad = np.flatnonzero(~(errors <= RECURRENCE_TOL))
+    if bad.size:
+        i = int(bad[0])
+        raise StoreIntegrityError(
+            f"trajectory {i} violates the Euler recurrence (max error {errors[i]:.3e})"
+        )
+    for i, noise_seed in enumerate(store.noise_seeds):
+        if not np.array_equal(store.states[i, -1], noise_from_seed(int(noise_seed), store.d)):
             raise StoreIntegrityError(
-                f"trajectory {i} violates the Euler recurrence (max error {err:.3e})"
+                f"trajectory {i} does not start from its seeded noise draw"
             )
-        if traj.noise_seed is not None:
-            expected = noise_from_seed(traj.noise_seed, store.d)
-            if not np.array_equal(traj.noise, expected):
-                raise StoreIntegrityError(
-                    f"trajectory {i} does not start from its seeded noise draw"
-                )
 
 
-def key_points(traj: Trajectory, schedule) -> np.ndarray:
+def key_points(x, schedule) -> np.ndarray:
     """States at the key timesteps, ordered from t'_m = 1 down to t'_0 = 0
-    (matching schedule.times); shape (m+1, d)."""
-    rows = [traj.grid.index_of(t) for t in schedule.times]
-    return traj.states[rows]
+    (matching schedule.times): (m+1, d) for a Trajectory, (N, m+1, d)
+    for a TrajectoryStore."""
+    rows = [x.grid.index_of(t) for t in schedule.times]
+    return x.states[..., rows, :]

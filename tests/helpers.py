@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 
 import flowdistill as fd
@@ -9,3 +13,36 @@ def rand_model(d=1, H=12, R=2, seed=0, scale=0.4):
     rng = np.random.default_rng(seed + 1000)
     model = fd.build_velocity_model(d, H, R, seed)
     return model.with_params(model.params.map(lambda t: t + rng.normal(0, scale, t.shape)))
+
+
+def parallel_map(fn, args):
+    """[fn(a) for a in args], spread over up to two worker processes when
+    this process may run on two CPUs. `fn` must be a module-level
+    function of this module; each call is independent and seeded, so the
+    results do not depend on where it ran."""
+    args = list(args)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if min(2, cpus or 1, len(args)) < 2:
+        return [fn(a) for a in args]
+    # spawn, not fork: a forked child would inherit the BLAS thread state
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(fn, args))
+
+
+def distill_and_score(args):
+    """One ablation cell: distill a student, sample it in m steps from Z
+    and measure its W1 to the teacher's samples on the same noise."""
+    teacher, store, config, schedule, Z, teacher_samples = args
+    result = fd.distill(teacher, store, config)
+    samples, nfe = fd.sample_student_batch(result.student, schedule, Z)
+    w1 = fd.w1_distance(samples[:, 0], teacher_samples[:, 0])
+    return {"student": result.student, "w1": w1, "nfe": nfe}
+
+
+def kd_and_score(args):
+    """One KD-baseline cell: train on the shifted dataset p_d, sample in
+    `windows` steps and measure W1 to the unshifted support."""
+    teacher, p_d, windows, config, grid, count, sample_seed, support = args
+    student, _ = fd.kd_baseline_distill(teacher, p_d, windows, config, grid=grid)
+    samples = fd.sample_model(student, count, windows, sample_seed)
+    return fd.w1_distance(samples[:, 0], support[:, 0])

@@ -88,3 +88,20 @@ def w1_quantile_grid(a, b):
     qa = a[np.minimum((u * na).astype(np.int64), na - 1)]
     qb = b[np.minimum((u * nb).astype(np.int64), nb - 1)]
     return float(np.mean(np.abs(qa - qb)))
+
+
+def euler_reference(model, X, times):
+    """Explicit Euler through `times` (integration order), updating one
+    state row at a time: (B, d) to (len(times), B, d). Each step's
+    velocity is one evaluation on the whole batch, as every sampler makes
+    it, since a matrix product over one row and over B rows may round
+    differently in the last bits."""
+    from flowdistill.nn import eval_velocity
+
+    X = np.array(X, dtype=np.float64)
+    states = [X]
+    for t, t_next in zip(times[:-1], times[1:]):
+        v = eval_velocity(model, X, t)
+        X = np.stack([X[b] + (t_next - t) * v[b] for b in range(X.shape[0])])
+        states.append(X)
+    return np.stack(states)

@@ -4,7 +4,9 @@ criterion, each printing a PASS line with the measured numbers.
 Run with `pytest tests/test_acceptance.py -v -s`. The expensive
 artifacts (fully trained teacher, 4096-trajectory store, the ablation
 grid of distilled students) are session-scoped fixtures shared across
-criteria, so the suite trains the teacher exactly once.
+criteria, so the suite trains the teacher exactly once. The 15 ablation
+runs and the 20 KD-baseline runs are independent and seeded, so they
+run in up to two worker processes (`helpers.parallel_map`).
 """
 
 import dataclasses
@@ -25,7 +27,7 @@ from flowdistill.nn import forward_velocity
 from flowdistill.seeds import derive_seed
 from flowdistill.trajstore import RECURRENCE_TOL
 
-from helpers import rand_model
+from helpers import distill_and_score, kd_and_score, parallel_map, rand_model
 from oracles import max_grad_rel_error, mismatch_bruteforce
 
 TEACHER_ITERS = 10000
@@ -97,16 +99,13 @@ def ablation(teacher, store, schedule, teacher_samples):
         "noadv": dataclasses.replace(DISTILL_BASE, lambda_adv=0.0),
         "single": dataclasses.replace(DISTILL_BASE, heads="single"),
     }
-    runs = {}
-    for seed in SEEDS:
-        Z, t_samples = teacher_samples[seed]
-        for name, cfg in variants.items():
-            cfg_s = dataclasses.replace(cfg, seed=derive_seed(seed, "distill"))
-            result = fd.distill(teacher, store, cfg_s)
-            samples, nfe = fd.sample_student_batch(result.student, schedule, Z)
-            w1 = fd.w1_distance(samples[:, 0], t_samples[:, 0])
-            runs[name, seed] = {"student": result.student, "w1": w1, "nfe": nfe}
-    return runs
+    cells = [(name, seed) for seed in SEEDS for name in variants]
+    tasks = [
+        (teacher, store, dataclasses.replace(variants[name], seed=derive_seed(seed, "distill")),
+         schedule, *teacher_samples[seed])
+        for name, seed in cells
+    ]
+    return dict(zip(cells, parallel_map(distill_and_score, tasks)))
 
 
 def test_criterion_1_teacher_fidelity(teacher_run, data):
@@ -192,7 +191,7 @@ def test_criterion_3_solver_exactness(teacher, store):
         v = (x - a) / t
         assert abs((x + (0.0 - t) * v) - a) <= 1e-12
 
-    worst = max(traj.max_recurrence_error(teacher) for traj in store.trajectories)
+    worst = float(np.max(fd.recurrence_errors(teacher, store.grid, store.states)))
     assert worst <= RECURRENCE_TOL
     print(f"\n[criterion 3] PASS: closed forms at <=1e-12; store recurrence "
           f"max error {worst:.2e} (<=1e-9) over {store.N} trajectories")
@@ -234,18 +233,14 @@ def test_criterion_5_useless_frequency_trend(teacher, store, data):
 
 def test_criterion_6_kd_degrades_distillation_does_not(teacher, store, data,
                                                        ablation):
-    kd_medians = []
-    for M in M_SWEEP:
-        p_d = fd.shifted_dataset(data, M)
-        w1s = []
-        for seed in SEEDS:
-            cfg = dataclasses.replace(KD_BASE, seed=derive_seed(seed, f"kd-{M}"))
-            student, _ = fd.kd_baseline_distill(teacher, p_d, KD_WINDOWS, cfg,
-                                                grid=store.grid)
-            samples = fd.sample_model(student, EVAL_COUNT, KD_WINDOWS,
-                                      derive_seed(seed, f"kd-eval-{M}"))
-            w1s.append(fd.w1_distance(samples[:, 0], data.support[:, 0]))
-        kd_medians.append(float(np.median(w1s)))
+    tasks = [
+        (teacher, fd.shifted_dataset(data, M), KD_WINDOWS,
+         dataclasses.replace(KD_BASE, seed=derive_seed(seed, f"kd-{M}")), store.grid,
+         EVAL_COUNT, derive_seed(seed, f"kd-eval-{M}"), data.support)
+        for M in M_SWEEP for seed in SEEDS
+    ]
+    w1s = np.reshape(parallel_map(kd_and_score, tasks), (len(M_SWEEP), len(SEEDS)))
+    kd_medians = [float(np.median(row)) for row in w1s]
     assert all(b >= a - 1e-12 for a, b in zip(kd_medians, kd_medians[1:])), kd_medians
 
     # store-based distillation never reads p_d: identical per seed across M

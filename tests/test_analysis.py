@@ -123,7 +123,7 @@ class TestEndpointError:
 class TestUselessFrequency:
     def test_stored_states_never_useless(self, quick_teacher, quick_store):
         # feed the exact stored states back: distance zero at every time
-        p_like = fd.ToyDataset(quick_store.trajectories[0].endpoint.reshape(1, -1))
+        p_like = fd.ToyDataset(quick_store.states[0, 0].reshape(1, -1))
         freq = fd.useless_frequency(quick_teacher, quick_store, p_like,
                                     t_samples=64, epsilon=1e9,
                                     mode="trajectory-proximity", seed=0)

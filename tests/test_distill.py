@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -97,28 +99,28 @@ class TestQueues:
         queues = fd.LatentQueues(m=2, capacity=4)
         a = _entry(0.1, key_index=1)
         b = _entry(0.2, key_index=1)
-        fd.queue_push(queues, 1, a)
-        fd.queue_push(queues, 1, b)
-        assert fd.queue_pop(queues, 1) is a
-        assert fd.queue_pop(queues, 1) is b
+        queues.push(1, a)
+        queues.push(1, b)
+        assert queues.pop(1) is a
+        assert queues.pop(1) is b
 
     def test_pop_empty_signals_warmup_skip(self):
         queues = fd.LatentQueues(m=2, capacity=4)
         with pytest.raises(QueueEmpty):
-            fd.queue_pop(queues, 0)
+            queues.pop(0)
 
     def test_capacity_evicts_oldest(self):
         queues = fd.LatentQueues(m=1, capacity=2)
         entries = [_entry(float(i), key_index=0) for i in range(3)]
         for e in entries:
-            fd.queue_push(queues, 0, e)
+            queues.push(0, e)
         assert queues.size(0) == 2
-        assert fd.queue_pop(queues, 0) is entries[1]
+        assert queues.pop(0) is entries[1]
 
     def test_mistagged_entry_rejected(self):
         queues = fd.LatentQueues(m=2, capacity=4)
         with pytest.raises(ValueError):
-            fd.queue_push(queues, 2, _entry(0.0, key_index=1))
+            queues.push(2, _entry(0.0, key_index=1))
 
 
 class TestDistill:
@@ -129,7 +131,7 @@ class TestDistill:
 
         # hand-rolled loop: trajectory regression only, same rng stream
         schedule = fd.make_key_schedule(cfg.n, cfg.m)
-        keys_all = np.stack([fd.key_points(t, schedule) for t in quick_store.trajectories])
+        keys_all = fd.key_points(quick_store, schedule)
         params = quick_teacher.params.copy()
         opt = init_optimizer(params, cfg.student_lr)
         rng = np.random.default_rng(derive_seed(cfg.seed, "trajectory-batches"))
@@ -154,7 +156,7 @@ class TestDistill:
         # student initialized from the teacher: before any update the loss
         # equals the teacher's finite-difference mismatch, strictly positive
         schedule = fd.make_key_schedule(10, 5)
-        keys = fd.key_points(quick_store.trajectories[0], schedule)
+        keys = fd.key_points(quick_store, schedule)[0]
         for k in range(5):
             loss = fd.traj_loss(quick_teacher, keys, schedule, k)
             assert loss > 0.0
@@ -166,7 +168,7 @@ class TestDistill:
         rnd, k, loss, d_loss, g_loss, sizes = result.metrics[0]
         assert (rnd, k) == (0, 4)
         schedule = fd.make_key_schedule(10, 5)
-        keys_all = np.stack([fd.key_points(t, schedule) for t in quick_store.trajectories])
+        keys_all = fd.key_points(quick_store, schedule)
         rng = np.random.default_rng(derive_seed(cfg.seed, "trajectory-batches"))
         idx = rng.integers(0, quick_store.N, size=cfg.batch_size)
         expected = float(traj_loss_node(quick_teacher.params, keys_all[idx], schedule,
@@ -234,6 +236,26 @@ class TestDistill:
         for ha, hb in zip(resumed.heads, full.heads):
             assert ha.params.equal(hb.params)
 
+    def test_resume_reads_unbatched_one_row_entries(self, quick_teacher, quick_store,
+                                                    tmp_path):
+        # checkpoints written before entries were always batched hold a
+        # 1-row entry as a (d,) latent, (m+1, d) keys and an int index
+        ckpt = tmp_path / "ckpt.json"
+        cfg = fd.DistillConfig(m=5, n=10, iterations=5, batch_size=4, seed=11,
+                               adv_batch=1, checkpoint_interval=3)
+        full = fd.distill(quick_teacher, quick_store, cfg, checkpoint_path=ckpt)
+        payload = json.loads(ckpt.read_text())
+        entries = [e for queue in payload["queues"] for e in queue]
+        assert entries
+        for e in entries:
+            e["latent"], e["real_keys"], e["traj_index"] = \
+                e["latent"][0], e["real_keys"][0], e["traj_index"][0]
+        ckpt.write_text(json.dumps(payload))
+        resumed = fd.distill(quick_teacher, quick_store, cfg, checkpoint_path=ckpt,
+                             resume=True)
+        assert resumed.student.params.equal(full.student.params)
+        assert resumed.metrics == full.metrics
+
 
 class TestHeadIsolation:
     def test_update_for_one_k_leaves_other_heads_identical(self, quick_teacher,
@@ -244,9 +266,10 @@ class TestHeadIsolation:
         state = _DistillState(quick_teacher, cfg)
         before = [h.params.copy() for h in state.heads]
         taps = fd.default_taps(quick_teacher)
-        keys = fd.key_points(quick_store.trajectories[0], schedule)
-        entry = fd.QueueEntry(np.array([0.3]), keys, 0, 3)
-        _adv_gradients(quick_teacher, taps, schedule, cfg, state, 2, entry, keys, 0)
+        keys = fd.key_points(quick_store, schedule)[:1]
+        entry = fd.QueueEntry(np.array([[0.3]]), keys, np.array([0]), 3)
+        _adv_gradients(quick_teacher, taps, schedule, cfg, state, 2, entry, keys,
+                       np.array([0]))
         assert state.adv_h_count == [0, 0, 1, 0, 0]
         _apply_adv_updates(state, cfg)
         assert not state.heads[2].params.equal(before[2])
@@ -292,7 +315,8 @@ class TestSampling:
 
 
 def _entry(value, key_index):
-    return fd.QueueEntry(np.array([value]), np.zeros((3, 1)), 0, key_index)
+    return fd.QueueEntry(np.array([[value]]), np.zeros((1, 3, 1)), np.array([0]),
+                         key_index)
 
 
 def _constant_model(c):

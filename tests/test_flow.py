@@ -7,7 +7,7 @@ from flowdistill.errors import ConfigError
 from flowdistill.flow import fm_loss_node
 
 from helpers import rand_model
-from oracles import max_grad_rel_error
+from oracles import euler_reference, max_grad_rel_error
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 unit = st.floats(0.0, 1.0, allow_nan=False)
@@ -160,10 +160,42 @@ class TestDenoise:
         grid = fd.TimeGrid.uniform(10)
         Z = np.random.default_rng(3).standard_normal((5, 1))
         states = fd.denoise_batch(quick_teacher, Z, grid)
-        for i in range(5):
-            traj = fd.Trajectory(grid=grid, states=states[:, i, :], noise_seed=None,
-                                 fingerprint=quick_teacher.fingerprint())
-            assert traj.max_recurrence_error(quick_teacher) <= 1e-9
+        errors = fd.recurrence_errors(quick_teacher, grid, states.swapaxes(0, 1))
+        assert errors.shape == (5,) and np.all(errors <= 1e-9)
+
+
+GRID = fd.TimeGrid.uniform(7)
+SCHEDULE = fd.make_key_schedule(10, 5)
+Z = np.random.default_rng(7).standard_normal((5, 2))
+# every public entry point to the Euler integrator: (call, reference, steps)
+INTEGRATOR_CALLS = {
+    "denoise": (lambda m: fd.denoise(m, Z[0], GRID).states,
+                lambda m: euler_reference(m, Z[:1], GRID.times[::-1])[::-1, 0], 7),
+    "denoise_batch": (lambda m: fd.denoise_batch(m, Z, GRID),
+                      lambda m: euler_reference(m, Z, GRID.times[::-1])[::-1], 7),
+    "sample_model": (lambda m: fd.sample_model(m, 5, 4, seed=7),
+                     lambda m: euler_reference(m, Z, GRID.uniform(4).times[::-1])[-1], 4),
+    "sample_student": (lambda m: fd.sample_student(m, SCHEDULE, Z[0])[0],
+                       lambda m: euler_reference(m, Z[:1], SCHEDULE.times)[-1, 0], 5),
+    "sample_student_batch": (lambda m: fd.sample_student_batch(m, SCHEDULE, Z)[0],
+                             lambda m: euler_reference(m, Z, SCHEDULE.times)[-1], 5),
+    "euler_step": (lambda m: fd.euler_step(m, Z[0], 0.8, 0.3),
+                   lambda m: euler_reference(m, Z[:1], [0.8, 0.3])[-1, 0], 1),
+    "euler_step_equal_times": (lambda m: fd.euler_step(m, Z[0], 0.5, 0.5),
+                               lambda m: euler_reference(m, Z[:1], [0.5, 0.5])[-1, 0], 1),
+    "partial_window": (lambda m: fd.integrate(m, Z, GRID.times[2:6][::-1]),
+                       lambda m: euler_reference(m, Z, GRID.times[5:1:-1]), 3),
+}
+
+
+@pytest.mark.parametrize("call", list(INTEGRATOR_CALLS))
+def test_integrator_matches_reference_loop(call):
+    run, reference, steps = INTEGRATOR_CALLS[call]
+    model = rand_model(d=2, seed=25)
+    before = model.eval_count
+    got = run(model)
+    assert model.eval_count - before == steps
+    assert np.array_equal(got, reference(model))
 
 
 class TestTrainTeacher:

@@ -1,11 +1,33 @@
+import json
+
 import numpy as np
 import pytest
 
 import flowdistill as fd
 from flowdistill.errors import ConfigError, StoreFormatError, StoreIntegrityError
-from flowdistill.trajstore import RECURRENCE_TOL
+from flowdistill.trajstore import RECURRENCE_TOL, VALIDATION_BLOCK
 
 from helpers import rand_model
+
+
+def _edit_record(edit):
+    def garble(line):
+        record = json.loads(line)
+        edit(record)
+        return json.dumps(record)
+    return garble
+
+
+# ways to spoil the record on line 3 (trajectory 1); each must be named
+GARBLES = {
+    "truncated": lambda line: line[: len(line) // 2],
+    "not-an-object": lambda line: "[" + line + "]",
+    "missing-states": _edit_record(lambda r: r.pop("states")),
+    "missing-noise-seed": _edit_record(lambda r: r.pop("noise_seed")),
+    "null-noise-seed": _edit_record(lambda r: r.update(noise_seed=None)),
+    "ragged-states": _edit_record(lambda r: r["states"][1].append(0.0)),
+    "non-numeric-states": _edit_record(lambda r: r["states"][1].__setitem__(0, "x")),
+}
 
 
 class TestGenerate:
@@ -26,21 +48,18 @@ class TestGenerate:
         assert not a.equal(b)
 
     def test_first_state_reproduces_seeded_noise(self, quick_store):
-        for traj in quick_store.trajectories:
-            expected = fd.noise_from_seed(traj.noise_seed, quick_store.d)
-            assert np.array_equal(traj.noise, expected)
+        for noise_seed, states in zip(quick_store.noise_seeds, quick_store.states):
+            expected = fd.noise_from_seed(int(noise_seed), quick_store.d)
+            assert np.array_equal(states[-1], expected)
 
     def test_recurrence_within_tolerance(self, quick_teacher, quick_store):
-        for traj in quick_store.trajectories[:8]:
-            assert traj.max_recurrence_error(quick_teacher) <= RECURRENCE_TOL
+        errors = fd.recurrence_errors(quick_teacher, quick_store.grid, quick_store.states)
+        assert errors.shape == (quick_store.N,)
+        assert np.all(errors <= RECURRENCE_TOL)
 
     def test_invalid_count_rejected(self, quick_teacher):
         with pytest.raises(ConfigError):
             fd.generate_store(quick_teacher, 0, fd.TimeGrid.uniform(4), seed=0)
-
-    def test_store_members_share_metadata(self, quick_store):
-        fps = {t.fingerprint for t in quick_store.trajectories}
-        assert fps == {quick_store.teacher_fingerprint}
 
 
 class TestPersistence:
@@ -64,11 +83,12 @@ class TestPersistence:
         with pytest.raises(StoreFormatError):
             fd.load_store(tmp_path / "cut.jsonl")
 
-    def test_garbled_record_names_line(self, quick_store, tmp_path):
+    @pytest.mark.parametrize("garble", list(GARBLES))
+    def test_garbled_record_names_line(self, quick_store, tmp_path, garble):
         path = tmp_path / "store.jsonl"
         fd.save_store(quick_store, path)
         lines = path.read_text().splitlines()
-        lines[2] = lines[2][: len(lines[2]) // 2]
+        lines[2] = GARBLES[garble](lines[2])
         (tmp_path / "bad.jsonl").write_text("\n".join(lines) + "\n")
         with pytest.raises(StoreFormatError, match="line 3"):
             fd.load_store(tmp_path / "bad.jsonl")
@@ -87,8 +107,6 @@ class TestPersistence:
             fd.load_store(path, teacher=other)
 
     def test_tampered_states_fail_validation(self, quick_teacher, quick_store, tmp_path):
-        import json
-
         path = tmp_path / "store.jsonl"
         fd.save_store(quick_store, path)
         lines = path.read_text().splitlines()
@@ -99,21 +117,30 @@ class TestPersistence:
         with pytest.raises(StoreIntegrityError):
             fd.load_store(path, teacher=quick_teacher)
 
+    @pytest.mark.parametrize("tamper", [0.5, float("nan")])
+    def test_validation_names_path_in_last_block(self, tamper):
+        model = rand_model(d=1, H=4, R=1, seed=41)
+        N = VALIDATION_BLOCK + 5
+        store = fd.generate_store(model, N, fd.TimeGrid.uniform(4), seed=2)
+        fd.validate_store(store, model)
+        store.states[N - 2, 2, 0] += tamper
+        with pytest.raises(StoreIntegrityError, match=f"trajectory {N - 2} "):
+            fd.validate_store(store, model)
+
 
 class TestKeyPoints:
     def test_full_grid_schedule_returns_all_states(self, quick_store):
-        traj = quick_store.trajectories[0]
-        n = traj.grid.n
+        n = quick_store.grid.n
         schedule = fd.make_key_schedule(n, n)
-        points = fd.key_points(traj, schedule)
-        assert np.array_equal(points, traj.states[::-1])
+        points = fd.key_points(quick_store, schedule)
+        assert np.array_equal(points, quick_store.states[:, ::-1])
 
     def test_two_point_schedule_is_noise_and_endpoint(self, quick_store):
-        traj = quick_store.trajectories[0]
-        schedule = fd.make_key_schedule(traj.grid.n, 1)
-        points = fd.key_points(traj, schedule)
-        assert np.array_equal(points[0], traj.noise)
-        assert np.array_equal(points[1], traj.endpoint)
+        schedule = fd.make_key_schedule(quick_store.grid.n, 1)
+        points = fd.key_points(quick_store, schedule)
+        assert points.shape == (quick_store.N, 2, quick_store.d)
+        assert np.array_equal(points[:, 0], quick_store.states[:, -1])
+        assert np.array_equal(points[:, 1], quick_store.states[:, 0])
 
     def test_uniform_keys_hit_expected_indices(self, quick_teacher):
         grid = fd.TimeGrid.uniform(50)
@@ -124,14 +151,12 @@ class TestKeyPoints:
             assert np.array_equal(points[row], traj.states[j])
 
     def test_off_grid_key_time_rejected(self, quick_store):
-        traj = quick_store.trajectories[0]  # n=10 grid
-        schedule = fd.KeySchedule(np.array([1.0, 0.15, 0.0]))
+        schedule = fd.KeySchedule(np.array([1.0, 0.15, 0.0]))  # store grid is n=10
         with pytest.raises(ConfigError):
-            fd.key_points(traj, schedule)
+            fd.key_points(quick_store, schedule)
 
     def test_key_points_are_exact_subsequence(self, quick_store):
-        traj = quick_store.trajectories[0]
-        schedule = fd.make_key_schedule(traj.grid.n, 5)
-        points = fd.key_points(traj, schedule)
-        state_rows = {tuple(s) for s in traj.states}
+        schedule = fd.make_key_schedule(quick_store.grid.n, 5)
+        points = fd.key_points(quick_store, schedule)[0]
+        state_rows = {tuple(s) for s in quick_store.states[0]}
         assert all(tuple(p) in state_rows for p in points)
