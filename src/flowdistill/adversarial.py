@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError
-from .nn import ParamSet, VelocityModel, forward_velocity
+from .nn import ParamSet, VelocityModel, forward_velocity, mlp_forward
 
 PROB_EPS = 1e-7
 
@@ -40,29 +40,36 @@ def default_taps(model: VelocityModel) -> FeatureTapConfig:
     return FeatureTapConfig(noisy_block=model.R, clean_block=max(1, model.R // 2))
 
 
-def features_node(teacher: VelocityModel, x, t: float, tap: FeatureTapConfig) -> Tensor:
+def features_node(teacher: VelocityModel, x, t: float, tap: FeatureTapConfig,
+                  want_cache: bool = False):
     """Hidden activation of the frozen teacher at the tap for time t.
 
-    `x` may be a Tensor so that gradients can flow through the input
-    back to whatever produced it; the teacher parameters themselves are
-    constants here and never receive gradients.
+    For an array `x` ((B, d), or one state) this is the explicit pass:
+    the teacher runs only up to the tapped block, and the (B, H)
+    features come back as an array, with the ForwardCache that
+    `mlp_backward` needs to differentiate through them when
+    `want_cache` is set. A Tensor `x` builds the same activation as a
+    node of the autodiff tape, so gradients flow back through the input
+    (the reference the explicit path is tested against). Either way
+    the teacher parameters are constants and never receive gradients.
     """
     block = tap.block_for(t)
     if not 0 <= block <= teacher.R:
         raise ConfigError(
             f"feature tap {block} out of range for a model with R={teacher.R} blocks"
         )
-    X = x if isinstance(x, Tensor) else np.atleast_2d(np.asarray(x, dtype=np.float64))
-    _, hidden = forward_velocity(teacher.params, X, t, teacher.R, want_hidden=True)
-    return hidden[block]
+    if isinstance(x, Tensor):
+        _, hidden = forward_velocity(teacher.params, x, t, teacher.R, want_hidden=True)
+        return hidden[block]
+    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    return mlp_forward(teacher.params, X, t, teacher.R, stop=block, want_cache=want_cache)
 
 
 def extract_features(teacher: VelocityModel, x, t: float, tap: FeatureTapConfig):
     """Feature vector(s) for discrimination; teacher left unmodified."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    out = features_node(teacher, x, t, tap).data
-    return out[0] if single else out
+    out = features_node(teacher, x, t, tap)
+    return out[0] if x.ndim == 1 else out
 
 
 @dataclass
@@ -100,10 +107,41 @@ def build_projection_head(feature_width: int, index: int, seed: int) -> Projecti
 
 
 def head_logit_node(params, features) -> Tensor:
-    """Logit of a head on (B, H) features; either side may carry grads."""
-    w1, b1, w2, b2 = (params.tensors if isinstance(params, ParamSet) else params)
+    """Logit of a head on (B, H) features, built on the autodiff tape;
+    either side may carry grads. The reference for `head_forward` and
+    `head_backward`."""
+    w1, b1, w2, b2 = getattr(params, "tensors", params)
     h = ad.silu(ad.add(ad.matmul(ad.as_tensor(features), w1), b1))
     return ad.add(ad.matmul(h, w2), b2)
+
+
+def head_forward(params: ParamSet, features):
+    """(B, 1) logits of a head on (B, H) features, plus the cache for
+    `head_backward`; the arithmetic of `head_logit_node`, without the
+    tape."""
+    w1, b1, w2, b2 = params.tensors
+    a = features @ w1 + b1
+    s = ad.stable_sigmoid(a)
+    h = a * s
+    return h @ w2 + b2, (features, a, s, h)
+
+
+def head_backward(params: ParamSet, cache, g, grads: ParamSet | None = None,
+                  want_input: bool = False):
+    """Reverse pass of `head_forward` for the logit gradient g: writes
+    the parameter gradients into `grads` unless it is None, and returns
+    the gradient with respect to the features when `want_input` is
+    set. Same arithmetic as the tape's VJPs."""
+    features, a, s, h = cache
+    w1, _, w2, _ = params.tensors
+    if grads is not None:
+        np.add.reduce(g, 0, out=grads.tensors[3])
+        np.matmul(h.T, g, out=grads.tensors[2])
+    g = (g @ w2.T) * s * (1.0 + a * (1.0 - s))  # through silu
+    if grads is not None:
+        np.add.reduce(g, 0, out=grads.tensors[1])
+        np.matmul(features.T, g, out=grads.tensors[0])
+    return g @ w1.T if want_input else None
 
 
 def discriminate(head: ProjectionHead, features) -> float:
@@ -115,7 +153,7 @@ def discriminate(head: ProjectionHead, features) -> float:
         raise ValueError(
             f"feature width {feats.shape[1]} does not match head input {head.in_width}"
         )
-    logit = head_logit_node(head.params, feats).data
+    logit, _ = head_forward(head.params, feats)
     prob = ad.stable_sigmoid(logit[:, 0])
     return float(prob[0]) if single else prob
 
@@ -132,6 +170,46 @@ def adv_losses(p_real: float, p_fake: float):
     d_loss = -(np.log(pr) + np.log(1.0 - pf))
     g_loss = -np.log(pf)
     return float(d_loss), float(g_loss)
+
+
+def _clip_prob(p):
+    """Probabilities clamped away from {0, 1}, and the mask of those the
+    clamp left alone (where the clamped value has a gradient)."""
+    return np.clip(p, PROB_EPS, 1.0 - PROB_EPS), (p > PROB_EPS) & (p < 1.0 - PROB_EPS)
+
+
+def g_loss_grad(logit_fake, variant: str, scale: float):
+    """`scale` times the generator loss on sigmoid(logit_fake), and its
+    gradient with respect to the logits, in closed form. The operations
+    follow the tape's VJPs of `g_loss_node` in order, so both values
+    equal the tape's bit for bit."""
+    p = ad.stable_sigmoid(logit_fake)
+    pc, inside = _clip_prob(p)
+    if variant == "non_saturating":
+        loss = -np.mean(np.log(pc)) * scale
+        g = np.full(p.shape, float(-scale) / p.size) / pc
+    elif variant == "minimax":
+        one_minus = 1.0 - pc
+        loss = np.mean(np.log(one_minus)) * scale
+        g = -(np.full(p.shape, float(scale) / p.size) / one_minus)
+    else:
+        raise ConfigError(f"unknown generator loss variant {variant!r}")
+    g = g * inside
+    return float(loss), g * p * (1.0 - p)
+
+
+def d_loss_grad(logit_real, logit_fake, scale: float):
+    """`scale` times the discriminator loss on the real and fake logits,
+    and its gradients with respect to each, in closed form; the
+    operations follow the tape's VJPs of `d_loss_node` in order."""
+    pr, pf = ad.stable_sigmoid(logit_real), ad.stable_sigmoid(logit_fake)
+    prc, inside_r = _clip_prob(pr)
+    pfc, inside_f = _clip_prob(pf)
+    one_minus = 1.0 - pfc
+    loss = -(np.mean(np.log(prc)) + np.mean(np.log(one_minus))) * scale
+    g_r = np.full(pr.shape, float(-scale) / pr.size) / prc * inside_r
+    g_f = -(np.full(pf.shape, float(-scale) / pf.size) / one_minus) * inside_f
+    return float(loss), g_r * pr * (1.0 - pr), g_f * pf * (1.0 - pf)
 
 
 def d_loss_node(p_real: Tensor, p_fake: Tensor) -> Tensor:

@@ -12,12 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .distill import DistillConfig, distill, make_key_schedule, sample_student_batch
 from .errors import ConfigError, NumericsError
 from .flow import TimeGrid, ToyDataset, denoise_batch, integrate, interpolate
-from .nn import VelocityModel, forward_velocity, init_optimizer, optimizer_step, \
-    value_and_grad
+from .nn import VelocityModel, build_velocity_model, init_optimizer, optimizer_step, \
+    velocity_mse
 from .seeds import derive_seed
 from .trajstore import TrajectoryStore
 
@@ -189,8 +188,6 @@ def kd_baseline_distill(teacher: VelocityModel, p_d: ToyDataset, windows: int,
     pool_t = np.concatenate(ts)
     pool_v = np.concatenate(vs)
 
-    from .nn import build_velocity_model
-
     student = build_velocity_model(teacher.d, teacher.H, teacher.R,
                                    derive_seed(config.seed, "kd-init"))
     params = student.params
@@ -199,14 +196,9 @@ def kd_baseline_distill(teacher: VelocityModel, p_d: ToyDataset, windows: int,
     losses = np.empty(config.iterations)
     for i in range(config.iterations):
         idx = rng_train.integers(0, pool_x.shape[0], size=config.batch_size)
-        bx, bt, bv = pool_x[idx], pool_t[idx], pool_v[idx]
-
-        def loss_fn(ps):
-            pred = forward_velocity(ps, bx, bt, student.R)
-            return ad.mean(ad.square(ad.sub(pred, bv)))
-
         try:
-            loss, grads = value_and_grad(loss_fn, params)
+            loss, grads = velocity_mse(params, pool_x[idx], pool_t[idx], pool_v[idx],
+                                       student.R)
         except NumericsError as e:
             raise NumericsError(f"KD training diverged at iteration {i}: {e}") from e
         params, opt = optimizer_step(params, grads, opt)

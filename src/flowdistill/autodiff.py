@@ -9,6 +9,10 @@ finite-difference checks can use tight tolerances.
 
 Nodes whose inputs carry no gradient are created without parent links,
 so evaluation of a frozen model builds no graph at all.
+
+The training loops do not run on the tape: they use the explicit layer
+VJPs of `nn` and `adversarial`, which repeat this module's arithmetic
+in the same order. The tape is the reference those are tested against.
 """
 
 from __future__ import annotations

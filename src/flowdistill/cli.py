@@ -18,6 +18,7 @@ import numpy as np
 from .analysis import MetricsRecord, SWEEP_COLUMNS, endpoint_error, \
     kd_baseline_distill, mismatch_sweep, shifted_dataset, useless_frequency, \
     w1_distance
+from .atomic import atomic_open
 from .config import load_config
 from .distill import distill, make_key_schedule, sample_student_batch, METRIC_COLUMNS
 from .errors import FlowDistillError
@@ -37,7 +38,7 @@ def _fmt(value) -> str:
 
 
 def write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(path) as f:
         f.write(",".join(header) + "\n")
         for row in rows:
             f.write(",".join(_fmt(v) for v in row) + "\n")

@@ -44,6 +44,8 @@ DEFAULT_CONFIG = {
         "adv_accum": 1,
         "adv_batch": 32,
         "checkpoint_interval": 200,
+        "tap_noisy": None,  # null: the teacher's last block
+        "tap_clean": None,  # null: its middle block
     },
     "kd": {"windows": 5, "iterations": 4000, "batch_size": 256, "lr": 1e-3,
            "pool_size": 16384},
@@ -81,17 +83,34 @@ class RunConfig:
         return self.model["R"]
 
 
-def _require(section: dict, path: str, key: str, kind, positive=False):
+def _require(section: dict, path: str, key: str, kind, positive=False, nullable=False):
     if key not in section:
         raise ConfigError(f"config is missing field {path}.{key}")
     value = section[key]
+    if nullable and value is None:
+        return None
     if kind is float and isinstance(value, int):
         value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise ConfigError(f"config field {path}.{key} must be {kind.__name__}")
+        raise ConfigError(f"config field {path}.{key} must be {kind.__name__}"
+                          + (" or null" if nullable else ""))
     if positive and value <= 0:
         raise ConfigError(f"config field {path}.{key} must be positive")
     return value
+
+
+def _check_fields(merged: dict):
+    """Every section is an object and holds only the fields
+    DEFAULT_CONFIG names, so a misspelt key cannot pass silently."""
+    for key, value in merged.items():
+        if key not in DEFAULT_CONFIG:
+            raise ConfigError(f"config has unknown field {key}")
+        if isinstance(DEFAULT_CONFIG[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config field {key} must be an object")
+            for field in value:
+                if field not in DEFAULT_CONFIG[key]:
+                    raise ConfigError(f"config has unknown field {key}.{field}")
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -103,6 +122,7 @@ def parse_config(raw: dict) -> RunConfig:
             f"config field config_version must be {CONFIG_VERSION}, got {version!r}"
         )
     merged = _merge(DEFAULT_CONFIG, raw)
+    _check_fields(merged)
 
     support = merged["dataset"].get("support")
     if not isinstance(support, list) or not support:
@@ -123,25 +143,29 @@ def parse_config(raw: dict) -> RunConfig:
         "n": _require(merged["store"], "store", "n", int, True),
     }
     dd = merged["distill"]
+
+    def field(key, kind, positive=False, nullable=False):
+        return _require(dd, "distill", key, kind, positive, nullable)
+
     distill_cfg = DistillConfig(
-        m=_require(dd, "distill", "m", int, True),
+        m=field("m", int, True),
         n=store["n"],
-        lambda_adv=_require(dd, "distill", "lambda_adv", float),
-        student_lr=_require(dd, "distill", "student_lr", float, True),
-        adv_student_lr=dd.get("adv_student_lr", 1e-5),
-        head_lr=_require(dd, "distill", "head_lr", float, True),
-        batch_size=_require(dd, "distill", "batch_size", int, True),
-        iterations=_require(dd, "distill", "iterations", int, True),
-        queue_capacity=_require(dd, "distill", "queue_capacity", int, True),
-        tap_noisy=dd.get("tap_noisy"),
-        tap_clean=dd.get("tap_clean"),
-        heads=dd.get("heads", "per_timestep"),
-        generator_loss=dd.get("generator_loss", "non_saturating"),
-        adv_real_source=dd.get("adv_real_source", "queued"),
-        adv_optimizer=dd.get("adv_optimizer", "separate"),
-        adv_accum=dd.get("adv_accum", 1),
-        adv_batch=dd.get("adv_batch", 32),
-        checkpoint_interval=dd.get("checkpoint_interval", 0),
+        lambda_adv=field("lambda_adv", float),
+        student_lr=field("student_lr", float, True),
+        adv_student_lr=field("adv_student_lr", float, True),
+        head_lr=field("head_lr", float, True),
+        batch_size=field("batch_size", int, True),
+        iterations=field("iterations", int, True),
+        queue_capacity=field("queue_capacity", int, True),
+        tap_noisy=field("tap_noisy", int, nullable=True),
+        tap_clean=field("tap_clean", int, nullable=True),
+        heads=field("heads", str),
+        generator_loss=field("generator_loss", str),
+        adv_real_source=field("adv_real_source", str),
+        adv_optimizer=field("adv_optimizer", str),
+        adv_accum=field("adv_accum", int, True),
+        adv_batch=field("adv_batch", int, True),
+        checkpoint_interval=field("checkpoint_interval", int),
     )
     distill_cfg.validate()
     kd = merged["kd"]

@@ -22,11 +22,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .adversarial import FeatureTapConfig, ProjectionHead, build_projection_head, \
-    d_loss_node, features_node, g_loss_node, head_logit_node
+    d_loss_grad, features_node, g_loss_grad, head_backward, head_forward
+from .atomic import write_json
 from .errors import ConfigError, NumericsError, QueueEmpty
 from .flow import integrate
-from .nn import OptimizerState, VelocityModel, forward_velocity, init_optimizer, \
-    optimizer_step, params_from_payload, params_to_payload, value_and_grad, zeros_like
+from .nn import OptimizerState, VelocityModel, check_grads, check_loss, forward_velocity, \
+    init_optimizer, mlp_backward, mlp_forward, optimizer_step, params_from_payload, \
+    params_to_payload, velocity_mse, zeros_like
 from .seeds import derive_seed
 from .trajstore import TrajectoryStore, key_points
 
@@ -68,10 +70,12 @@ def make_key_schedule(n: int, m: int) -> KeySchedule:
     return KeySchedule(np.arange(m, -1, -1) / m)
 
 
-def traj_loss_node(params, keys, schedule: KeySchedule, k: int, R: int):
+def _traj_regression(keys, schedule: KeySchedule, k: int):
+    """Inputs (latents at t'_{k+1}, t'_{k+1}) and finite-difference
+    velocity targets of the key interval [t'_k, t'_{k+1}], for (m+1, d)
+    keys of one trajectory or (B, m+1, d) keys of a batch."""
     keys = np.asarray(keys, dtype=np.float64)
-    batched = keys.ndim == 3
-    if not batched:
+    if keys.ndim == 2:
         keys = keys[None]
     m = schedule.m
     if not 0 <= k <= m - 1:
@@ -81,7 +85,13 @@ def traj_loss_node(params, keys, schedule: KeySchedule, k: int, R: int):
     t_lo, t_hi = schedule.time(k), schedule.time(k + 1)
     l_lo = keys[:, m - k, :]
     l_hi = keys[:, m - k - 1, :]
-    target = (l_lo - l_hi) / (t_lo - t_hi)
+    return l_hi, t_hi, (l_lo - l_hi) / (t_lo - t_hi)
+
+
+def traj_loss_node(params, keys, schedule: KeySchedule, k: int, R: int):
+    """`traj_loss` as a node of the autodiff tape (the reference for the
+    explicit gradient of the trajectory phase)."""
+    l_hi, t_hi, target = _traj_regression(keys, schedule, k)
     pred = forward_velocity(params, l_hi, t_hi, R)
     return ad.mean(ad.square(ad.sub(pred, target)))
 
@@ -90,7 +100,9 @@ def traj_loss(student: VelocityModel, keys, schedule: KeySchedule, k: int) -> fl
     """Squared error between the student's velocity at the key latent for
     t'_{k+1} and the stored finite-difference velocity over [t'_k, t'_{k+1}],
     averaged over dimensions (and trajectories, when keys is batched)."""
-    return float(traj_loss_node(student.params, keys, schedule, k, student.R).data)
+    l_hi, t_hi, target = _traj_regression(keys, schedule, k)
+    diff = mlp_forward(student.params, l_hi, t_hi, student.R) - target
+    return float(np.mean(diff * diff))
 
 
 @dataclass
@@ -187,6 +199,8 @@ class DistillConfig:
             raise ConfigError("adv_accum must be positive")
         if self.adv_batch < 1:
             raise ConfigError("adv_batch must be positive")
+        if self.checkpoint_interval < 0:
+            raise ConfigError("checkpoint_interval must be non-negative")
 
 
 @dataclass
@@ -284,11 +298,7 @@ def save_checkpoint(path, state: _DistillState, config: DistillConfig):
         ],
         "metrics": state.metrics,
     }
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(payload, f, separators=(",", ":"))
-        f.write("\n")
-    os.replace(tmp, path)
+    write_json(path, payload)
 
 
 def load_checkpoint(path, teacher: VelocityModel, config: DistillConfig) -> _DistillState:
@@ -337,7 +347,10 @@ def _adv_gradients(teacher, taps, schedule, config, state, k, entry, fresh_keys,
     The generated latents are the entry advanced one student step;
     their real counterparts are the paired stored latents carried by
     the entry (or, with adv_real_source="fresh", the latents of the
-    trajectories sampled this iteration).
+    trajectories sampled this iteration). The student step, the teacher
+    features and the head logits of the generated latents are computed
+    once and serve the generator gradient, the discriminator and the
+    queue push.
 
     Returns (d_loss, g_loss, advanced QueueEntry).
     """
@@ -345,7 +358,8 @@ def _adv_gradients(teacher, taps, schedule, config, state, k, entry, fresh_keys,
     t_hi, t_lo = schedule.time(k + 1), schedule.time(k)
     dt = t_lo - t_hi
     head_idx = state.head_for(k)
-    head = state.heads[head_idx]
+    head = state.heads[head_idx].params
+    student = state.student_params
     l_prev = entry.latent
 
     if config.adv_real_source == "queued":
@@ -356,44 +370,45 @@ def _adv_gradients(teacher, taps, schedule, config, state, k, entry, fresh_keys,
         real = fresh_keys[:B, m - k, :]
         adv_traj_index = fresh_indices[:B]
 
-    def gen_loss(ps):
-        v = forward_velocity(ps, l_prev, t_hi, teacher.R)
-        l_gen = ad.add(l_prev, ad.mul(v, dt))
-        feats = features_node(teacher, l_gen, t_lo, taps)
-        p_fake = ad.sigmoid(head_logit_node(head.params, feats))
-        return ad.mul(g_loss_node(p_fake, config.generator_loss), config.lambda_adv)
+    v, step_cache = mlp_forward(student, l_prev, t_hi, teacher.R, want_cache=True)
+    l_gen = l_prev + v * dt
+    feats_fake, tap_cache = features_node(teacher, l_gen, t_lo, taps, want_cache=True)
+    logit_fake, head_fake = head_forward(head, feats_fake)
 
-    g_scaled, s_grads = value_and_grad(gen_loss, state.student_params)
-    g_loss_val = g_scaled / config.lambda_adv
-    state.adv_g_sum = state.adv_g_sum.zip_with(s_grads, np.add)
+    # generator: back through the head, the frozen teacher and the step
+    g_scaled, g_logit = g_loss_grad(logit_fake, config.generator_loss, config.lambda_adv)
+    check_loss(g_scaled)
+    g_feats = head_backward(head, head_fake, g_logit, want_input=True)
+    g_lgen = mlp_backward(teacher.params, tap_cache, g_feats, want_input=True)
+    s_grads = zeros_like(student)
+    mlp_backward(student, step_cache, g_lgen * dt, s_grads)
+    check_grads(s_grads)
+    state.adv_g_sum = state.adv_g_sum.like(state.adv_g_sum.flat + s_grads.flat)
     state.adv_g_count += 1
 
-    # advance the latents with the current student; reused by the queue push
-    l_gen_value = l_prev + dt * forward_velocity(
-        state.student_params, l_prev, t_hi, teacher.R
-    ).data
-    feats_fake = features_node(teacher, l_gen_value, t_lo, taps).data
-    feats_real = features_node(teacher, real, t_lo, taps).data
-
-    def disc_loss(ps):
-        p_real = ad.sigmoid(head_logit_node(ps, feats_real))
-        p_fake = ad.sigmoid(head_logit_node(ps, feats_fake))
-        return ad.mul(d_loss_node(p_real, p_fake), config.lambda_adv)
-
-    d_scaled, h_grads = value_and_grad(disc_loss, head.params)
-    d_loss_val = d_scaled / config.lambda_adv
-    state.adv_h_sum[head_idx] = state.adv_h_sum[head_idx].zip_with(h_grads, np.add)
+    # discriminator: both branches of the head, summed per parameter
+    logit_real, head_real = head_forward(
+        head, features_node(teacher, real, t_lo, taps))
+    d_scaled, g_real, g_fake = d_loss_grad(logit_real, logit_fake, config.lambda_adv)
+    check_loss(d_scaled)
+    h_real, h_fake = zeros_like(head), zeros_like(head)
+    head_backward(head, head_real, g_real, h_real)
+    head_backward(head, head_fake, g_fake, h_fake)
+    h_grads = head.like(h_real.flat + h_fake.flat)
+    check_grads(h_grads)
+    acc = state.adv_h_sum[head_idx]
+    state.adv_h_sum[head_idx] = acc.like(acc.flat + h_grads.flat)
     state.adv_h_count[head_idx] += 1
 
-    advanced = QueueEntry(l_gen_value, entry.real_keys, adv_traj_index, k)
-    return d_loss_val, g_loss_val, advanced
+    advanced = QueueEntry(l_gen, entry.real_keys, adv_traj_index, k)
+    return d_scaled / config.lambda_adv, g_scaled / config.lambda_adv, advanced
 
 
 def _apply_adv_updates(state, config):
     """Step the student and heads on the averaged adversarial gradients
     and reset the accumulators."""
     if state.adv_g_count > 0:
-        mean_g = state.adv_g_sum.map(lambda t: t / state.adv_g_count)
+        mean_g = state.adv_g_sum.like(state.adv_g_sum.flat / state.adv_g_count)
         if config.adv_optimizer == "shared":
             state.student_params, state.opt_student = optimizer_step(
                 state.student_params, mean_g, state.opt_student
@@ -406,7 +421,7 @@ def _apply_adv_updates(state, config):
         state.adv_g_count = 0
     for i, head in enumerate(state.heads):
         if state.adv_h_count[i] > 0:
-            mean_h = state.adv_h_sum[i].map(lambda t: t / state.adv_h_count[i])
+            mean_h = state.adv_h_sum[i].like(state.adv_h_sum[i].flat / state.adv_h_count[i])
             new_params, state.opt_heads[i] = optimizer_step(
                 head.params, mean_h, state.opt_heads[i]
             )
@@ -454,10 +469,8 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
             idx = state.rng_batch.integers(0, N, size=B)
             keys_b = keys_all[idx]
             try:
-                loss, grads = value_and_grad(
-                    lambda ps: traj_loss_node(ps, keys_b, schedule, k, teacher.R),
-                    state.student_params,
-                )
+                loss, grads = velocity_mse(state.student_params,
+                                           *_traj_regression(keys_b, schedule, k), teacher.R)
             except NumericsError as e:
                 raise NumericsError(
                     f"distillation diverged (traj phase, k={k}, round={rnd}): {e}"

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, NumericsError
 from .nn import VelocityModel, build_velocity_model, eval_velocity, forward_velocity, \
-    init_optimizer, optimizer_step, value_and_grad
+    init_optimizer, mlp_forward, optimizer_step, velocity_mse
 from .seeds import derive_seed
 
 # glibc's malloc gives freed memory at the top of the heap back to the
@@ -128,11 +128,16 @@ def _as_batch(batch):
     return x0, x1, t
 
 
-def fm_loss_node(params, batch, R: int):
-    """Flow-matching loss as a graph node (for gradient computation)."""
+def _fm_regression(batch):
+    """Inputs (x_t, t) and conditional-velocity targets of a batch."""
     x0, x1, t = _as_batch(batch)
-    xt = interpolate(x0, x1, t)
-    target = x1 - x0
+    return interpolate(x0, x1, t), t, x1 - x0
+
+
+def fm_loss_node(params, batch, R: int):
+    """Flow-matching loss as a node of the autodiff tape (the reference
+    for the explicit gradient of `train_teacher`)."""
+    xt, t, target = _fm_regression(batch)
     pred = forward_velocity(params, xt, t, R)
     return ad.mean(ad.square(ad.sub(pred, target)))
 
@@ -140,7 +145,9 @@ def fm_loss_node(params, batch, R: int):
 def fm_loss(model: VelocityModel, batch) -> float:
     """Mean squared error between predicted and conditional velocities,
     averaged over batch elements and dimensions."""
-    return float(fm_loss_node(model.params, batch, model.R).data)
+    xt, t, target = _fm_regression(batch)
+    diff = mlp_forward(model.params, xt, t, model.R) - target
+    return float(np.mean(diff * diff))
 
 
 def train_teacher(data: ToyDataset, iterations: int, batch_size: int, lr: float,
@@ -166,9 +173,7 @@ def train_teacher(data: ToyDataset, iterations: int, batch_size: int, lr: float,
         x1 = rng.standard_normal((batch_size, data.d))
         t = rng.random(batch_size)
         try:
-            loss, grads = value_and_grad(
-                lambda ps: fm_loss_node(ps, (x0, x1, t), R), params
-            )
+            loss, grads = velocity_mse(params, *_fm_regression((x0, x1, t)), R)
         except NumericsError as e:
             raise NumericsError(f"teacher training diverged at iteration {i}: {e}") from e
         params, opt = optimizer_step(params, grads, opt)

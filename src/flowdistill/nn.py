@@ -7,6 +7,11 @@ projection (d+1 -> H), R residual blocks (linear, silu, linear, skip),
 and a zero-initialized output projection (H -> d), all in float64.
 Models and ParamSets are treated as immutable values: training steps
 return new objects rather than mutating in place.
+
+Training differentiates the model with explicit layer VJPs
+(`mlp_forward`, `mlp_backward`). The autodiff-tape forms
+(`forward_velocity`, `value_and_grad`) compute the same values and are
+the reference the explicit gradients are tested against.
 """
 
 from __future__ import annotations
@@ -15,30 +20,63 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
+from .atomic import write_json
 from .autodiff import Tensor
 from .errors import ConfigError, NumericsError, StoreFormatError
 
 ADAM_EPS = 1e-8
 
 
-@dataclass(frozen=True)
 class ParamSet:
-    """An ordered, named sequence of parameter tensors.
+    """An ordered, named sequence of parameter tensors, held as reshaped
+    views into one contiguous float64 vector `flat`.
 
     The ordering is part of the value: two ParamSets from the same
     architecture are element-wise comparable and serialize identically.
+    Elementwise work (Adam, gradient sums) runs once on `flat`.
     """
 
-    names: tuple
-    tensors: tuple
+    __slots__ = ("names", "shapes", "flat", "_spans", "_tensors")
 
-    def __post_init__(self):
-        if len(self.names) != len(self.tensors):
+    def __init__(self, names, tensors):
+        """Copy `tensors` into a fresh flat vector."""
+        tensors = [np.asarray(t, dtype=np.float64) for t in tensors]
+        if len(names) != len(tensors):
             raise ValueError("names and tensors must have equal length")
+        spans, start = [], 0
+        for t in tensors:
+            spans.append((start, start + t.size))
+            start += t.size
+        self.names, self.shapes = tuple(names), tuple(t.shape for t in tensors)
+        self.flat = np.concatenate([t.ravel() for t in tensors]) if tensors else np.zeros(0)
+        self._spans, self._tensors = tuple(spans), None
+
+    def like(self, flat) -> "ParamSet":
+        """A ParamSet with this one's layout viewing `flat` (not copied)."""
+        if flat.shape != self.flat.shape:
+            raise ValueError(f"flat vector has shape {flat.shape}, layout needs "
+                             f"{self.flat.shape}")
+        ps = ParamSet.__new__(ParamSet)
+        ps.names, ps.shapes, ps._spans, ps.flat, ps._tensors = \
+            self.names, self.shapes, self._spans, flat, None
+        return ps
+
+    @property
+    def tensors(self) -> tuple:
+        """The named tensors, as reshaped views into `flat`."""
+        if self._tensors is None:
+            self._tensors = tuple(self.flat[a:b].reshape(shape)
+                                  for (a, b), shape in zip(self._spans, self.shapes))
+        return self._tensors
+
+    def __reduce__(self):
+        # pickling the views one by one would detach them from `flat`
+        return ParamSet, (self.names, self.tensors)
 
     def __len__(self):
         return len(self.tensors)
@@ -48,31 +86,21 @@ class ParamSet:
 
     @property
     def size(self) -> int:
-        return sum(int(np.prod(t.shape)) for t in self.tensors)
+        return self.flat.size
 
     def map(self, fn) -> "ParamSet":
-        return ParamSet(self.names, tuple(fn(t) for t in self.tensors))
-
-    def zip_with(self, other: "ParamSet", fn) -> "ParamSet":
-        self._check_congruent(other)
-        return ParamSet(
-            self.names, tuple(fn(a, b) for a, b in zip(self.tensors, other.tensors))
-        )
+        return ParamSet(self.names, [fn(t) for t in self.tensors])
 
     def _check_congruent(self, other: "ParamSet"):
-        if self.names != other.names or any(
-            a.shape != b.shape for a, b in zip(self.tensors, other.tensors)
-        ):
+        if self.names != other.names or self.shapes != other.shapes:
             raise ValueError("parameter sets are not shape-congruent")
 
     def equal(self, other: "ParamSet") -> bool:
-        return self.names == other.names and all(
-            a.shape == b.shape and np.array_equal(a, b)
-            for a, b in zip(self.tensors, other.tensors)
-        )
+        return (self.names == other.names and self.shapes == other.shapes
+                and np.array_equal(self.flat, other.flat))
 
     def copy(self) -> "ParamSet":
-        return self.map(np.copy)
+        return self.like(self.flat.copy())
 
     def fingerprint(self) -> str:
         """SHA-256 over names, shapes, and raw little-endian float64 bytes."""
@@ -85,26 +113,20 @@ class ParamSet:
 
     # flat-index access, used by finite-difference probes
     def get_flat(self, i: int) -> float:
-        for t in self.tensors:
-            if i < t.size:
-                return float(t.flat[i])
-            i -= t.size
-        raise IndexError(i)
+        if not 0 <= i < self.size:
+            raise IndexError(i)
+        return float(self.flat[i])
 
     def with_flat(self, i: int, value: float) -> "ParamSet":
-        tensors = list(self.tensors)
-        for j, t in enumerate(tensors):
-            if i < t.size:
-                t = t.copy()
-                t.flat[i] = value
-                tensors[j] = t
-                return ParamSet(self.names, tuple(tensors))
-            i -= t.size
-        raise IndexError(i)
+        if not 0 <= i < self.size:
+            raise IndexError(i)
+        flat = self.flat.copy()
+        flat[i] = value
+        return self.like(flat)
 
 
 def zeros_like(params: ParamSet) -> ParamSet:
-    return params.map(np.zeros_like)
+    return params.like(np.zeros(params.size))
 
 
 @dataclass
@@ -164,15 +186,138 @@ def build_velocity_model(d: int, H: int, R: int, seed: int) -> VelocityModel:
     return VelocityModel(d, H, R, ParamSet(tuple(names), tuple(tensors)))
 
 
+class ForwardCache(NamedTuple):
+    """What `mlp_backward` needs from one `mlp_forward` pass."""
+
+    inp: np.ndarray  # (B, d+1): the states with the time column appended
+    blocks: list  # per residual block run: (input, pre-activation, sigmoid, activation)
+    top: np.ndarray | None  # input of the output layer; None if the pass stopped early
+
+
+def mlp_forward(params: ParamSet, X, t, R: int, stop: int | None = None,
+                want_cache: bool = False):
+    """Forward pass of the velocity MLP on a (B, d) batch at time t
+    (a scalar or (B,)), without the autodiff tape.
+
+    Returns the (B, d) velocity or, with `stop`, the (B, H) output of
+    block `stop` (0 is the input projection; the later layers are not
+    run), plus a ForwardCache for `mlp_backward` when `want_cache` is
+    set. Each layer repeats the fused arithmetic of `autodiff.affine`
+    and `autodiff.resblock` in the same order, so the values equal
+    those of `forward_velocity` bit for bit.
+    """
+    ts = params.tensors
+    B, d = X.shape
+    inp = np.empty((B, d + 1))
+    inp[:, :d] = X
+    inp[:, d] = t
+    h = inp @ ts[0]
+    h += ts[1]
+    blocks = []
+    with np.errstate(over="ignore"):  # exp(-pre) may overflow; s still lands on 0
+        for r in range(R if stop is None else stop):
+            w1, b1, w2, b2 = ts[2 + 4 * r:6 + 4 * r]
+            pre = h @ w1
+            pre += b1
+            s = np.negative(pre)
+            np.exp(s, out=s)
+            s += 1.0
+            np.reciprocal(s, out=s)  # s = sigmoid(pre)
+            act = pre * s
+            out = act @ w2
+            out += b2
+            out += h
+            if want_cache:
+                blocks.append((h, pre, s, act))
+            h = out
+    top = None
+    if stop is None:
+        top, h = h, h @ ts[-2]
+        h += ts[-1]
+    return (h, ForwardCache(inp, blocks, top)) if want_cache else h
+
+
+def mlp_backward(params: ParamSet, cache: ForwardCache, g, grads: ParamSet | None = None,
+                 want_input: bool = False):
+    """Reverse pass through the layers one `mlp_forward` ran, given g,
+    the loss gradient with respect to that pass's output.
+
+    Writes the parameter gradients into `grads` (laid out like
+    `params`) unless it is None, as for a frozen model, and returns the
+    (B, d) gradient with respect to X when `want_input` is set. Same
+    arithmetic as the tape's VJPs of `autodiff.affine` and
+    `autodiff.resblock`.
+    """
+    ts = params.tensors
+    gs = None if grads is None else grads.tensors
+    if cache.top is not None:
+        if gs is not None:
+            np.matmul(cache.top.T, g, out=gs[-2])
+            np.add.reduce(g, 0, out=gs[-1])
+        g = g @ ts[-2].T
+    for r in range(len(cache.blocks) - 1, -1, -1):
+        h, pre, s, act = cache.blocks[r]
+        if gs is not None:
+            np.add.reduce(g, 0, out=gs[5 + 4 * r])
+            np.matmul(act.T, g, out=gs[4 + 4 * r])
+        ga = g @ ts[4 + 4 * r].T
+        # d silu / d pre = s * (1 + pre * (1 - s)), folded into ga in place
+        tmp = np.subtract(1.0, s)
+        tmp *= pre
+        tmp += 1.0
+        tmp *= s
+        ga *= tmp
+        if gs is not None:
+            np.add.reduce(ga, 0, out=gs[3 + 4 * r])
+            np.matmul(h.T, ga, out=gs[2 + 4 * r])
+        gh = ga @ ts[2 + 4 * r].T
+        gh += g
+        g = gh
+    if gs is not None:
+        np.matmul(cache.inp.T, g, out=gs[0])
+        np.add.reduce(g, 0, out=gs[1])
+    return (g @ ts[0].T)[:, :-1] if want_input else None
+
+
+def check_loss(loss: float):
+    if not np.isfinite(loss):
+        raise NumericsError("loss is non-finite")
+
+
+def check_grads(grads: ParamSet):
+    if not np.all(np.isfinite(grads.flat)):
+        name = next(n for n, g in zip(grads.names, grads.tensors)
+                    if not np.all(np.isfinite(g)))
+        raise NumericsError(f"non-finite gradient in tensor {name!r}")
+
+
+def velocity_mse(params: ParamSet, X, t, target, R: int):
+    """Mean squared error of the velocity at (X, t) against `target`,
+    averaged over batch and dimensions, and its gradient with respect
+    to params: the loss of teacher training, trajectory regression and
+    the KD baseline."""
+    pred, cache = mlp_forward(params, X, t, R, want_cache=True)
+    diff = pred - target
+    loss = float(np.mean(diff * diff))
+    check_loss(loss)
+    grads = zeros_like(params)
+    # the tape's mean and square VJPs, in their order
+    mlp_backward(params, cache, 2.0 * diff * (1.0 / diff.size), grads)
+    check_grads(grads)
+    return loss, grads
+
+
 def forward_velocity(params, X, t, R: int, want_hidden: bool = False):
-    """Forward pass on a batch.
+    """Forward pass on a batch, built on the autodiff tape: the
+    reference the explicit `mlp_forward`/`mlp_backward` are tested
+    against.
 
     X is (B, d) and t is (B,); either may be a Tensor so gradients can
     flow through the input (needed when differentiating through a
     frozen feature extractor). Returns the (B, d) output node, plus the
     per-block hidden activations when `want_hidden` is set.
     """
-    ts = list(params.tensors) if isinstance(params, ParamSet) else list(params)
+    ts = list(getattr(params, "tensors", params))
     X = ad.as_tensor(X)
     B = X.data.shape[0]
     if isinstance(t, Tensor):
@@ -207,42 +352,40 @@ def eval_velocity(model: VelocityModel, x, t):
     t_arr = np.broadcast_to(np.asarray(t, dtype=np.float64), (X.shape[0],))
     if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
         raise ValueError("time must lie in [0, 1]")
-    out = forward_velocity(model.params, X, t_arr, model.R).data
+    out = mlp_forward(model.params, X, t_arr, model.R)
     model.eval_count += 1
     return out[0] if single else out
 
 
-def as_grad_leaves(params: ParamSet) -> ParamSet:
-    """ParamSet whose tensors are gradient-tracking Tensors."""
-    return ParamSet(
-        params.names,
-        tuple(
-            Tensor(t, requires_grad=True, name=n)
-            for n, t in zip(params.names, params.tensors)
-        ),
-    )
+@dataclass(frozen=True)
+class TapeParams:
+    """Named gradient-tracking Tensors, handed to a tape loss function."""
+
+    names: tuple
+    tensors: tuple
 
 
 def value_and_grad(loss_fn, params: ParamSet):
-    """Loss value and d(loss)/d(params).
+    """Loss value and d(loss)/d(params) through the autodiff tape (the
+    reference for the explicit gradients).
 
-    `loss_fn` receives a ParamSet of tracked Tensors and must return a
+    `loss_fn` receives a TapeParams of tracked Tensors and must return a
     scalar Tensor built from autodiff ops. Parameters the loss never
     touches get zero gradients.
     """
-    leaves = as_grad_leaves(params)
+    leaves = TapeParams(params.names, tuple(
+        Tensor(t, requires_grad=True, name=n) for n, t in zip(params.names, params.tensors)
+    ))
     out = loss_fn(leaves)
     loss = float(out.data)
-    if not np.isfinite(loss):
-        raise NumericsError("loss is non-finite")
+    check_loss(loss)
     out.backward()
-    grads = []
-    for name, leaf in zip(leaves.names, leaves.tensors):
-        g = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-        if not np.all(np.isfinite(g)):
-            raise NumericsError(f"non-finite gradient in tensor {name!r}")
-        grads.append(g)
-    return loss, ParamSet(params.names, tuple(grads))
+    grads = ParamSet(params.names, [
+        leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
+        for leaf in leaves.tensors
+    ])
+    check_grads(grads)
+    return loss, grads
 
 
 def grad(model_loss, params: ParamSet) -> ParamSet:
@@ -274,11 +417,10 @@ def init_optimizer(params: ParamSet, lr: float, beta1=0.9, beta2=0.999,
 
 
 def optimizer_step(params: ParamSet, grads: ParamSet, state: OptimizerState):
-    """One Adam step (decoupled weight decay when configured).
+    """One Adam step (decoupled weight decay when configured), run once
+    on the flat vectors.
 
-    Returns new (params, state); inputs are left untouched. The update
-    is elementwise, so it runs once on all tensors concatenated into one
-    vector; every element gets the same arithmetic as tensor by tensor.
+    Returns new (params, state); inputs are left untouched.
     """
     params._check_congruent(grads)
     params._check_congruent(state.m)
@@ -286,24 +428,15 @@ def optimizer_step(params: ParamSet, grads: ParamSet, state: OptimizerState):
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1**step
     bias2 = 1.0 - b2**step
-    p, g, m, v = (np.concatenate([t.ravel() for t in ps.tensors])
-                  for ps in (params, grads, state.m, state.v))
-    m = b1 * m + (1.0 - b1) * g
-    v = b2 * v + (1.0 - b2) * (g * g)
+    g = grads.flat
+    m = b1 * state.m.flat + (1.0 - b1) * g
+    v = b2 * state.v.flat + (1.0 - b2) * (g * g)
     update = (m / bias1) / (np.sqrt(v / bias2) + state.eps)
-    p = p - state.lr * update
+    p = params.flat - state.lr * update
     if state.weight_decay:
         p = p - state.lr * state.weight_decay * p
-
-    def unflatten(flat):
-        parts, start = [], 0
-        for t in params.tensors:
-            parts.append(flat[start:start + t.size].reshape(t.shape))
-            start += t.size
-        return ParamSet(params.names, tuple(parts))
-
-    new_state = dataclasses.replace(state, m=unflatten(m), v=unflatten(v), step=step)
-    return unflatten(p), new_state
+    new_state = dataclasses.replace(state, m=params.like(m), v=params.like(v), step=step)
+    return params.like(p), new_state
 
 
 def params_to_payload(params: ParamSet) -> list:
@@ -330,9 +463,7 @@ def save_paramset(path, params: ParamSet, meta: dict):
         "meta": meta,
         "tensors": params_to_payload(params),
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(payload, f, separators=(",", ":"))
-        f.write("\n")
+    write_json(path, payload)
 
 
 def load_paramset(path):

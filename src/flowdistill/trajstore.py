@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import ConfigError, StoreFormatError, StoreIntegrityError
 from .flow import TimeGrid, denoise_batch
 from .nn import VelocityModel, eval_velocity
@@ -85,7 +86,10 @@ def generate_store(teacher: VelocityModel, N: int, grid: TimeGrid, seed: int) ->
     """Denoise N independent seeded noise draws into a store.
 
     Per-trajectory noise seeds are derived from (seed, index), so any
-    single trajectory can be regenerated without the others.
+    single trajectory's noise draw can be regenerated without the
+    others. Denoising that draw alone reproduces the stored path only to
+    within RECURRENCE_TOL, not bit for bit: a one-row model evaluation
+    rounds differently from the N-row batch that built the store.
     """
     if N < 1:
         raise ConfigError(f"store size must be positive, got {N}")
@@ -105,7 +109,7 @@ def save_store(store: TrajectoryStore, path):
         "seed": store.seed,
         "grid": store.grid.times.tolist(),
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(path) as f:
         f.write(json.dumps(header, separators=(",", ":")) + "\n")
         for i, (noise_seed, states) in enumerate(zip(store.noise_seeds, store.states)):
             record = {

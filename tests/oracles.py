@@ -105,3 +105,56 @@ def euler_reference(model, X, times):
         X = np.stack([X[b] + (t_next - t) * v[b] for b in range(X.shape[0])])
         states.append(X)
     return np.stack(states)
+
+
+def adv_step_tape(teacher, student_params, head_params, taps, l_prev, real, t_hi, t_lo,
+                  variant, scale):
+    """One adversarial step of distillation differentiated on the
+    autodiff tape, as the training loop computed it before it had
+    explicit gradients: the generator gradient on the student, then the
+    student step and the teacher features again for the discriminator
+    gradient on the head. Returns (d_loss, g_loss, generated latents,
+    student gradient, head gradient)."""
+    import flowdistill.autodiff as ad
+    from flowdistill.adversarial import d_loss_node, features_node, g_loss_node, \
+        head_logit_node
+    from flowdistill.nn import forward_velocity, value_and_grad
+
+    dt = t_lo - t_hi
+
+    def gen_loss(ps):
+        v = forward_velocity(ps, l_prev, t_hi, teacher.R)
+        l_gen = ad.add(l_prev, ad.mul(v, dt))
+        feats = features_node(teacher, l_gen, t_lo, taps)
+        p_fake = ad.sigmoid(head_logit_node(head_params, feats))
+        return ad.mul(g_loss_node(p_fake, variant), scale)
+
+    g_scaled, s_grads = value_and_grad(gen_loss, student_params)
+    l_gen = l_prev + dt * forward_velocity(student_params, l_prev, t_hi, teacher.R).data
+    feats_fake = features_node(teacher, ad.Tensor(l_gen), t_lo, taps).data
+    feats_real = features_node(teacher, ad.Tensor(real), t_lo, taps).data
+
+    def disc_loss(ps):
+        p_real = ad.sigmoid(head_logit_node(ps, feats_real))
+        p_fake = ad.sigmoid(head_logit_node(ps, feats_fake))
+        return ad.mul(d_loss_node(p_real, p_fake), scale)
+
+    d_scaled, h_grads = value_and_grad(disc_loss, head_params)
+    return d_scaled / scale, g_scaled / scale, l_gen, s_grads, h_grads
+
+
+def adam_reference(params, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8,
+                   weight_decay=0.0):
+    """One Adam step tensor by tensor, written out from the update rule;
+    returns the new (params, m, v) as lists of arrays."""
+    bias1, bias2 = 1.0 - beta1**step, 1.0 - beta2**step
+    out = ([], [], [])
+    for p, g, m_t, v_t in zip(params, grads, m, v):
+        m_t = beta1 * m_t + (1.0 - beta1) * g
+        v_t = beta2 * v_t + (1.0 - beta2) * (g * g)
+        p = p - lr * ((m_t / bias1) / (np.sqrt(v_t / bias2) + eps))
+        if weight_decay:
+            p = p - lr * weight_decay * p
+        for acc, t in zip(out, (p, m_t, v_t)):
+            acc.append(t)
+    return out

@@ -17,17 +17,15 @@ import numpy as np
 import pytest
 
 import flowdistill as fd
-import flowdistill.autodiff as ad
-from flowdistill.adversarial import features_node, g_loss_node, head_logit_node
 from flowdistill.analysis import KDConfig
 from flowdistill.cli import main as cli_main
-from flowdistill.distill import traj_loss_node
-from flowdistill.flow import fm_loss_node
-from flowdistill.nn import forward_velocity
+from flowdistill.distill import _traj_regression
+from flowdistill.flow import _fm_regression
+from flowdistill.nn import velocity_mse
 from flowdistill.seeds import derive_seed
 from flowdistill.trajstore import RECURRENCE_TOL
 
-from helpers import distill_and_score, kd_and_score, parallel_map, rand_model
+from helpers import adv_step, distill_and_score, kd_and_score, parallel_map, rand_model
 from oracles import max_grad_rel_error, mismatch_bruteforce
 
 TEACHER_ITERS = 10000
@@ -130,50 +128,38 @@ def test_criterion_2_gradient_correctness(teacher):
 
         batch = (3 * rng.standard_normal((8, 1)), rng.standard_normal((8, 1)),
                  rng.random(8))
-        _, g = fd.value_and_grad(lambda ps: fm_loss_node(ps, batch, model.R),
-                                 model.params)
+        _, g = velocity_mse(model.params, *_fm_regression(batch), model.R)
         worst["fm"] = max(worst["fm"], max_grad_rel_error(
             lambda ps: fd.fm_loss(model.with_params(ps), batch),
             model.params, g, coords))
 
         keys = 2 * rng.standard_normal((6, 1))
         k = int(rng.integers(0, 5))
-        _, g = fd.value_and_grad(
-            lambda ps: traj_loss_node(ps, keys, schedule10, k, model.R), model.params)
+        _, g = velocity_mse(model.params, *_traj_regression(keys, schedule10, k), model.R)
         worst["traj"] = max(worst["traj"], max_grad_rel_error(
             lambda ps: fd.traj_loss(model.with_params(ps), keys, schedule10, k),
             model.params, g, coords))
 
+        # the generator loss through one student step from t'_2 = 0.4 to
+        # t'_1 = 0.2, the frozen teacher's features and the head
         student = rand_model(seed=seed + 200, H=teacher.H, R=teacher.R)
         head = fd.build_projection_head(teacher.H, 0, seed + 300)
         head = head.with_params(head.params.map(
             lambda t: t + rng.normal(0, 0.3, t.shape)))
         taps = fd.default_taps(teacher)
         l_prev = rng.standard_normal((1, 1))
-        t_hi, t_lo = 0.4, 0.2
+        real_keys = np.zeros((1, 6, 1))
 
-        def adv_gen_loss(ps):
-            v = forward_velocity(ps, l_prev, t_hi, student.R)
-            l_gen = ad.add(l_prev, ad.mul(v, t_lo - t_hi))
-            feats = features_node(teacher, l_gen, t_lo, taps)
-            return g_loss_node(ad.sigmoid(head_logit_node(head.params, feats)))
+        def adv_gen(ps):
+            return adv_step(teacher, ps, head, taps, l_prev, real_keys, 1, schedule10)
 
-        _, g = fd.value_and_grad(adv_gen_loss, student.params)
+        g = adv_gen(student.params)[3]
         worst["adv"] = max(worst["adv"], max_grad_rel_error(
-            lambda ps: float(adv_gen_loss_value(ps, teacher, head, taps, l_prev,
-                                                t_hi, t_lo, student.R)),
-            student.params, g, coords))
+            lambda ps: adv_gen(ps)[1], student.params, g, coords))
 
     assert all(v < 1e-4 for v in worst.values()), worst
     print(f"\n[criterion 2] PASS: max relative errors fm={worst['fm']:.2e}, "
           f"traj={worst['traj']:.2e}, adv-generator={worst['adv']:.2e} (all <1e-4)")
-
-
-def adv_gen_loss_value(ps, teacher, head, taps, l_prev, t_hi, t_lo, R):
-    v = forward_velocity(ps, l_prev, t_hi, R)
-    l_gen = ad.add(l_prev, ad.mul(v, t_lo - t_hi))
-    feats = features_node(teacher, l_gen, t_lo, taps)
-    return g_loss_node(ad.sigmoid(head_logit_node(head.params, feats))).data
 
 
 def test_criterion_3_solver_exactness(teacher, store):

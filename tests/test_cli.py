@@ -80,6 +80,19 @@ class TestTrainTeacher:
         assert code != 0
         assert "teacher.iterations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("distill,field", [
+        ({"lamda_adv": 5.0}, "distill.lamda_adv"),
+        ({"adv_accum": "2"}, "distill.adv_accum"),
+        ({"adv_batch": 32.5}, "distill.adv_batch"),
+    ])
+    def test_bad_distill_field_is_an_error_line(self, tmp_path, capsys, distill, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"config_version": 1, "distill": distill}))
+        code = run_cli("train-teacher", "--config", str(bad), "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and field in err
+
 
 class TestSynth:
     def test_store_written_and_validates(self, trained_dir):

@@ -69,6 +69,36 @@ def test_invalid_fields_name_the_field(patch, field):
         parse_config(raw)
 
 
+@pytest.mark.parametrize("patch,field", [
+    ({"distill": {"lamda_adv": 5.0}}, "distill.lamda_adv"),
+    ({"distill": {"adv_accum": "2"}}, "distill.adv_accum"),
+    ({"distill": {"adv_batch": 32.5}}, "distill.adv_batch"),
+    ({"distill": {"adv_batch": 0}}, "distill.adv_batch"),
+    ({"distill": {"checkpoint_interval": "50"}}, "distill.checkpoint_interval"),
+    ({"distill": {"adv_student_lr": "slow"}}, "distill.adv_student_lr"),
+    ({"distill": {"heads": 1}}, "distill.heads"),
+    ({"distill": {"generator_loss": None}}, "distill.generator_loss"),
+    ({"distill": {"tap_noisy": 1.5}}, "distill.tap_noisy"),
+    ({"distill": {"tap_clean": "2"}}, "distill.tap_clean"),
+    ({"distill": 3}, "distill"),
+    ({"teacher": {"iters": 5}}, "teacher.iters"),
+    ({"model": {"h": 8}}, "model.h"),
+    ({"store": {"m": 5}}, "store.m"),
+    ({"dataset": {"points": [0.0]}}, "dataset.points"),
+    ({"kd": {"window": 2}}, "kd.window"),
+    ({"analysis": {"eps": 0.1}}, "analysis.eps"),
+    ({"sed": 4}, "sed"),
+])
+def test_strict_fields_name_the_field(patch, field):
+    with pytest.raises(ConfigError, match=rf"\b{field.replace('.', '[.]')}\b"):
+        parse_config({"config_version": 1, **patch})
+
+
+def test_taps_accept_int_or_null():
+    cfg = parse_config({"config_version": 1, "distill": {"tap_noisy": 2, "tap_clean": None}})
+    assert (cfg.distill.tap_noisy, cfg.distill.tap_clean) == (2, None)
+
+
 def test_indivisible_key_spacing_rejected():
     with pytest.raises(ConfigError, match="divisible"):
         parse_config({"config_version": 1, "distill": {"m": 7}})

@@ -257,6 +257,34 @@ class TestDistill:
         assert resumed.metrics == full.metrics
 
 
+class TestPassCount:
+    def test_adversarial_round_makes_four_forwards_per_key(self, quick_teacher,
+                                                           quick_store, monkeypatch):
+        # per k: the trajectory pass, the student step of the popped
+        # latents, and two teacher passes (fake, real) that stop at the tap
+        import sys
+
+        from flowdistill import nn
+
+        calls, forward = [], nn.mlp_forward
+
+        def counted(params, X, t, R, stop=None, want_cache=False):
+            calls.append((params is quick_teacher.params, stop))
+            return forward(params, X, t, R, stop, want_cache)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("flowdistill") and getattr(module, "mlp_forward", None) is forward:
+                monkeypatch.setattr(module, "mlp_forward", counted)
+        cfg = fd.DistillConfig(m=5, n=10, iterations=1, batch_size=4, seed=14)
+        fd.distill(quick_teacher, quick_store, cfg)
+        taps = fd.default_taps(quick_teacher)
+        teacher_stops = [stop for frozen, stop in calls if frozen]
+        assert len(calls) == 20
+        assert sorted(teacher_stops) == sorted(
+            [taps.noisy_block] * 8 + [taps.clean_block] * 2)
+        assert [stop for frozen, stop in calls if not frozen] == [None] * 10
+
+
 class TestHeadIsolation:
     def test_update_for_one_k_leaves_other_heads_identical(self, quick_teacher,
                                                            quick_store):

@@ -7,7 +7,7 @@ from flowdistill.errors import ConfigError, NumericsError, StoreFormatError
 from flowdistill.nn import forward_velocity
 
 from helpers import rand_model
-from oracles import max_grad_rel_error
+from oracles import adam_reference, max_grad_rel_error
 
 
 class TestBuild:
@@ -192,6 +192,21 @@ class TestOptimizer:
         tail = losses[10:]
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
         assert tail[-1] < losses[0] * 0.1
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+    def test_flat_step_equals_per_tensor_reference(self, weight_decay):
+        model = rand_model(seed=20)
+        rng = np.random.default_rng(1)
+        params = model.params
+        state = fd.init_optimizer(params, lr=1e-2, weight_decay=weight_decay)
+        ref = (list(params.tensors), list(state.m.tensors), list(state.v.tensors))
+        for step in (1, 2, 3):
+            grads = params.map(lambda t: rng.standard_normal(t.shape))
+            params, state = fd.optimizer_step(params, grads, state)
+            ref = adam_reference(*ref[:1], grads.tensors, *ref[1:], step, 1e-2,
+                                 weight_decay=weight_decay)
+            for got, want in zip((params, state.m, state.v), ref):
+                assert all(np.array_equal(a, b) for a, b in zip(got.tensors, want))
 
     def test_shape_mismatch_rejected(self):
         model = rand_model(seed=15)

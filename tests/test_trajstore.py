@@ -57,6 +57,15 @@ class TestGenerate:
         assert errors.shape == (quick_store.N,)
         assert np.all(errors <= RECURRENCE_TOL)
 
+    def test_single_path_regenerates_within_tolerance(self, quick_teacher, quick_store):
+        # one path denoised alone matches its stored row only to within
+        # the recurrence tolerance: a one-row evaluation rounds differently
+        for i in (0, 7, quick_store.N - 1):
+            noise = fd.noise_from_seed(int(quick_store.noise_seeds[i]), quick_store.d)
+            path = fd.denoise(quick_teacher, noise, quick_store.grid)
+            assert np.array_equal(path.states[-1], quick_store.states[i, -1])
+            assert np.max(np.abs(path.states - quick_store.states[i])) <= RECURRENCE_TOL
+
     def test_invalid_count_rejected(self, quick_teacher):
         with pytest.raises(ConfigError):
             fd.generate_store(quick_teacher, 0, fd.TimeGrid.uniform(4), seed=0)
