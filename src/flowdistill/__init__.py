@@ -11,8 +11,8 @@ import os as _os
 _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 _os.environ.setdefault("MKL_NUM_THREADS", "1")
 
-from .adversarial import FeatureTapConfig, ProjectionHead, adv_losses, \
-    build_projection_head, default_taps, discriminate, extract_features
+from .adversarial import FeatureTapConfig, ProjectionHead, build_projection_head, \
+    default_taps, discriminate, extract_features
 from .analysis import KDConfig, MetricsRecord, MismatchReport, endpoint_error, \
     kd_baseline_distill, mismatch_degree, mismatch_report, mismatch_sweep, \
     shifted_dataset, useless_frequency, w1_distance

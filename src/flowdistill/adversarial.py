@@ -158,43 +158,21 @@ def discriminate(head: ProjectionHead, features) -> float:
     return float(prob[0]) if single else prob
 
 
-def adv_losses(p_real: float, p_fake: float):
-    """Standard GAN losses from discriminator probabilities.
-
-    d_loss is the negated discriminator objective (to minimize);
-    g_loss is the non-saturating generator loss -log p_fake.
-    Probabilities are clamped away from {0, 1} before the logs.
-    """
-    pr = min(max(float(p_real), PROB_EPS), 1.0 - PROB_EPS)
-    pf = min(max(float(p_fake), PROB_EPS), 1.0 - PROB_EPS)
-    d_loss = -(np.log(pr) + np.log(1.0 - pf))
-    g_loss = -np.log(pf)
-    return float(d_loss), float(g_loss)
-
-
 def _clip_prob(p):
     """Probabilities clamped away from {0, 1}, and the mask of those the
     clamp left alone (where the clamped value has a gradient)."""
     return np.clip(p, PROB_EPS, 1.0 - PROB_EPS), (p > PROB_EPS) & (p < 1.0 - PROB_EPS)
 
 
-def g_loss_grad(logit_fake, variant: str, scale: float):
-    """`scale` times the generator loss on sigmoid(logit_fake), and its
-    gradient with respect to the logits, in closed form. The operations
-    follow the tape's VJPs of `g_loss_node` in order, so both values
-    equal the tape's bit for bit."""
+def g_loss_grad(logit_fake, scale: float):
+    """`scale` times the non-saturating generator loss -mean(log p) on
+    p = sigmoid(logit_fake), and its gradient with respect to the logits,
+    in closed form. The operations follow the tape's VJPs of
+    `g_loss_node` in order, so both values equal the tape's bit for bit."""
     p = ad.stable_sigmoid(logit_fake)
     pc, inside = _clip_prob(p)
-    if variant == "non_saturating":
-        loss = -np.mean(np.log(pc)) * scale
-        g = np.full(p.shape, float(-scale) / p.size) / pc
-    elif variant == "minimax":
-        one_minus = 1.0 - pc
-        loss = np.mean(np.log(one_minus)) * scale
-        g = -(np.full(p.shape, float(scale) / p.size) / one_minus)
-    else:
-        raise ConfigError(f"unknown generator loss variant {variant!r}")
-    g = g * inside
+    loss = -np.mean(np.log(pc)) * scale
+    g = np.full(p.shape, float(-scale) / p.size) / pc * inside
     return float(loss), g * p * (1.0 - p)
 
 
@@ -218,10 +196,6 @@ def d_loss_node(p_real: Tensor, p_fake: Tensor) -> Tensor:
     return ad.neg(ad.add(ad.mean(ad.log(pr)), ad.mean(ad.log(1.0 - pf))))
 
 
-def g_loss_node(p_fake: Tensor, variant: str = "non_saturating") -> Tensor:
+def g_loss_node(p_fake: Tensor) -> Tensor:
     pf = ad.clip(p_fake, PROB_EPS, 1.0 - PROB_EPS)
-    if variant == "non_saturating":
-        return ad.neg(ad.mean(ad.log(pf)))
-    if variant == "minimax":
-        return ad.mean(ad.log(1.0 - pf))
-    raise ConfigError(f"unknown generator loss variant {variant!r}")
+    return ad.neg(ad.mean(ad.log(pf)))

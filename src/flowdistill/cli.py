@@ -123,7 +123,7 @@ def cmd_analyze(args) -> int:
         teacher, store, cfg.dataset, a["m_sweep"],
         [derive_seed(cfg.seed, f"analysis-{s}") for s in a["seeds"]],
         a["epsilon"], a["mode"], a["t_samples"], cfg.kd_windows, cfg.kd,
-        cfg.distill, a.get("sample_count", 4096),
+        cfg.distill, a["sample_count"],
     )
     # report the config's readable seed labels rather than the derived ints
     labels = [s for _ in a["m_sweep"] for s in a["seeds"]]
@@ -149,7 +149,7 @@ def cmd_eval(args) -> int:
     cfg = _prepare(args)
     teacher = load_model(args.teacher)
     n = cfg.store["n"]
-    count = cfg.analysis.get("sample_count", 4096)
+    count = cfg.analysis["sample_count"]
     rng = np.random.default_rng(derive_seed(cfg.seed, "eval"))
     Z = rng.standard_normal((count, teacher.d))
     teacher_samples = denoise_batch(teacher, Z, TimeGrid.uniform(n))[0]

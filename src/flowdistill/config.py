@@ -38,14 +38,8 @@ DEFAULT_CONFIG = {
         "head_lr": 1e-2,
         "queue_capacity": 64,
         "heads": "per_timestep",
-        "generator_loss": "non_saturating",
-        "adv_real_source": "queued",
-        "adv_optimizer": "separate",
-        "adv_accum": 1,
         "adv_batch": 32,
         "checkpoint_interval": 200,
-        "tap_noisy": None,  # null: the teacher's last block
-        "tap_clean": None,  # null: its middle block
     },
     "kd": {"windows": 5, "iterations": 4000, "batch_size": 256, "lr": 1e-3,
            "pool_size": 16384},
@@ -83,17 +77,14 @@ class RunConfig:
         return self.model["R"]
 
 
-def _require(section: dict, path: str, key: str, kind, positive=False, nullable=False):
+def _require(section: dict, path: str, key: str, kind, positive=False):
     if key not in section:
         raise ConfigError(f"config is missing field {path}.{key}")
     value = section[key]
-    if nullable and value is None:
-        return None
     if kind is float and isinstance(value, int):
         value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise ConfigError(f"config field {path}.{key} must be {kind.__name__}"
-                          + (" or null" if nullable else ""))
+        raise ConfigError(f"config field {path}.{key} must be {kind.__name__}")
     if positive and value <= 0:
         raise ConfigError(f"config field {path}.{key} must be positive")
     return value
@@ -144,8 +135,8 @@ def parse_config(raw: dict) -> RunConfig:
     }
     dd = merged["distill"]
 
-    def field(key, kind, positive=False, nullable=False):
-        return _require(dd, "distill", key, kind, positive, nullable)
+    def field(key, kind, positive=False):
+        return _require(dd, "distill", key, kind, positive)
 
     distill_cfg = DistillConfig(
         m=field("m", int, True),
@@ -157,13 +148,7 @@ def parse_config(raw: dict) -> RunConfig:
         batch_size=field("batch_size", int, True),
         iterations=field("iterations", int, True),
         queue_capacity=field("queue_capacity", int, True),
-        tap_noisy=field("tap_noisy", int, nullable=True),
-        tap_clean=field("tap_clean", int, nullable=True),
         heads=field("heads", str),
-        generator_loss=field("generator_loss", str),
-        adv_real_source=field("adv_real_source", str),
-        adv_optimizer=field("adv_optimizer", str),
-        adv_accum=field("adv_accum", int, True),
         adv_batch=field("adv_batch", int, True),
         checkpoint_interval=field("checkpoint_interval", int),
     )
@@ -182,8 +167,11 @@ def parse_config(raw: dict) -> RunConfig:
                           "'trajectory-proximity' or 'endpoint'")
     _require(analysis, "analysis", "epsilon", float, True)
     _require(analysis, "analysis", "t_samples", int, True)
-    if not isinstance(analysis.get("m_sweep"), list) or not analysis["m_sweep"]:
-        raise ConfigError("config field analysis.m_sweep must be a non-empty list")
+    _require(analysis, "analysis", "sample_count", int, True)
+    m_sweep = analysis.get("m_sweep")
+    if not isinstance(m_sweep, list) or not m_sweep or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in m_sweep):
+        raise ConfigError("config field analysis.m_sweep must be a non-empty list of numbers")
     if not isinstance(analysis.get("seeds"), list) or not analysis["seeds"]:
         raise ConfigError("config field analysis.seeds must be a non-empty list")
 

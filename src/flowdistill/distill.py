@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .adversarial import FeatureTapConfig, ProjectionHead, build_projection_head, \
-    d_loss_grad, features_node, g_loss_grad, head_backward, head_forward
+from .adversarial import ProjectionHead, build_projection_head, d_loss_grad, \
+    default_taps, features_node, g_loss_grad, head_backward, head_forward
 from .atomic import write_json
-from .errors import ConfigError, NumericsError, QueueEmpty
+from .errors import ConfigError, NumericsError, QueueEmpty, StoreFormatError
 from .flow import integrate
 from .nn import OptimizerState, VelocityModel, check_grads, check_loss, forward_velocity, \
     init_optimizer, mlp_backward, mlp_forward, optimizer_step, params_from_payload, \
@@ -153,7 +153,12 @@ class LatentQueues:
 
 @dataclass(frozen=True)
 class DistillConfig:
-    """Hyperparameters of one distillation run (toy-scale defaults)."""
+    """Hyperparameters of one distillation run (toy-scale defaults).
+
+    The adversarial recipe itself is fixed: the non-saturating generator
+    loss against the real latents queued with each entry, a separate
+    Adam state for the generator-side student step, and one update of
+    the student and the heads at the end of every round."""
 
     m: int = 5
     n: int = 50
@@ -166,13 +171,7 @@ class DistillConfig:
     iterations: int = 3000  # training rounds; each sweeps k = m-1 .. 0
     seed: int = 0
     queue_capacity: int = 64
-    tap_noisy: int | None = None  # default: last block
-    tap_clean: int | None = None  # default: middle block
     heads: str = "per_timestep"  # or "single"
-    generator_loss: str = "non_saturating"  # or "minimax"
-    adv_real_source: str = "queued"  # or "fresh"
-    adv_optimizer: str = "separate"  # or "shared" (one state for both losses)
-    adv_accum: int = 1  # rounds of adversarial gradients averaged per update
     adv_batch: int = 32  # latents per queue entry (the adversarial minibatch)
     checkpoint_interval: int = 0  # rounds between checkpoints; 0 disables
 
@@ -189,14 +188,6 @@ class DistillConfig:
             raise ConfigError("iterations and batch size must be positive")
         if self.heads not in ("per_timestep", "single"):
             raise ConfigError(f"unknown heads mode {self.heads!r}")
-        if self.adv_real_source not in ("queued", "fresh"):
-            raise ConfigError(f"unknown adv_real_source {self.adv_real_source!r}")
-        if self.generator_loss not in ("non_saturating", "minimax"):
-            raise ConfigError(f"unknown generator loss {self.generator_loss!r}")
-        if self.adv_optimizer not in ("separate", "shared"):
-            raise ConfigError(f"unknown adv_optimizer {self.adv_optimizer!r}")
-        if self.adv_accum < 1:
-            raise ConfigError("adv_accum must be positive")
         if self.adv_batch < 1:
             raise ConfigError("adv_batch must be positive")
         if self.checkpoint_interval < 0:
@@ -212,16 +203,18 @@ class DistillResult:
 
 class _DistillState:
     """Everything the training loop carries between rounds; snapshotting
-    this exactly is what makes interrupted runs resumable bit-for-bit."""
+    this exactly is what makes interrupted runs resumable bit-for-bit.
+    Adversarial gradients are not part of it: each round applies the
+    ones it computed before it ends."""
 
     def __init__(self, teacher: VelocityModel, config: DistillConfig):
         m = config.m
         self.round = 0
         self.student_params = teacher.params.copy()
         self.opt_student = init_optimizer(self.student_params, config.student_lr)
-        # the adversarial loss gets its own moments (and a slower step)
-        # unless configured to share; mixing both losses in one EMA lets
-        # every adversarial step replay the trajectory momentum
+        # the adversarial loss gets its own moments (and a slower step):
+        # mixing both losses in one EMA lets every adversarial step
+        # replay the trajectory momentum
         self.opt_student_adv = init_optimizer(self.student_params, config.adv_student_lr)
         n_heads = m if config.heads == "per_timestep" else 1
         self.heads = [
@@ -233,12 +226,6 @@ class _DistillState:
         self.rng_noise = np.random.default_rng(derive_seed(config.seed, "queue-noise"))
         self.queues = LatentQueues(m, config.queue_capacity)
         self.metrics = []
-        # adversarial gradients can be averaged over adv_accum rounds
-        # before a parameter update is applied
-        self.adv_g_sum = zeros_like(self.student_params)
-        self.adv_g_count = 0
-        self.adv_h_sum = [zeros_like(h.params) for h in self.heads]
-        self.adv_h_count = [0 for _ in self.heads]
 
     def head_for(self, k: int) -> int:
         return k if len(self.heads) > 1 else 0
@@ -257,10 +244,10 @@ def _opt_to_payload(opt: OptimizerState) -> dict:
     }
 
 
-def _opt_from_payload(p: dict) -> OptimizerState:
+def _opt_from_payload(p: dict, source) -> OptimizerState:
     return OptimizerState(
-        params_from_payload(p["m"]), params_from_payload(p["v"]), p["step"],
-        p["lr"], p["beta1"], p["beta2"], p["eps"], p["weight_decay"],
+        params_from_payload(p["m"], source), params_from_payload(p["v"], source),
+        p["step"], p["lr"], p["beta1"], p["beta2"], p["eps"], p["weight_decay"],
     )
 
 
@@ -280,10 +267,6 @@ def save_checkpoint(path, state: _DistillState, config: DistillConfig):
         "opt_heads": [_opt_to_payload(o) for o in state.opt_heads],
         "rng_batch": state.rng_batch.bit_generator.state,
         "rng_noise": state.rng_noise.bit_generator.state,
-        "adv_g_sum": params_to_payload(state.adv_g_sum),
-        "adv_g_count": state.adv_g_count,
-        "adv_h_sum": [params_to_payload(p) for p in state.adv_h_sum],
-        "adv_h_count": state.adv_h_count,
         "queues": [
             [
                 {
@@ -302,30 +285,33 @@ def save_checkpoint(path, state: _DistillState, config: DistillConfig):
 
 
 def load_checkpoint(path, teacher: VelocityModel, config: DistillConfig) -> _DistillState:
-    with open(path, encoding="utf-8") as f:
-        payload = json.load(f)
-    if payload.get("format") != "flowdistill-checkpoint":
+    try:
+        with open(path, encoding="utf-8") as f:
+            payload = json.load(f)
+    except json.JSONDecodeError as e:
+        raise StoreFormatError(f"{path}: not a valid checkpoint ({e})") from e
+    if not isinstance(payload, dict) or payload.get("format") != "flowdistill-checkpoint":
         raise ConfigError(f"{path}: not a distillation checkpoint")
+    # older checkpoints carry the adversarial gradient sums; they were
+    # written after each round's update, so a resumable one holds none
+    if payload.get("adv_g_count", 0) or any(payload.get("adv_h_count", ())):
+        raise ConfigError(f"{path}: holds adversarial gradients of an unfinished round")
     if payload["m"] != config.m:
         raise ConfigError(
             f"checkpoint was written for m={payload['m']}, config has m={config.m}"
         )
     state = _DistillState(teacher, config)
     state.round = payload["round"]
-    state.student_params = params_from_payload(payload["student"])
-    state.opt_student = _opt_from_payload(payload["opt_student"])
-    state.opt_student_adv = _opt_from_payload(payload["opt_student_adv"])
+    state.student_params = params_from_payload(payload["student"], path)
+    state.opt_student = _opt_from_payload(payload["opt_student"], path)
+    state.opt_student_adv = _opt_from_payload(payload["opt_student_adv"], path)
     state.heads = [
-        ProjectionHead(h["index"], params_from_payload(h["params"]))
+        ProjectionHead(h["index"], params_from_payload(h["params"], path))
         for h in payload["heads"]
     ]
-    state.opt_heads = [_opt_from_payload(o) for o in payload["opt_heads"]]
+    state.opt_heads = [_opt_from_payload(o, path) for o in payload["opt_heads"]]
     state.rng_batch.bit_generator.state = payload["rng_batch"]
     state.rng_noise.bit_generator.state = payload["rng_noise"]
-    state.adv_g_sum = params_from_payload(payload["adv_g_sum"])
-    state.adv_g_count = payload["adv_g_count"]
-    state.adv_h_sum = [params_from_payload(p) for p in payload["adv_h_sum"]]
-    state.adv_h_count = list(payload["adv_h_count"])
     # older checkpoints hold 1-row entries unbatched: (d,), (m+1, d), int
     d = teacher.d
     for k, entries in enumerate(payload["queues"]):
@@ -339,36 +325,26 @@ def load_checkpoint(path, teacher: VelocityModel, config: DistillConfig) -> _Dis
     return state
 
 
-def _adv_gradients(teacher, taps, schedule, config, state, k, entry, fresh_keys,
-                   fresh_indices):
-    """Adversarial gradients for one popped queue entry, added to the
-    accumulators; parameters move later, at the accumulation boundary.
+def _adv_gradients(teacher, taps, schedule, config, state, k, entry):
+    """Adversarial gradients for one popped queue entry, at the current
+    student and the head for k; nothing in `state` changes.
 
     The generated latents are the entry advanced one student step;
     their real counterparts are the paired stored latents carried by
-    the entry (or, with adv_real_source="fresh", the latents of the
-    trajectories sampled this iteration). The student step, the teacher
-    features and the head logits of the generated latents are computed
-    once and serve the generator gradient, the discriminator and the
-    queue push.
+    the entry. The student step, the teacher features and the head
+    logits of the generated latents are computed once and serve the
+    generator gradient, the discriminator and the queue push.
 
-    Returns (d_loss, g_loss, advanced QueueEntry).
+    Returns (d_loss, g_loss, advanced QueueEntry, student gradient,
+    head gradient).
     """
     m = schedule.m
     t_hi, t_lo = schedule.time(k + 1), schedule.time(k)
     dt = t_lo - t_hi
-    head_idx = state.head_for(k)
-    head = state.heads[head_idx].params
+    head = state.heads[state.head_for(k)].params
     student = state.student_params
     l_prev = entry.latent
-
-    if config.adv_real_source == "queued":
-        real = entry.real_keys[:, m - k, :]
-        adv_traj_index = entry.traj_index
-    else:
-        B = l_prev.shape[0]
-        real = fresh_keys[:B, m - k, :]
-        adv_traj_index = fresh_indices[:B]
+    real = entry.real_keys[:, m - k, :]
 
     v, step_cache = mlp_forward(student, l_prev, t_hi, teacher.R, want_cache=True)
     l_gen = l_prev + v * dt
@@ -376,15 +352,13 @@ def _adv_gradients(teacher, taps, schedule, config, state, k, entry, fresh_keys,
     logit_fake, head_fake = head_forward(head, feats_fake)
 
     # generator: back through the head, the frozen teacher and the step
-    g_scaled, g_logit = g_loss_grad(logit_fake, config.generator_loss, config.lambda_adv)
+    g_scaled, g_logit = g_loss_grad(logit_fake, config.lambda_adv)
     check_loss(g_scaled)
     g_feats = head_backward(head, head_fake, g_logit, want_input=True)
     g_lgen = mlp_backward(teacher.params, tap_cache, g_feats, want_input=True)
     s_grads = zeros_like(student)
     mlp_backward(student, step_cache, g_lgen * dt, s_grads)
     check_grads(s_grads)
-    state.adv_g_sum = state.adv_g_sum.like(state.adv_g_sum.flat + s_grads.flat)
-    state.adv_g_count += 1
 
     # discriminator: both branches of the head, summed per parameter
     logit_real, head_real = head_forward(
@@ -396,38 +370,36 @@ def _adv_gradients(teacher, taps, schedule, config, state, k, entry, fresh_keys,
     head_backward(head, head_fake, g_fake, h_fake)
     h_grads = head.like(h_real.flat + h_fake.flat)
     check_grads(h_grads)
-    acc = state.adv_h_sum[head_idx]
-    state.adv_h_sum[head_idx] = acc.like(acc.flat + h_grads.flat)
-    state.adv_h_count[head_idx] += 1
 
-    advanced = QueueEntry(l_gen, entry.real_keys, adv_traj_index, k)
-    return d_scaled / config.lambda_adv, g_scaled / config.lambda_adv, advanced
+    advanced = QueueEntry(l_gen, entry.real_keys, entry.traj_index, k)
+    return (d_scaled / config.lambda_adv, g_scaled / config.lambda_adv, advanced,
+            s_grads, h_grads)
 
 
-def _apply_adv_updates(state, config):
-    """Step the student and heads on the averaged adversarial gradients
-    and reset the accumulators."""
-    if state.adv_g_count > 0:
-        mean_g = state.adv_g_sum.like(state.adv_g_sum.flat / state.adv_g_count)
-        if config.adv_optimizer == "shared":
-            state.student_params, state.opt_student = optimizer_step(
-                state.student_params, mean_g, state.opt_student
-            )
-        else:
-            state.student_params, state.opt_student_adv = optimizer_step(
-                state.student_params, mean_g, state.opt_student_adv
-            )
-        state.adv_g_sum = zeros_like(state.student_params)
-        state.adv_g_count = 0
-    for i, head in enumerate(state.heads):
-        if state.adv_h_count[i] > 0:
-            mean_h = state.adv_h_sum[i].like(state.adv_h_sum[i].flat / state.adv_h_count[i])
+def _mean_grad(params, grads):
+    """Mean of `grads`, summed in order onto zeros shaped like `params`."""
+    acc = np.zeros(params.size)
+    for g in grads:
+        acc = acc + g.flat
+    return params.like(acc / len(grads))
+
+
+def _apply_adv_updates(state, student_grads, head_grads):
+    """Step the student, and each head, on the mean of the adversarial
+    gradients one round collected for it (`head_grads[i]` for head i);
+    a part with none is left alone."""
+    if student_grads:
+        state.student_params, state.opt_student_adv = optimizer_step(
+            state.student_params, _mean_grad(state.student_params, student_grads),
+            state.opt_student_adv,
+        )
+    for i, grads in enumerate(head_grads):
+        if grads:
+            head = state.heads[i]
             new_params, state.opt_heads[i] = optimizer_step(
-                head.params, mean_h, state.opt_heads[i]
+                head.params, _mean_grad(head.params, grads), state.opt_heads[i]
             )
             state.heads[i] = head.with_params(new_params)
-            state.adv_h_sum[i] = zeros_like(new_params)
-            state.adv_h_count[i] = 0
 
 
 def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfig,
@@ -447,12 +419,7 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
     if store.d != teacher.d:
         raise ConfigError("store dimension does not match the teacher")
     schedule = make_key_schedule(config.n, config.m)
-    taps = FeatureTapConfig(
-        config.tap_noisy if config.tap_noisy is not None else teacher.R,
-        config.tap_clean if config.tap_clean is not None else max(1, teacher.R // 2),
-    )
-    if not (0 <= taps.noisy_block <= teacher.R and 0 <= taps.clean_block <= teacher.R):
-        raise ConfigError(f"feature taps {taps} out of range for R={teacher.R}")
+    taps = default_taps(teacher)
 
     teacher_print = teacher.fingerprint()
     keys_all = key_points(store, schedule)
@@ -465,6 +432,8 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
 
     while state.round < config.iterations:
         rnd = state.round
+        # adversarial gradients of this round, applied when it ends
+        student_grads, head_grads = [], [[] for _ in state.heads]
         for k in range(m - 1, -1, -1):
             idx = state.rng_batch.integers(0, N, size=B)
             keys_b = keys_all[idx]
@@ -492,14 +461,14 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
                     pass  # warm-up: skip the adversarial update for this k
                 else:
                     try:
-                        d_loss_val, g_loss_val, advanced = _adv_gradients(
-                            teacher, taps, schedule, config, state, k, entry,
-                            keys_b, idx,
-                        )
+                        d_loss_val, g_loss_val, advanced, s_grads, h_grads = \
+                            _adv_gradients(teacher, taps, schedule, config, state, k, entry)
                     except NumericsError as e:
                         raise NumericsError(
                             f"distillation diverged (adv phase, k={k}, round={rnd}): {e}"
                         ) from e
+                    student_grads.append(s_grads)
+                    head_grads[state.head_for(k)].append(h_grads)
                     state.queues.push(k, advanced)
 
             state.metrics.append(
@@ -507,8 +476,7 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
                  "|".join(str(s) for s in state.queues.sizes()))
             )
         state.round += 1
-        if config.lambda_adv > 0.0 and state.round % config.adv_accum == 0:
-            _apply_adv_updates(state, config)
+        _apply_adv_updates(state, student_grads, head_grads)
         if (checkpoint_path and config.checkpoint_interval
                 and state.round % config.checkpoint_interval == 0):
             save_checkpoint(checkpoint_path, state, config)

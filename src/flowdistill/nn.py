@@ -446,10 +446,22 @@ def params_to_payload(params: ParamSet) -> list:
     ]
 
 
-def params_from_payload(records: list) -> ParamSet:
+def params_from_payload(records: list, source) -> ParamSet:
+    """The ParamSet of `params_to_payload` records read from `source`; a
+    tensor whose data does not have its recorded shape is a format error
+    naming the file and the tensor."""
     names, tensors = [], []
     for rec in records:
-        t = np.asarray(rec["data"], dtype=np.float64).reshape(rec["shape"])
+        try:
+            t = np.asarray(rec["data"], dtype=np.float64)
+        except (TypeError, ValueError) as e:
+            raise StoreFormatError(
+                f"{source}: tensor {rec['name']!r} is not a numeric array ({e})") from e
+        if list(t.shape) != rec["shape"]:
+            raise StoreFormatError(
+                f"{source}: tensor {rec['name']!r} has shape {list(t.shape)}, "
+                f"header says {rec['shape']}"
+            )
         names.append(rec["name"])
         tensors.append(t)
     return ParamSet(tuple(names), tuple(tensors))
@@ -475,17 +487,7 @@ def load_paramset(path):
         raise StoreFormatError(f"{path}: not a valid parameter file ({e})") from e
     if payload.get("format") != "flowdistill-paramset":
         raise StoreFormatError(f"{path}: unrecognized file format")
-    names, tensors = [], []
-    for rec in payload["tensors"]:
-        t = np.asarray(rec["data"], dtype=np.float64)
-        if list(t.shape) != rec["shape"]:
-            raise StoreFormatError(
-                f"{path}: tensor {rec['name']!r} has shape {list(t.shape)}, "
-                f"header says {rec['shape']}"
-            )
-        names.append(rec["name"])
-        tensors.append(t)
-    return ParamSet(tuple(names), tuple(tensors)), payload["meta"]
+    return params_from_payload(payload["tensors"], path), payload["meta"]
 
 
 def save_model(path, model: VelocityModel):

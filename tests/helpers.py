@@ -57,21 +57,18 @@ def rand_head(width, index=0, seed=0, scale=0.3):
 
 
 def adv_step(teacher, student_params, head, taps, l_prev, real_keys, k, schedule,
-             variant="non_saturating", scale=1.0, heads="per_timestep"):
+             scale=1.0, heads="per_timestep"):
     """One adversarial step through the training loop's explicit path
     (`distill._adv_gradients`) on a fresh state holding `student_params`
     and, for key k, `head`. Returns (d_loss, g_loss, generated latents,
     student gradient, head gradient)."""
     from flowdistill.distill import _DistillState, _adv_gradients
 
-    config = fd.DistillConfig(m=schedule.m, n=schedule.m, lambda_adv=scale,
-                              generator_loss=variant, heads=heads)
+    config = fd.DistillConfig(m=schedule.m, n=schedule.m, lambda_adv=scale, heads=heads)
     state = _DistillState(teacher, config)
     state.student_params = student_params
-    head_idx = state.head_for(k)
-    state.heads[head_idx] = head
+    state.heads[state.head_for(k)] = head
     entry = fd.QueueEntry(l_prev, real_keys, np.arange(len(l_prev)), k + 1)
-    d_loss, g_loss, advanced = _adv_gradients(teacher, taps, schedule, config, state, k,
-                                              entry, None, None)
-    assert state.adv_g_count == 1 and state.adv_h_count[head_idx] == 1
-    return d_loss, g_loss, advanced.latent, state.adv_g_sum, state.adv_h_sum[head_idx]
+    d_loss, g_loss, advanced, s_grads, h_grads = _adv_gradients(
+        teacher, taps, schedule, config, state, k, entry)
+    return d_loss, g_loss, advanced.latent, s_grads, h_grads

@@ -108,7 +108,7 @@ def euler_reference(model, X, times):
 
 
 def adv_step_tape(teacher, student_params, head_params, taps, l_prev, real, t_hi, t_lo,
-                  variant, scale):
+                  scale):
     """One adversarial step of distillation differentiated on the
     autodiff tape, as the training loop computed it before it had
     explicit gradients: the generator gradient on the student, then the
@@ -127,7 +127,7 @@ def adv_step_tape(teacher, student_params, head_params, taps, l_prev, real, t_hi
         l_gen = ad.add(l_prev, ad.mul(v, dt))
         feats = features_node(teacher, l_gen, t_lo, taps)
         p_fake = ad.sigmoid(head_logit_node(head_params, feats))
-        return ad.mul(g_loss_node(p_fake, variant), scale)
+        return ad.mul(g_loss_node(p_fake), scale)
 
     g_scaled, s_grads = value_and_grad(gen_loss, student_params)
     l_gen = l_prev + dt * forward_velocity(student_params, l_prev, t_hi, teacher.R).data

@@ -3,8 +3,8 @@ import pytest
 
 import flowdistill as fd
 import flowdistill.autodiff as ad
-from flowdistill.adversarial import PROB_EPS, features_node, g_loss_node, \
-    head_logit_node
+from flowdistill.adversarial import PROB_EPS, d_loss_grad, features_node, g_loss_grad, \
+    g_loss_node, head_logit_node
 from flowdistill.errors import ConfigError
 from flowdistill.nn import forward_velocity
 
@@ -115,26 +115,36 @@ class TestDiscriminate:
         assert (acc_real + acc_fake) / 2 > 0.9
 
 
+def _adv_losses(logit_real, logit_fake):
+    """(d_loss, g_loss) of the closed-form GAN losses on one logit pair."""
+    real, fake = np.array([[logit_real]]), np.array([[logit_fake]])
+    return d_loss_grad(real, fake, 1.0)[0], g_loss_grad(fake, 1.0)[0]
+
+
 class TestAdvLosses:
     def test_symmetric_half_probabilities(self):
-        d_loss, g_loss = fd.adv_losses(0.5, 0.5)
+        d_loss, g_loss = _adv_losses(0.0, 0.0)
         assert d_loss == pytest.approx(2 * np.log(2))
         assert g_loss == pytest.approx(np.log(2))
 
     def test_perfect_discriminator_loss_vanishes(self):
-        d_loss, _ = fd.adv_losses(1.0, 0.0)
+        d_loss, _ = _adv_losses(40.0, -40.0)
         assert d_loss == pytest.approx(0.0, abs=1e-5)
 
     def test_d_loss_nonnegative(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
-            d_loss, _ = fd.adv_losses(rng.random(), rng.random())
+            d_loss, _ = _adv_losses(*rng.normal(0.0, 4.0, 2))
             assert d_loss >= 0.0
 
     def test_clamping_keeps_losses_finite(self):
-        for pr, pf in [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0)]:
-            d_loss, g_loss = fd.adv_losses(pr, pf)
+        # logits whose sigmoid rounds to exactly 0 or 1
+        for lr, lf in [(-1e3, -1e3), (1e3, 1e3), (-1e3, 1e3)]:
+            real, fake = np.array([[lr]]), np.array([[lf]])
+            d_loss, g_real, g_fake = d_loss_grad(real, fake, 1.0)
+            g_loss, g_gen = g_loss_grad(fake, 1.0)
             assert np.isfinite(d_loss) and np.isfinite(g_loss)
+            assert np.all(np.isfinite(np.concatenate([g_real, g_fake, g_gen])))
 
     def test_generator_gradient_through_euler_step(self, quick_teacher):
         # d(g_loss)/d(student params) through: euler step -> frozen
@@ -167,12 +177,13 @@ class TestAdvLosses:
             worst = max(worst, abs(got - ref) / max(abs(ref), 1e-6))
         assert worst < 1e-4
 
-    def test_minimax_variant_flips_sign_direction(self):
-        p = ad.Tensor(np.array([[0.3]]))
-        ns = float(g_loss_node(p, "non_saturating").data)
-        mm = float(g_loss_node(p, "minimax").data)
-        assert ns == pytest.approx(-np.log(0.3))
-        assert mm == pytest.approx(np.log(0.7))
+    def test_generator_loss_is_negative_log_p(self):
+        # raising the fake logit lowers the loss: d/dl -log sigmoid(l) = -(1 - p)
+        g_loss, g = g_loss_grad(np.array([[np.log(0.3 / 0.7)]]), 1.0)
+        assert g_loss == pytest.approx(-np.log(0.3))
+        assert g[0, 0] == pytest.approx(-0.7)
+        assert float(g_loss_node(ad.Tensor(np.array([[0.3]]))).data) == \
+            pytest.approx(-np.log(0.3))
 
 
 def g_loss_fn_on(ps, teacher, head, taps, l_prev, t_hi, t_lo, R):

@@ -195,6 +195,87 @@ class TestKillResume:
                 open(f"{ref_out}/{name}", "rb").read()
 
 
+class TestCheckpointFormat:
+    """`distill --resume` on checkpoints other than the ones this version
+    writes: the layout of earlier versions, and damaged files."""
+
+    @pytest.fixture
+    def halfway(self, tmp_path, trained_dir):
+        """(distill args, reference output dir, output dir holding only the
+        round-2 checkpoint of the same run)."""
+        args = ["--teacher", f"{trained_dir}/teacher.json",
+                "--store", f"{trained_dir}/store.jsonl"]
+        full, short = tmp_path / "full.json", tmp_path / "short.json"
+        full.write_text(json.dumps(TINY))
+        short.write_text(json.dumps(dict(TINY, distill=dict(TINY["distill"], iterations=2))))
+        ref_out, out = str(tmp_path / "reference"), str(tmp_path / "resumed")
+        assert run_cli("distill", "--config", str(full), *args, "--out", ref_out) == 0
+        assert run_cli("distill", "--config", str(short), *args, "--out", out) == 0
+        for name in os.listdir(out):
+            if name != "distill_checkpoint.json":
+                os.remove(f"{out}/{name}")
+        return ["--config", str(full), *args], ref_out, out
+
+    @staticmethod
+    def _rewrite(out, edit):
+        path = f"{out}/distill_checkpoint.json"
+        with open(path) as f:
+            payload = json.load(f)
+        edit(payload)
+        with open(path, "w") as f:
+            json.dump(payload, f)
+        return path
+
+    @staticmethod
+    def _with_gradient_sums(payload, g_count=0, h_counts=(0,) * 5):
+        """The layout of versions that kept summed adversarial gradients
+        in the checkpoint (written after each round's update, so empty)."""
+        def zeros(records):
+            return [dict(r, data=np.zeros(r["shape"]).tolist()) for r in records]
+        payload["adv_g_sum"] = zeros(payload["student"])
+        payload["adv_g_count"] = g_count
+        payload["adv_h_sum"] = [zeros(h["params"]) for h in payload["heads"]]
+        payload["adv_h_count"] = list(h_counts)
+
+    def test_earlier_layout_resumes_to_identical_output(self, halfway):
+        args, ref_out, out = halfway
+        self._rewrite(out, self._with_gradient_sums)
+        assert run_cli("distill", *args, "--out", out, "--resume") == 0
+        names = ["student.json", "distill_metrics.csv"] + [
+            f"head_{k}.json" for k in range(TINY["distill"]["m"])]
+        for name in names:
+            assert open(f"{out}/{name}", "rb").read() == \
+                open(f"{ref_out}/{name}", "rb").read(), name
+
+    @pytest.mark.parametrize("counts", [(1, (0,) * 5), (0, (0, 1, 0, 0, 0))])
+    def test_unapplied_gradient_sums_are_refused(self, halfway, capsys, counts):
+        args, _, out = halfway
+        path = self._rewrite(out, lambda p: self._with_gradient_sums(p, *counts))
+        assert run_cli("distill", *args, "--out", out, "--resume") == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    def test_truncated_checkpoint_is_an_error_line(self, halfway, capsys):
+        args, _, out = halfway
+        path = f"{out}/distill_checkpoint.json"
+        with open(path, "rb") as f:
+            head = f.read(3000)
+        with open(path, "wb") as f:
+            f.write(head)
+        assert run_cli("distill", *args, "--out", out, "--resume") == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    def test_tensor_off_its_shape_is_named(self, halfway, capsys):
+        args, _, out = halfway
+
+        def damage(payload):
+            payload["opt_student"]["m"][1]["data"] = [0.0]
+
+        path = self._rewrite(out, damage)
+        assert run_cli("distill", *args, "--out", out, "--resume") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: tensor 'in.b'"), err
+
+
 class TestKdBaseline:
     def test_runs_and_writes_outputs(self, tiny_config, tmp_path, trained_dir):
         out = str(tmp_path / "kd")

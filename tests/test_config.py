@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
 from flowdistill.config import DEFAULT_CONFIG, load_config, parse_config, \
     write_default_config
+from flowdistill.distill import DistillConfig
 from flowdistill.errors import ConfigError
 
 
@@ -69,6 +71,8 @@ def test_invalid_fields_name_the_field(patch, field):
         parse_config(raw)
 
 
+# adv_accum, generator_loss, tap_noisy and tap_clean are no longer
+# fields: their cases now fail as unknown fields
 @pytest.mark.parametrize("patch,field", [
     ({"distill": {"lamda_adv": 5.0}}, "distill.lamda_adv"),
     ({"distill": {"adv_accum": "2"}}, "distill.adv_accum"),
@@ -88,15 +92,34 @@ def test_invalid_fields_name_the_field(patch, field):
     ({"kd": {"window": 2}}, "kd.window"),
     ({"analysis": {"eps": 0.1}}, "analysis.eps"),
     ({"sed": 4}, "sed"),
+    ({"distill": {"queue_capacity": "2"}}, "distill.queue_capacity"),
+    ({"distill": {"heads": None}}, "distill.heads"),
+    ({"distill": {"m": 1.5}}, "distill.m"),
+    ({"distill": {"student_lr": "2"}}, "distill.student_lr"),
+    ({"analysis": {"sample_count": "64"}}, "analysis.sample_count"),
+    ({"analysis": {"sample_count": 0}}, "analysis.sample_count"),
+    ({"analysis": {"m_sweep": ["x"]}}, "analysis.m_sweep"),
+    ({"analysis": {"m_sweep": [0.0, None]}}, "analysis.m_sweep"),
 ])
 def test_strict_fields_name_the_field(patch, field):
     with pytest.raises(ConfigError, match=rf"\b{field.replace('.', '[.]')}\b"):
         parse_config({"config_version": 1, **patch})
 
 
-def test_taps_accept_int_or_null():
-    cfg = parse_config({"config_version": 1, "distill": {"tap_noisy": 2, "tap_clean": None}})
-    assert (cfg.distill.tap_noisy, cfg.distill.tap_clean) == (2, None)
+def test_distill_section_holds_the_config_fields():
+    # n comes from the store section and seed from the root seed
+    assert set(DEFAULT_CONFIG["distill"]) | {"n", "seed"} == \
+        {f.name for f in dataclasses.fields(DistillConfig)}
+
+
+def test_removed_distill_fields_are_unknown():
+    # each at the value it used to default to
+    removed = {"generator_loss": "non_saturating", "adv_real_source": "queued",
+               "adv_optimizer": "separate", "adv_accum": 1, "tap_noisy": None,
+               "tap_clean": None}
+    for key, value in removed.items():
+        with pytest.raises(ConfigError, match=f"^config has unknown field distill[.]{key}$"):
+            parse_config({"config_version": 1, "distill": {key: value}})
 
 
 def test_indivisible_key_spacing_rejected():

@@ -288,18 +288,20 @@ class TestPassCount:
 class TestHeadIsolation:
     def test_update_for_one_k_leaves_other_heads_identical(self, quick_teacher,
                                                            quick_store):
-        cfg = fd.DistillConfig(m=5, n=10, iterations=1, batch_size=4, seed=12,
-                               adv_accum=1)
+        cfg = fd.DistillConfig(m=5, n=10, iterations=1, batch_size=4, seed=12)
         schedule = fd.make_key_schedule(10, 5)
         state = _DistillState(quick_teacher, cfg)
         before = [h.params.copy() for h in state.heads]
+        student_before = state.student_params.copy()
         taps = fd.default_taps(quick_teacher)
         keys = fd.key_points(quick_store, schedule)[:1]
         entry = fd.QueueEntry(np.array([[0.3]]), keys, np.array([0]), 3)
-        _adv_gradients(quick_teacher, taps, schedule, cfg, state, 2, entry, keys,
-                       np.array([0]))
-        assert state.adv_h_count == [0, 0, 1, 0, 0]
-        _apply_adv_updates(state, cfg)
+        *_, s_grads, h_grads = _adv_gradients(quick_teacher, taps, schedule, cfg, state,
+                                              2, entry)
+        # computing the gradients moves nothing; the round-end update does
+        assert state.student_params.equal(student_before)
+        assert all(h.params.equal(b) for h, b in zip(state.heads, before))
+        _apply_adv_updates(state, [s_grads], [[], [], [h_grads], [], []])
         assert not state.heads[2].params.equal(before[2])
         for k in (0, 1, 3, 4):
             assert state.heads[k].params.equal(before[k])

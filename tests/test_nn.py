@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -244,6 +246,18 @@ class TestSerialization:
         path = tmp_path / "head.json"
         fd.save_paramset(path, model.params, {"kind": "projection_head", "index": 0})
         with pytest.raises(StoreFormatError):
+            fd.load_model(path)
+
+    @pytest.mark.parametrize("data", [[[0.5, 0.5]], [[0.5], [0.5, 0.5]], "x"])
+    def test_tensor_data_must_match_its_shape(self, tmp_path, data):
+        model = rand_model(seed=20)
+        path = tmp_path / "model.json"
+        fd.save_model(path, model)
+        payload = json.loads(path.read_text())
+        name = payload["tensors"][0]["name"]
+        payload["tensors"][0]["data"] = data
+        path.write_text(json.dumps(payload))
+        with pytest.raises(StoreFormatError, match=f"{path}: tensor '{name}'"):
             fd.load_model(path)
 
     def test_paramset_roundtrip_preserves_order(self, tmp_path):
