@@ -23,8 +23,15 @@ model = model.with_params(model.params.map(lambda t: t + rng.normal(0, 0.3, t.sh
 
 batch = (3 * rng.standard_normal((16, 1)), rng.standard_normal((16, 1)), rng.random(16))
 x0, x1, t = batch
-# regress the velocity at x_t onto the conditional velocity x1 - x0
-loss, grads = velocity_mse(model.params, fd.interpolate(x0, x1, t), t, x1 - x0, model.R)
+
+
+def loss_and_grad(params):
+    """Loss and gradient: regress the velocity at x_t onto the
+    conditional velocity x1 - x0."""
+    return velocity_mse(params, fd.interpolate(x0, x1, t), t, x1 - x0, model.R)
+
+
+loss, grads = loss_and_grad(model.params)
 _, tape_grads = fd.value_and_grad(lambda ps: fm_loss_node(ps, batch, model.R), model.params)
 print(f"explicit gradient equals the tape's bit for bit: "
       f"{np.array_equal(grads.flat, tape_grads.flat)}")
@@ -35,8 +42,8 @@ print(f"{'coord':>6} {'analytic':>12} {'finite diff':>12} {'rel err':>10}")
 for i in rng.integers(0, model.params.size, 6):
     i = int(i)
     base = model.params.get_flat(i)
-    up = fd.fm_loss(model.with_params(model.params.with_flat(i, base + h)), batch)
-    dn = fd.fm_loss(model.with_params(model.params.with_flat(i, base - h)), batch)
+    up = loss_and_grad(model.params.with_flat(i, base + h))[0]
+    dn = loss_and_grad(model.params.with_flat(i, base - h))[0]
     est = (up - dn) / (2 * h)
     got = grads.get_flat(i)
     print(f"{i:6d} {got:12.6f} {est:12.6f} {abs(got-est)/max(abs(est),1e-9):10.2e}")

@@ -44,11 +44,10 @@ def features_node(teacher: VelocityModel, x, t: float, tap: FeatureTapConfig,
                   want_cache: bool = False):
     """Hidden activation of the frozen teacher at the tap for time t.
 
-    For an array `x` ((B, d), or one state) this is the explicit pass:
-    the teacher runs only up to the tapped block, and the (B, H)
-    features come back as an array, with the ForwardCache that
-    `mlp_backward` needs to differentiate through them when
-    `want_cache` is set. A Tensor `x` builds the same activation as a
+    For a (B, d) array `x` this is the explicit pass: the teacher runs
+    only up to the tapped block, and the (B, H) features come back as
+    an array, with the ForwardCache that `mlp_backward` needs to
+    differentiate through them when `want_cache` is set. A Tensor `x` builds the same activation as a
     node of the autodiff tape, so gradients flow back through the input
     (the reference the explicit path is tested against). Either way
     the teacher parameters are constants and never receive gradients.
@@ -61,15 +60,8 @@ def features_node(teacher: VelocityModel, x, t: float, tap: FeatureTapConfig,
     if isinstance(x, Tensor):
         _, hidden = forward_velocity(teacher.params, x, t, teacher.R, want_hidden=True)
         return hidden[block]
-    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    X = np.asarray(x, dtype=np.float64)
     return mlp_forward(teacher.params, X, t, teacher.R, stop=block, want_cache=want_cache)
-
-
-def extract_features(teacher: VelocityModel, x, t: float, tap: FeatureTapConfig):
-    """Feature vector(s) for discrimination; teacher left unmodified."""
-    x = np.asarray(x, dtype=np.float64)
-    out = features_node(teacher, x, t, tap)
-    return out[0] if x.ndim == 1 else out
 
 
 @dataclass
@@ -144,18 +136,16 @@ def head_backward(params: ParamSet, cache, g, grads: ParamSet | None = None,
     return g @ w1.T if want_input else None
 
 
-def discriminate(head: ProjectionHead, features) -> float:
-    """Probability that `features` came from a real (stored) latent."""
+def discriminate(head: ProjectionHead, features) -> np.ndarray:
+    """(B,) probabilities that each row of the (B, H) `features` came
+    from a real (stored) latent."""
     feats = np.asarray(features, dtype=np.float64)
-    single = feats.ndim == 1
-    feats = np.atleast_2d(feats)
-    if feats.shape[1] != head.in_width:
+    if feats.ndim != 2 or feats.shape[1] != head.in_width:
         raise ValueError(
-            f"feature width {feats.shape[1]} does not match head input {head.in_width}"
+            f"features have shape {feats.shape}, head expects (B, {head.in_width})"
         )
     logit, _ = head_forward(head.params, feats)
-    prob = ad.stable_sigmoid(logit[:, 0])
-    return float(prob[0]) if single else prob
+    return ad.stable_sigmoid(logit[:, 0])
 
 
 def _clip_prob(p):

@@ -116,9 +116,14 @@ def parse_config(raw: dict) -> RunConfig:
     _check_fields(merged)
 
     support = merged["dataset"].get("support")
-    if not isinstance(support, list) or not support:
-        raise ConfigError("config field dataset.support must be a non-empty list")
-    dataset = ToyDataset(np.asarray(support, dtype=np.float64))
+    try:
+        support = np.asarray(support if isinstance(support, list) else [])
+    except ValueError:  # ragged nesting
+        support = np.zeros(0)
+    if support.size == 0 or support.dtype.kind not in "if" or not np.all(np.isfinite(support)):
+        raise ConfigError("config field dataset.support must be a non-empty list of "
+                          "finite numbers, or of equal-length lists of them")
+    dataset = ToyDataset(support)
 
     model = {
         "H": _require(merged["model"], "model", "H", int, positive=True),
@@ -178,7 +183,7 @@ def parse_config(raw: dict) -> RunConfig:
     return RunConfig(
         name=str(merged.get("name", "run")),
         seed=_require(merged, "(root)", "seed", int),
-        out_dir=str(merged["out_dir"]),
+        out_dir=_require(merged, "(root)", "out_dir", str),
         dataset=dataset,
         model=model,
         teacher=teacher,

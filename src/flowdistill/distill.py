@@ -13,7 +13,6 @@ either update is applied.
 
 from __future__ import annotations
 
-import json
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -24,15 +23,17 @@ from . import autodiff as ad
 from .adversarial import ProjectionHead, build_projection_head, d_loss_grad, \
     default_taps, features_node, g_loss_grad, head_backward, head_forward
 from .atomic import write_json
-from .errors import ConfigError, NumericsError, QueueEmpty, StoreFormatError
+from .errors import ConfigError, NumericsError, QueueEmpty
 from .flow import integrate
 from .nn import OptimizerState, VelocityModel, check_grads, check_loss, forward_velocity, \
     init_optimizer, mlp_backward, mlp_forward, optimizer_step, params_from_payload, \
-    params_to_payload, velocity_mse, zeros_like
+    params_to_payload, read_json, require_fields, velocity_mse, zeros_like
 from .seeds import derive_seed
 from .trajstore import TrajectoryStore, key_points
 
 METRIC_COLUMNS = ("iter", "k", "traj_loss", "d_loss", "g_loss", "queue_sizes")
+CHECKPOINT_FIELDS = ("m", "round", "student", "opt_student", "opt_student_adv", "heads",
+                     "opt_heads", "rng_batch", "rng_noise", "queues", "metrics")
 
 
 @dataclass(frozen=True)
@@ -72,16 +73,14 @@ def make_key_schedule(n: int, m: int) -> KeySchedule:
 
 def _traj_regression(keys, schedule: KeySchedule, k: int):
     """Inputs (latents at t'_{k+1}, t'_{k+1}) and finite-difference
-    velocity targets of the key interval [t'_k, t'_{k+1}], for (m+1, d)
-    keys of one trajectory or (B, m+1, d) keys of a batch."""
+    velocity targets of the key interval [t'_k, t'_{k+1}], for the
+    (B, m+1, d) keys of a batch of trajectories."""
     keys = np.asarray(keys, dtype=np.float64)
-    if keys.ndim == 2:
-        keys = keys[None]
     m = schedule.m
     if not 0 <= k <= m - 1:
         raise ValueError(f"k must lie in [0, {m - 1}], got {k}")
-    if keys.shape[1] != m + 1:
-        raise ValueError(f"expected {m + 1} key latents, got {keys.shape[1]}")
+    if keys.ndim != 3 or keys.shape[1] != m + 1:
+        raise ValueError(f"keys must be (B, {m + 1}, d), got shape {keys.shape}")
     t_lo, t_hi = schedule.time(k), schedule.time(k + 1)
     l_lo = keys[:, m - k, :]
     l_hi = keys[:, m - k - 1, :]
@@ -89,20 +88,14 @@ def _traj_regression(keys, schedule: KeySchedule, k: int):
 
 
 def traj_loss_node(params, keys, schedule: KeySchedule, k: int, R: int):
-    """`traj_loss` as a node of the autodiff tape (the reference for the
-    explicit gradient of the trajectory phase)."""
+    """Trajectory-regression loss as a node of the autodiff tape (the
+    reference for the explicit gradient of the trajectory phase): the
+    squared error between the velocity at the key latents for t'_{k+1}
+    and the stored finite-difference velocity over [t'_k, t'_{k+1}],
+    averaged over trajectories and dimensions."""
     l_hi, t_hi, target = _traj_regression(keys, schedule, k)
     pred = forward_velocity(params, l_hi, t_hi, R)
     return ad.mean(ad.square(ad.sub(pred, target)))
-
-
-def traj_loss(student: VelocityModel, keys, schedule: KeySchedule, k: int) -> float:
-    """Squared error between the student's velocity at the key latent for
-    t'_{k+1} and the stored finite-difference velocity over [t'_k, t'_{k+1}],
-    averaged over dimensions (and trajectories, when keys is batched)."""
-    l_hi, t_hi, target = _traj_regression(keys, schedule, k)
-    diff = mlp_forward(student.params, l_hi, t_hi, student.R) - target
-    return float(np.mean(diff * diff))
 
 
 @dataclass
@@ -237,18 +230,15 @@ def _opt_to_payload(opt: OptimizerState) -> dict:
         "v": params_to_payload(opt.v),
         "step": opt.step,
         "lr": opt.lr,
-        "beta1": opt.beta1,
-        "beta2": opt.beta2,
-        "eps": opt.eps,
-        "weight_decay": opt.weight_decay,
     }
 
 
 def _opt_from_payload(p: dict, source) -> OptimizerState:
-    return OptimizerState(
-        params_from_payload(p["m"], source), params_from_payload(p["v"], source),
-        p["step"], p["lr"], p["beta1"], p["beta2"], p["eps"], p["weight_decay"],
-    )
+    # older checkpoints also carry beta1, beta2, eps and weight_decay,
+    # always at the values that are now constants
+    require_fields(p, ("m", "v", "step", "lr"), f"{source}: optimizer state")
+    return OptimizerState(params_from_payload(p["m"], source),
+                          params_from_payload(p["v"], source), p["step"], p["lr"])
 
 
 def save_checkpoint(path, state: _DistillState, config: DistillConfig):
@@ -285,13 +275,7 @@ def save_checkpoint(path, state: _DistillState, config: DistillConfig):
 
 
 def load_checkpoint(path, teacher: VelocityModel, config: DistillConfig) -> _DistillState:
-    try:
-        with open(path, encoding="utf-8") as f:
-            payload = json.load(f)
-    except json.JSONDecodeError as e:
-        raise StoreFormatError(f"{path}: not a valid checkpoint ({e})") from e
-    if not isinstance(payload, dict) or payload.get("format") != "flowdistill-checkpoint":
-        raise ConfigError(f"{path}: not a distillation checkpoint")
+    payload = read_json(path, "flowdistill-checkpoint", CHECKPOINT_FIELDS)
     # older checkpoints carry the adversarial gradient sums; they were
     # written after each round's update, so a resumable one holds none
     if payload.get("adv_g_count", 0) or any(payload.get("adv_h_count", ())):
@@ -305,10 +289,10 @@ def load_checkpoint(path, teacher: VelocityModel, config: DistillConfig) -> _Dis
     state.student_params = params_from_payload(payload["student"], path)
     state.opt_student = _opt_from_payload(payload["opt_student"], path)
     state.opt_student_adv = _opt_from_payload(payload["opt_student_adv"], path)
-    state.heads = [
-        ProjectionHead(h["index"], params_from_payload(h["params"], path))
-        for h in payload["heads"]
-    ]
+    state.heads = []
+    for h in payload["heads"]:
+        require_fields(h, ("index", "params"), f"{path}: head")
+        state.heads.append(ProjectionHead(h["index"], params_from_payload(h["params"], path)))
     state.opt_heads = [_opt_from_payload(o, path) for o in payload["opt_heads"]]
     state.rng_batch.bit_generator.state = payload["rng_batch"]
     state.rng_noise.bit_generator.state = payload["rng_noise"]
@@ -316,6 +300,8 @@ def load_checkpoint(path, teacher: VelocityModel, config: DistillConfig) -> _Dis
     d = teacher.d
     for k, entries in enumerate(payload["queues"]):
         for e in entries:
+            require_fields(e, ("latent", "real_keys", "traj_index", "key_index"),
+                           f"{path}: queue {k} entry")
             state.queues.push(k, QueueEntry(
                 np.asarray(e["latent"], dtype=np.float64).reshape(-1, d),
                 np.asarray(e["real_keys"], dtype=np.float64).reshape(-1, config.m + 1, d),
@@ -487,16 +473,8 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
     return DistillResult(student=student, heads=list(state.heads), metrics=state.metrics)
 
 
-def sample_student(student: VelocityModel, schedule: KeySchedule, z):
-    """Integrate one noise draw through the m key steps.
-
-    Returns (sample, nfe); nfe counts model evaluations and equals m.
-    """
-    X, nfe = sample_student_batch(student, schedule, np.reshape(z, (1, -1)))
-    return X[0], nfe
-
-
 def sample_student_batch(student: VelocityModel, schedule: KeySchedule, Z):
-    """Batched few-step sampling: (B, d) noise to (B, d) samples in
-    exactly m model evaluations."""
+    """Few-step sampling: integrate (B, d) noise draws through the m key
+    steps. Returns ((B, d) samples, nfe); nfe counts model evaluations
+    and equals m."""
     return integrate(student, Z, schedule.times)[-1], schedule.m

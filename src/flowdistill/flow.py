@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, NumericsError
 from .nn import VelocityModel, build_velocity_model, eval_velocity, forward_velocity, \
-    init_optimizer, mlp_forward, optimizer_step, velocity_mse
+    init_optimizer, optimizer_step, velocity_mse
 from .seeds import derive_seed
 
 # glibc's malloc gives freed memory at the top of the heap back to the
@@ -106,48 +106,19 @@ def interpolate(x0, x1, t):
     return (1.0 - t) * x0 + t * x1
 
 
-def _as_batch(batch):
-    """Accept (x0, x1, t) arrays or a list of per-sample triples."""
-    if isinstance(batch, tuple) and len(batch) == 3:
-        x0, x1, t = batch
-    else:
-        rows = list(batch)
-        if not rows:
-            raise ValueError("batch must be non-empty")
-        x0 = np.stack([np.atleast_1d(np.asarray(r[0], dtype=np.float64)) for r in rows])
-        x1 = np.stack([np.atleast_1d(np.asarray(r[1], dtype=np.float64)) for r in rows])
-        t = np.asarray([r[2] for r in rows], dtype=np.float64)
-        return x0, x1, t
-    x0 = np.asarray(x0, dtype=np.float64)
-    x1 = np.asarray(x1, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    if x0.ndim == 1:
-        x0, x1 = x0[:, None], x1[:, None]
-    if x0.shape[0] == 0:
-        raise ValueError("batch must be non-empty")
-    return x0, x1, t
-
-
-def _fm_regression(batch):
-    """Inputs (x_t, t) and conditional-velocity targets of a batch."""
-    x0, x1, t = _as_batch(batch)
-    return interpolate(x0, x1, t), t, x1 - x0
+def _fm_regression(x0, x1, t):
+    """Inputs (x_t, t) and conditional-velocity targets of a batch of
+    (B, d) data points x0, (B, d) noise draws x1 and (B,) times t."""
+    return interpolate(x0, x1, t), t, np.subtract(x1, x0)
 
 
 def fm_loss_node(params, batch, R: int):
-    """Flow-matching loss as a node of the autodiff tape (the reference
-    for the explicit gradient of `train_teacher`)."""
-    xt, t, target = _fm_regression(batch)
+    """Flow-matching loss on an (x0, x1, t) batch as a node of the
+    autodiff tape (the reference for the explicit gradient of
+    `train_teacher`)."""
+    xt, t, target = _fm_regression(*batch)
     pred = forward_velocity(params, xt, t, R)
     return ad.mean(ad.square(ad.sub(pred, target)))
-
-
-def fm_loss(model: VelocityModel, batch) -> float:
-    """Mean squared error between predicted and conditional velocities,
-    averaged over batch elements and dimensions."""
-    xt, t, target = _fm_regression(batch)
-    diff = mlp_forward(model.params, xt, t, model.R) - target
-    return float(np.mean(diff * diff))
 
 
 def train_teacher(data: ToyDataset, iterations: int, batch_size: int, lr: float,
@@ -173,7 +144,7 @@ def train_teacher(data: ToyDataset, iterations: int, batch_size: int, lr: float,
         x1 = rng.standard_normal((batch_size, data.d))
         t = rng.random(batch_size)
         try:
-            loss, grads = velocity_mse(params, *_fm_regression((x0, x1, t)), R)
+            loss, grads = velocity_mse(params, *_fm_regression(x0, x1, t), R)
         except NumericsError as e:
             raise NumericsError(f"teacher training diverged at iteration {i}: {e}") from e
         params, opt = optimizer_step(params, grads, opt)
@@ -202,36 +173,11 @@ def integrate(model: VelocityModel, X, times) -> np.ndarray:
     return states
 
 
-def euler_step(model: VelocityModel, x, t_from: float, t_to: float):
-    """One explicit Euler step of one state vector from t_from to t_to."""
-    return integrate(model, np.reshape(x, (1, -1)), (t_from, t_to))[-1, 0]
-
-
-@dataclass
-class Trajectory:
-    """One denoising path: states[j] is the latent at grid.times[j], so
-    states[n] is the initial noise and states[0] the clean endpoint."""
-
-    grid: TimeGrid
-    states: np.ndarray
-
-    @property
-    def endpoint(self) -> np.ndarray:
-        return self.states[0]
-
-
-def denoise(model: VelocityModel, x1, grid: TimeGrid) -> Trajectory:
-    """Integrate one noise draw from t=1 down to t=0, keeping every
-    state; exactly grid.n model evaluations."""
-    x1 = np.asarray(x1, dtype=np.float64)
-    if x1.ndim != 1 or x1.size != model.d:
-        raise ValueError(f"noise draw must be a vector of length {model.d}")
-    return Trajectory(grid, denoise_batch(model, x1.reshape(1, -1), grid)[:, 0])
-
-
 def denoise_batch(model: VelocityModel, X1: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Batched form of `denoise`: (B, d) noise draws to (n+1, B, d) states,
-    indexed like grid.times, one model evaluation per timestep."""
+    """Integrate (B, d) noise draws from t=1 down to t=0, keeping every
+    state: (n+1, B, d) states indexed like grid.times, so states[n] is
+    the noise and states[0] the clean endpoints; exactly grid.n model
+    evaluations."""
     return integrate(model, X1, grid.times[::-1])[::-1]
 
 

@@ -1,5 +1,5 @@
 """Dense-network substrate: parameter sets, residual MLP velocity models,
-gradient computation, and Adam-family updates.
+gradient computation, and Adam updates.
 
 A velocity model maps a state vector and a scalar time to a velocity
 vector of the same dimension as the state. The architecture is an input
@@ -29,6 +29,8 @@ from .atomic import write_json
 from .autodiff import Tensor
 from .errors import ConfigError, NumericsError, StoreFormatError
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
@@ -339,22 +341,17 @@ def forward_velocity(params, X, t, R: int, want_hidden: bool = False):
 
 
 def eval_velocity(model: VelocityModel, x, t):
-    """Predicted velocity at (x, t); pure in the model parameters.
-
-    Accepts a single state vector with scalar t, or a (B, d) batch with
-    t scalar or (B,). The returned array matches the input arrangement.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = x.reshape(1, -1) if single else x
+    """Predicted (B, d) velocities at a (B, d) batch x of states and
+    time t, a scalar or (B,); pure in the model parameters."""
+    X = np.asarray(x, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.d:
-        raise ValueError(f"state has dimension {x.shape}, model expects d={model.d}")
+        raise ValueError(f"states have shape {X.shape}, model expects (B, {model.d})")
     t_arr = np.broadcast_to(np.asarray(t, dtype=np.float64), (X.shape[0],))
     if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
         raise ValueError("time must lie in [0, 1]")
     out = mlp_forward(model.params, X, t_arr, model.R)
     model.eval_count += 1
-    return out[0] if single else out
+    return out
 
 
 @dataclass(frozen=True)
@@ -388,53 +385,38 @@ def value_and_grad(loss_fn, params: ParamSet):
     return loss, grads
 
 
-def grad(model_loss, params: ParamSet) -> ParamSet:
-    """Gradient of a scalar loss with respect to a ParamSet."""
-    return value_and_grad(model_loss, params)[1]
-
-
 @dataclass(frozen=True)
 class OptimizerState:
-    """Adam/AdamW state: first and second moments plus the step counter."""
+    """Adam state: first and second moments plus the step counter."""
 
     m: ParamSet
     v: ParamSet
     step: int
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = ADAM_EPS
-    weight_decay: float = 0.0
 
 
-def init_optimizer(params: ParamSet, lr: float, beta1=0.9, beta2=0.999,
-                   eps=ADAM_EPS, weight_decay=0.0) -> OptimizerState:
+def init_optimizer(params: ParamSet, lr: float) -> OptimizerState:
     if lr <= 0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
-    return OptimizerState(
-        zeros_like(params), zeros_like(params), 0, lr, beta1, beta2, eps, weight_decay
-    )
+    return OptimizerState(zeros_like(params), zeros_like(params), 0, lr)
 
 
 def optimizer_step(params: ParamSet, grads: ParamSet, state: OptimizerState):
-    """One Adam step (decoupled weight decay when configured), run once
-    on the flat vectors.
+    """One Adam step, run once on the flat vectors.
 
     Returns new (params, state); inputs are left untouched.
     """
     params._check_congruent(grads)
     params._check_congruent(state.m)
     step = state.step + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1**step
     bias2 = 1.0 - b2**step
     g = grads.flat
     m = b1 * state.m.flat + (1.0 - b1) * g
     v = b2 * state.v.flat + (1.0 - b2) * (g * g)
-    update = (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+    update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
     p = params.flat - state.lr * update
-    if state.weight_decay:
-        p = p - state.lr * state.weight_decay * p
     new_state = dataclasses.replace(state, m=params.like(m), v=params.like(v), step=step)
     return params.like(p), new_state
 
@@ -446,12 +428,38 @@ def params_to_payload(params: ParamSet) -> list:
     ]
 
 
+def require_fields(obj, fields, where):
+    """`obj`, checked to be a JSON object holding each of `fields`; a
+    defect is a StoreFormatError naming `where` and the missing field."""
+    if not isinstance(obj, dict):
+        raise StoreFormatError(f"{where}: not a JSON object")
+    for key in fields:
+        if key not in obj:
+            raise StoreFormatError(f"{where}: missing field {key!r}")
+    return obj
+
+
+def read_json(path, fmt: str, fields) -> dict:
+    """The JSON object in the artifact `path`, checked to carry the
+    format tag `fmt` and each of `fields`; a defect is a
+    StoreFormatError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            payload = json.load(f)
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise StoreFormatError(f"{path}: not a valid {fmt} file ({e})") from e
+    if not isinstance(payload, dict) or payload.get("format") != fmt:
+        raise StoreFormatError(f"{path}: not a {fmt} file")
+    return require_fields(payload, fields, path)
+
+
 def params_from_payload(records: list, source) -> ParamSet:
     """The ParamSet of `params_to_payload` records read from `source`; a
-    tensor whose data does not have its recorded shape is a format error
-    naming the file and the tensor."""
+    tensor record without its fields, or whose data does not have its
+    recorded shape, is a format error naming the file and the tensor."""
     names, tensors = [], []
-    for rec in records:
+    for i, rec in enumerate(records):
+        require_fields(rec, ("name", "shape", "data"), f"{source}: tensor record {i}")
         try:
             t = np.asarray(rec["data"], dtype=np.float64)
         except (TypeError, ValueError) as e:
@@ -480,13 +488,7 @@ def save_paramset(path, params: ParamSet, meta: dict):
 
 def load_paramset(path):
     """Read back (ParamSet, meta); shape/size mismatches are format errors."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            payload = json.load(f)
-    except json.JSONDecodeError as e:
-        raise StoreFormatError(f"{path}: not a valid parameter file ({e})") from e
-    if payload.get("format") != "flowdistill-paramset":
-        raise StoreFormatError(f"{path}: unrecognized file format")
+    payload = read_json(path, "flowdistill-paramset", ("meta", "tensors"))
     return params_from_payload(payload["tensors"], path), payload["meta"]
 
 
@@ -496,8 +498,11 @@ def save_model(path, model: VelocityModel):
 
 def load_model(path) -> VelocityModel:
     params, meta = load_paramset(path)
-    if meta.get("kind") != "velocity_model":
+    if not isinstance(meta, dict) or meta.get("kind") != "velocity_model":
         raise StoreFormatError(f"{path}: not a velocity-model file")
+    require_fields(meta, ("d", "H", "R", "activation"), f"{path}: meta")
+    if not all(type(meta[key]) is int for key in ("d", "H", "R")):
+        raise StoreFormatError(f"{path}: meta fields d, H and R must be integers")
     model = VelocityModel(meta["d"], meta["H"], meta["R"], params, meta["activation"])
     expected = [name for name, _ in _param_layout(model.d, model.H, model.R)]
     if list(params.names) != expected:

@@ -24,7 +24,7 @@ import numpy as np
 from .atomic import atomic_open
 from .errors import ConfigError, StoreFormatError, StoreIntegrityError
 from .flow import TimeGrid, denoise_batch
-from .nn import VelocityModel, eval_velocity
+from .nn import VelocityModel, eval_velocity, require_fields
 from .seeds import derive_seed
 
 RECURRENCE_TOL = 1e-9
@@ -132,20 +132,19 @@ def load_store(path, teacher: VelocityModel | None = None) -> TrajectoryStore:
     if not lines:
         raise StoreFormatError(f"{path}: empty store file")
 
-    def parse(line_no, text):
+    def parse(line_no, text, fields):
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as e:
             raise StoreFormatError(f"{path}: line {line_no}: {e}") from e
-        if not isinstance(obj, dict):
-            raise StoreFormatError(f"{path}: line {line_no}: not a JSON object")
-        return obj
+        return require_fields(obj, fields, f"{path}: line {line_no}")
 
-    header = parse(1, lines[0])
-    for key in ("version", "N", "n", "d", "teacher_fingerprint", "seed", "grid"):
-        if key not in header:
-            raise StoreFormatError(f"{path}: line 1: header is missing {key!r}")
-    grid = TimeGrid(np.asarray(header["grid"], dtype=np.float64))
+    header = parse(1, lines[0], ("version", "N", "n", "d", "teacher_fingerprint", "seed",
+                                 "grid"))
+    try:
+        grid = TimeGrid(np.asarray(header["grid"], dtype=np.float64))
+    except (TypeError, ValueError, ConfigError) as e:
+        raise StoreFormatError(f"{path}: line 1: grid is not a time grid ({e})") from e
     if grid.n != header["n"]:
         raise StoreFormatError(f"{path}: line 1: grid length disagrees with n")
     N, d = header["N"], header["d"]
@@ -160,12 +159,9 @@ def load_store(path, teacher: VelocityModel | None = None) -> TrajectoryStore:
     noise_seeds = np.empty(N, dtype=np.int64)
     for i in range(N):
         where = f"{path}: line {i + 2}"
-        record = parse(i + 2, lines[i + 1])
-        if record.get("index") != i:
+        record = parse(i + 2, lines[i + 1], ("index", "noise_seed", "states"))
+        if record["index"] != i:
             raise StoreFormatError(f"{where}: record out of order")
-        for key in ("noise_seed", "states"):
-            if key not in record:
-                raise StoreFormatError(f"{where}: record is missing {key!r}")
         noise_seed = record["noise_seed"]
         if type(noise_seed) is not int or not 0 <= noise_seed < 2**63:
             raise StoreFormatError(f"{where}: noise_seed {noise_seed!r} is not a seed")
@@ -231,7 +227,6 @@ def validate_store(store: TrajectoryStore, teacher: VelocityModel):
 
 def key_points(x, schedule) -> np.ndarray:
     """States at the key timesteps, ordered from t'_m = 1 down to t'_0 = 0
-    (matching schedule.times): (m+1, d) for a Trajectory, (N, m+1, d)
-    for a TrajectoryStore."""
+    (matching schedule.times): (N, m+1, d) for a TrajectoryStore."""
     rows = [x.grid.index_of(t) for t in schedule.times]
-    return x.states[..., rows, :]
+    return x.states[:, rows]

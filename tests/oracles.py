@@ -143,8 +143,7 @@ def adv_step_tape(teacher, student_params, head_params, taps, l_prev, real, t_hi
     return d_scaled / scale, g_scaled / scale, l_gen, s_grads, h_grads
 
 
-def adam_reference(params, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8,
-                   weight_decay=0.0):
+def adam_reference(params, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """One Adam step tensor by tensor, written out from the update rule;
     returns the new (params, m, v) as lists of arrays."""
     bias1, bias2 = 1.0 - beta1**step, 1.0 - beta2**step
@@ -153,8 +152,6 @@ def adam_reference(params, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e
         m_t = beta1 * m_t + (1.0 - beta1) * g
         v_t = beta2 * v_t + (1.0 - beta2) * (g * g)
         p = p - lr * ((m_t / bias1) / (np.sqrt(v_t / bias2) + eps))
-        if weight_decay:
-            p = p - lr * weight_decay * p
         for acc, t in zip(out, (p, m_t, v_t)):
             acc.append(t)
     return out

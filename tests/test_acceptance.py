@@ -128,16 +128,16 @@ def test_criterion_2_gradient_correctness(teacher):
 
         batch = (3 * rng.standard_normal((8, 1)), rng.standard_normal((8, 1)),
                  rng.random(8))
-        _, g = velocity_mse(model.params, *_fm_regression(batch), model.R)
+        _, g = velocity_mse(model.params, *_fm_regression(*batch), model.R)
         worst["fm"] = max(worst["fm"], max_grad_rel_error(
-            lambda ps: fd.fm_loss(model.with_params(ps), batch),
+            lambda ps: velocity_mse(ps, *_fm_regression(*batch), model.R)[0],
             model.params, g, coords))
 
-        keys = 2 * rng.standard_normal((6, 1))
+        keys = 2 * rng.standard_normal((1, 6, 1))
         k = int(rng.integers(0, 5))
         _, g = velocity_mse(model.params, *_traj_regression(keys, schedule10, k), model.R)
         worst["traj"] = max(worst["traj"], max_grad_rel_error(
-            lambda ps: fd.traj_loss(model.with_params(ps), keys, schedule10, k),
+            lambda ps: velocity_mse(ps, *_traj_regression(keys, schedule10, k), model.R)[0],
             model.params, g, coords))
 
         # the generator loss through one student step from t'_2 = 0.4 to
@@ -168,8 +168,8 @@ def test_criterion_3_solver_exactness(teacher, store):
     tensors = list(model.params.tensors)
     tensors[-1] = np.array([2.0])
     model = model.with_params(fd.ParamSet(model.params.names, tuple(tensors)))
-    out = fd.euler_step(model, np.array([0.0]), 1.0, 0.5)
-    assert abs(out[0] - (-1.0)) <= 1e-12
+    out = fd.integrate(model, np.array([[0.0]]), (1.0, 0.5))[-1]
+    assert abs(out[0, 0] - (-1.0)) <= 1e-12
 
     # analytic single-datum field lands exactly
     a = -3.0

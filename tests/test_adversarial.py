@@ -15,76 +15,76 @@ from oracles import central_diff
 class TestFeatureExtraction:
     def test_feature_width_is_hidden_width(self, quick_teacher):
         taps = fd.default_taps(quick_teacher)
-        feats = fd.extract_features(quick_teacher, np.array([0.4]), 0.5, taps)
-        assert feats.shape == (quick_teacher.H,)
+        feats = features_node(quick_teacher, np.array([[0.4]]), 0.5, taps)
+        assert feats.shape == (1, quick_teacher.H)
 
     def test_teacher_unmodified_by_extraction(self, quick_teacher):
         taps = fd.default_taps(quick_teacher)
         before = quick_teacher.fingerprint()
-        fd.extract_features(quick_teacher, np.array([0.4]), 0.5, taps)
+        features_node(quick_teacher, np.array([[0.4]]), 0.5, taps)
         assert quick_teacher.fingerprint() == before
 
     def test_features_stable_across_student_updates(self, quick_teacher, quick_store):
         taps = fd.default_taps(quick_teacher)
-        x, t = np.array([0.3]), 0.5
-        before = fd.extract_features(quick_teacher, x, t, taps)
+        X, t = np.array([[0.3]]), 0.5
+        before = features_node(quick_teacher, X, t, taps)
         cfg = fd.DistillConfig(m=5, n=10, iterations=2, batch_size=4, seed=3)
         fd.distill(quick_teacher, quick_store, cfg)
-        after = fd.extract_features(quick_teacher, x, t, taps)
+        after = features_node(quick_teacher, X, t, taps)
         assert np.array_equal(before, after)
 
     def test_clean_and_noisy_taps_differ(self, quick_teacher):
         taps = fd.default_taps(quick_teacher)
         assert taps.noisy_block != taps.clean_block
-        x = np.array([0.8])
-        noisy = fd.extract_features(quick_teacher, x, 0.2, taps)
-        clean = fd.extract_features(quick_teacher, x, 0.0, taps)
+        X = np.array([[0.8]])
+        noisy = features_node(quick_teacher, X, 0.2, taps)
+        clean = features_node(quick_teacher, X, 0.0, taps)
         assert not np.allclose(noisy, clean)
 
     def test_same_tap_same_features(self, quick_teacher):
         taps = fd.FeatureTapConfig(noisy_block=2, clean_block=2)
-        x = np.array([0.8])
-        a = fd.extract_features(quick_teacher, x, 0.2, taps)
-        b = fd.extract_features(quick_teacher, x, 0.2, taps)
+        X = np.array([[0.8]])
+        a = features_node(quick_teacher, X, 0.2, taps)
+        b = features_node(quick_teacher, X, 0.2, taps)
         assert np.array_equal(a, b)
 
     def test_out_of_range_tap_rejected(self, quick_teacher):
         taps = fd.FeatureTapConfig(noisy_block=quick_teacher.R + 1, clean_block=1)
         with pytest.raises(ConfigError):
-            fd.extract_features(quick_teacher, np.array([0.0]), 0.5, taps)
+            features_node(quick_teacher, np.array([[0.0]]), 0.5, taps)
 
     def test_tap_matches_forward_hidden(self, quick_teacher):
         taps = fd.default_taps(quick_teacher)
-        x = np.array([[0.4]])
-        _, hidden = forward_velocity(quick_teacher.params, x, 0.5, quick_teacher.R,
+        X = np.array([[0.4]])
+        _, hidden = forward_velocity(quick_teacher.params, X, 0.5, quick_teacher.R,
                                      want_hidden=True)
-        feats = fd.extract_features(quick_teacher, x[0], 0.5, taps)
-        assert np.array_equal(feats, hidden[taps.noisy_block].data[0])
+        feats = features_node(quick_teacher, X, 0.5, taps)
+        assert np.array_equal(feats, hidden[taps.noisy_block].data)
 
 
 class TestDiscriminate:
     def test_fresh_head_outputs_exactly_half(self):
         head = fd.build_projection_head(16, index=0, seed=4)
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            feats = rng.standard_normal(16)
-            assert fd.discriminate(head, feats) == 0.5
+        feats = np.random.default_rng(0).standard_normal((5, 16))
+        assert np.all(fd.discriminate(head, feats) == 0.5)
 
     def test_probability_monotone_in_logit(self):
         head = fd.build_projection_head(8, index=0, seed=5)
-        feats = np.random.default_rng(1).standard_normal(8)
+        feats = np.random.default_rng(1).standard_normal((1, 8))
         probs = []
         for bias in (-2.0, -0.5, 0.0, 0.5, 2.0):
             tensors = list(head.params.tensors)
             tensors[3] = np.array([bias])
             bumped = head.with_params(fd.ParamSet(head.params.names, tuple(tensors)))
-            probs.append(fd.discriminate(bumped, feats))
+            probs.append(fd.discriminate(bumped, feats)[0])
         assert all(a < b for a, b in zip(probs, probs[1:]))
 
     def test_feature_width_mismatch_rejected(self):
         head = fd.build_projection_head(8, index=0, seed=6)
         with pytest.raises(ValueError):
-            fd.discriminate(head, np.zeros(5))
+            fd.discriminate(head, np.zeros((1, 5)))
+        with pytest.raises(ValueError):
+            fd.discriminate(head, np.zeros(8))
 
     def test_trains_to_separate_clusters(self):
         rng = np.random.default_rng(7)

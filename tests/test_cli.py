@@ -237,15 +237,50 @@ class TestCheckpointFormat:
         payload["adv_h_sum"] = [zeros(h["params"]) for h in payload["heads"]]
         payload["adv_h_count"] = list(h_counts)
 
-    def test_earlier_layout_resumes_to_identical_output(self, halfway):
-        args, ref_out, out = halfway
-        self._rewrite(out, self._with_gradient_sums)
-        assert run_cli("distill", *args, "--out", out, "--resume") == 0
+    @staticmethod
+    def _with_adam_settings(payload):
+        """The layout of versions whose optimizer states carried the Adam
+        settings, always at the values that are now constants."""
+        for opt in (payload["opt_student"], payload["opt_student_adv"],
+                    *payload["opt_heads"]):
+            opt.update(beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0)
+
+    @staticmethod
+    def _assert_same_outputs(out, ref_out):
         names = ["student.json", "distill_metrics.csv"] + [
             f"head_{k}.json" for k in range(TINY["distill"]["m"])]
         for name in names:
             assert open(f"{out}/{name}", "rb").read() == \
                 open(f"{ref_out}/{name}", "rb").read(), name
+
+    def test_earlier_layout_resumes_to_identical_output(self, halfway):
+        args, ref_out, out = halfway
+        self._rewrite(out, self._with_gradient_sums)
+        assert run_cli("distill", *args, "--out", out, "--resume") == 0
+        self._assert_same_outputs(out, ref_out)
+
+    def test_adam_settings_of_earlier_layout_resume_to_identical_output(self, halfway):
+        args, ref_out, out = halfway
+        self._rewrite(out, self._with_adam_settings)
+        assert run_cli("distill", *args, "--out", out, "--resume") == 0
+        self._assert_same_outputs(out, ref_out)
+
+    @pytest.mark.parametrize("where,field", [
+        ((), "round"), (("opt_student",), "lr"), (("heads", 0), "index"),
+        (("queues", 0, 0), "latent"),
+    ], ids=["round", "optimizer-lr", "head-index", "queue-entry-latent"])
+    def test_missing_field_is_named(self, halfway, capsys, where, field):
+        args, _, out = halfway
+
+        def damage(payload):
+            for key in where:
+                payload = payload[key]
+            payload.pop(field)
+
+        path = self._rewrite(out, damage)
+        assert run_cli("distill", *args, "--out", out, "--resume") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}") and f"missing field '{field}'" in err, err
 
     @pytest.mark.parametrize("counts", [(1, (0,) * 5), (0, (0, 1, 0, 0, 0))])
     def test_unapplied_gradient_sums_are_refused(self, halfway, capsys, counts):
@@ -286,7 +321,33 @@ class TestKdBaseline:
         assert os.path.exists(f"{out}/kd_loss.csv")
 
 
+def _drop(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+# ways to damage a model file, each with the start of its error message
+BAD_MODELS = {
+    "not-an-object": (lambda p: [], "not a flowdistill-paramset file"),
+    "no-tensors": (lambda p: _drop(p, "tensors"), "missing field 'tensors'"),
+    "meta-without-d": (lambda p: dict(p, meta=_drop(p["meta"], "d")),
+                       "meta: missing field 'd'"),
+    "tensor-without-shape": (lambda p: dict(p, tensors=[_drop(p["tensors"][0], "shape")]),
+                             "tensor record 0: missing field 'shape'"),
+}
+
+
 class TestSample:
+    @pytest.mark.parametrize("damage", list(BAD_MODELS))
+    def test_damaged_model_is_an_error_line(self, trained_dir, tmp_path, capsys, damage):
+        edit, message = BAD_MODELS[damage]
+        path = tmp_path / "model.json"
+        with open(f"{trained_dir}/teacher.json") as f:
+            path.write_text(json.dumps(edit(json.load(f))))
+        code = run_cli("sample", "--model", str(path), "--count", "4", "--steps", "2",
+                       "--out", str(tmp_path / "s"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
     def test_reports_nfe_in_header_and_rows(self, trained_dir, tmp_path):
         out = str(tmp_path / "s")
         assert run_cli("sample", "--model", f"{trained_dir}/teacher.json",

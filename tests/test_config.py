@@ -100,6 +100,10 @@ def test_invalid_fields_name_the_field(patch, field):
     ({"analysis": {"sample_count": 0}}, "analysis.sample_count"),
     ({"analysis": {"m_sweep": ["x"]}}, "analysis.m_sweep"),
     ({"analysis": {"m_sweep": [0.0, None]}}, "analysis.m_sweep"),
+    ({"dataset": {"support": [1.0, "a"]}}, "dataset.support"),
+    ({"dataset": {"support": [[1.0, 2.0], [3.0]]}}, "dataset.support"),
+    ({"dataset": {"support": [1.0, float("nan")]}}, "dataset.support"),
+    ({"out_dir": None}, "out_dir"),
 ])
 def test_strict_fields_name_the_field(patch, field):
     with pytest.raises(ConfigError, match=rf"\b{field.replace('.', '[.]')}\b"):

@@ -5,9 +5,9 @@ import pytest
 
 import flowdistill as fd
 from flowdistill.distill import traj_loss_node, _DistillState, _adv_gradients, \
-    _apply_adv_updates
+    _apply_adv_updates, _traj_regression
 from flowdistill.errors import ConfigError, QueueEmpty
-from flowdistill.nn import init_optimizer, optimizer_step, value_and_grad
+from flowdistill.nn import init_optimizer, optimizer_step, value_and_grad, velocity_mse
 from flowdistill.seeds import derive_seed
 
 from helpers import rand_model
@@ -40,58 +40,68 @@ class TestKeySchedule:
             grid.index_of(t)  # raises if off-grid
 
 
+def traj_mse(model, keys, schedule, k):
+    """Trajectory-regression loss of `model` on (B, m+1, d) keys."""
+    return velocity_mse(model.params, *_traj_regression(keys, schedule, k), model.R)[0]
+
+
 class TestTrajLoss:
-    def test_zero_when_student_matches_target(self, quick_teacher):
-        grid = fd.TimeGrid.uniform(10)
+    def test_zero_when_student_matches_target(self, quick_store):
         schedule = fd.make_key_schedule(10, 5)
-        traj = fd.denoise(quick_teacher, np.array([0.6]), grid)
-        keys = fd.key_points(traj, schedule)
+        keys = fd.key_points(quick_store, schedule)[:1]
         m = schedule.m
         for k in range(m):
-            target = (keys[m - k] - keys[m - k - 1]) / (schedule.time(k) - schedule.time(k + 1))
+            target = (keys[0, m - k] - keys[0, m - k - 1]) / (
+                schedule.time(k) - schedule.time(k + 1))
             rigged = _constant_model(float(target[0]))
-            assert fd.traj_loss(rigged, keys, schedule, k) == pytest.approx(0.0, abs=1e-24)
+            assert traj_mse(rigged, keys, schedule, k) == pytest.approx(0.0, abs=1e-24)
 
     def test_direct_value_with_zero_student(self):
         # keys for the interval [0, 0.2]: latent 0.5 at t=0.2, 3 at t=0
         schedule = fd.make_key_schedule(50, 5)
-        keys = np.zeros((6, 1))
-        keys[4, 0] = 0.5  # t' = 0.2
-        keys[5, 0] = 3.0  # t' = 0
+        keys = np.zeros((1, 6, 1))
+        keys[0, 4, 0] = 0.5  # t' = 0.2
+        keys[0, 5, 0] = 3.0  # t' = 0
         student = fd.build_velocity_model(1, 8, 1, seed=0)  # zero output
-        assert fd.traj_loss(student, keys, schedule, 0) == pytest.approx(156.25)
+        assert traj_mse(student, keys, schedule, 0) == pytest.approx(156.25)
 
     def test_k_out_of_range_rejected(self, quick_teacher):
         schedule = fd.make_key_schedule(10, 5)
-        keys = np.zeros((6, 1))
+        keys = np.zeros((1, 6, 1))
         with pytest.raises(ValueError):
-            fd.traj_loss(quick_teacher, keys, schedule, 5)
+            traj_mse(quick_teacher, keys, schedule, 5)
         with pytest.raises(ValueError):
-            fd.traj_loss(quick_teacher, keys, schedule, -1)
+            traj_mse(quick_teacher, keys, schedule, -1)
 
     def test_gradient_vs_finite_differences(self):
         model = rand_model(seed=31)
         schedule = fd.make_key_schedule(10, 5)
         rng = np.random.default_rng(2)
-        keys = rng.standard_normal((6, 1)) * 2
+        keys = rng.standard_normal((1, 6, 1)) * 2
         k = 2
         _, grads = fd.value_and_grad(
             lambda ps: traj_loss_node(ps, keys, schedule, k, model.R), model.params
         )
         coords = rng.integers(0, model.params.size, 32)
         assert max_grad_rel_error(
-            lambda ps: fd.traj_loss(model.with_params(ps), keys, schedule, k),
+            lambda ps: traj_mse(model.with_params(ps), keys, schedule, k),
             model.params, grads, coords,
         ) < 1e-4
 
     def test_batched_equals_mean_of_singles(self):
+        # the batched loss equals the mean of the one-row losses
         model = rand_model(seed=32)
         schedule = fd.make_key_schedule(10, 5)
         rng = np.random.default_rng(3)
         keys_b = rng.standard_normal((7, 6, 1))
         batched = float(traj_loss_node(model.params, keys_b, schedule, 1, model.R).data)
-        singles = [fd.traj_loss(model, keys_b[i], schedule, 1) for i in range(7)]
+        singles = [traj_mse(model, keys_b[i:i + 1], schedule, 1) for i in range(7)]
         assert batched == pytest.approx(np.mean(singles), rel=1e-12)
+
+    def test_unbatched_keys_rejected(self):
+        schedule = fd.make_key_schedule(10, 5)
+        with pytest.raises(ValueError, match="keys must be"):
+            _traj_regression(np.zeros((6, 1)), schedule, 0)
 
 
 class TestQueues:
@@ -156,9 +166,9 @@ class TestDistill:
         # student initialized from the teacher: before any update the loss
         # equals the teacher's finite-difference mismatch, strictly positive
         schedule = fd.make_key_schedule(10, 5)
-        keys = fd.key_points(quick_store, schedule)[0]
+        keys = fd.key_points(quick_store, schedule)[:1]
         for k in range(5):
-            loss = fd.traj_loss(quick_teacher, keys, schedule, k)
+            loss = traj_mse(quick_teacher, keys, schedule, k)
             assert loss > 0.0
 
     def test_first_metric_row_matches_recomputed_loss(self, quick_teacher, quick_store):
@@ -311,34 +321,37 @@ class TestSampling:
     def test_nfe_equals_m(self, quick_teacher):
         schedule = fd.make_key_schedule(10, 5)
         before = quick_teacher.eval_count
-        x, nfe = fd.sample_student(quick_teacher, schedule, np.array([0.5]))
+        x, nfe = fd.sample_student_batch(quick_teacher, schedule, np.array([[0.5]]))
         assert nfe == 5
         assert quick_teacher.eval_count - before == 5
 
     def test_single_step_constant_field(self):
         model = _constant_model(2.5)
         schedule = fd.make_key_schedule(10, 1)
-        x, nfe = fd.sample_student(model, schedule, np.array([1.0]))
+        x, nfe = fd.sample_student_batch(model, schedule, np.array([[1.0]]))
         assert nfe == 1
-        assert x[0] == pytest.approx(1.0 - 2.5, abs=1e-12)
+        assert x[0, 0] == pytest.approx(1.0 - 2.5, abs=1e-12)
 
     def test_batch_matches_single(self, quick_teacher):
+        # one-row batches agree with the full batch to rounding
         schedule = fd.make_key_schedule(10, 5)
         Z = np.random.default_rng(5).standard_normal((4, 1))
         batch, nfe = fd.sample_student_batch(quick_teacher, schedule, Z)
         assert nfe == 5
-        singles = np.stack([fd.sample_student(quick_teacher, schedule, Z[i])[0]
-                            for i in range(4)])
+        singles = np.concatenate([fd.sample_student_batch(quick_teacher, schedule,
+                                                          Z[i:i + 1])[0]
+                                  for i in range(4)])
         assert np.allclose(batch, singles, rtol=0, atol=1e-12)
 
     def test_step_ratio_teacher_to_student(self, quick_teacher):
         grid = fd.TimeGrid.uniform(50)
         schedule = fd.make_key_schedule(50, 5)
+        Z = np.array([[0.1]])
         start = quick_teacher.eval_count
-        fd.denoise(quick_teacher, np.array([0.1]), grid)
+        fd.denoise_batch(quick_teacher, Z, grid)
         teacher_evals = quick_teacher.eval_count - start
         start = quick_teacher.eval_count
-        fd.sample_student(quick_teacher, schedule, np.array([0.1]))
+        fd.sample_student_batch(quick_teacher, schedule, Z)
         student_evals = quick_teacher.eval_count - start
         assert teacher_evals == 50 and student_evals == 5
         assert teacher_evals // student_evals == 10

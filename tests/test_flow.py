@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flowdistill as fd
-from flowdistill.errors import ConfigError
-from flowdistill.flow import fm_loss_node
+from flowdistill.errors import ConfigError, NumericsError
+from flowdistill.flow import _fm_regression, fm_loss_node
+from flowdistill.nn import velocity_mse
 
 from helpers import rand_model
 from oracles import euler_reference, max_grad_rel_error
@@ -62,29 +63,35 @@ class TestTimeGrid:
             fd.TimeGrid(np.array([0.1, 1.0]))
 
 
+def fm_mse(model, batch):
+    """Flow-matching loss of `model` on an (x0, x1, t) batch."""
+    return velocity_mse(model.params, *_fm_regression(*batch), model.R)[0]
+
+
 class TestFmLoss:
     def test_perfect_prediction_gives_zero(self):
         # output layer forced so the model returns exactly x1 - x0 == 0
         model = fd.build_velocity_model(1, 8, 1, seed=0)
         batch = (np.array([[2.0]]), np.array([[2.0]]), np.array([0.3]))
-        assert fd.fm_loss(model, batch) == 0.0
+        assert fm_mse(model, batch) == 0.0
 
     def test_zero_model_single_element(self):
         model = fd.build_velocity_model(1, 8, 1, seed=0)
         for t in (0.0, 0.4, 1.0):
-            batch = [(np.array([3.0]), np.array([1.0]), t)]
-            assert fd.fm_loss(model, batch) == pytest.approx(4.0)
+            batch = (np.array([[3.0]]), np.array([[1.0]]), np.array([t]))
+            assert fm_mse(model, batch) == pytest.approx(4.0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the mean of no rows
     def test_empty_batch_rejected(self):
         model = fd.build_velocity_model(1, 8, 1, seed=0)
-        with pytest.raises(ValueError):
-            fd.fm_loss(model, [])
+        with pytest.raises(NumericsError):
+            fm_mse(model, (np.zeros((0, 1)), np.zeros((0, 1)), np.zeros(0)))
 
     def test_non_negative_and_zero_iff_match(self):
         model = rand_model(seed=21)
         rng = np.random.default_rng(0)
         batch = (rng.standard_normal((16, 1)), rng.standard_normal((16, 1)), rng.random(16))
-        assert fd.fm_loss(model, batch) > 0.0
+        assert fm_mse(model, batch) > 0.0
 
     def test_gradient_vs_finite_differences(self):
         model = rand_model(seed=22)
@@ -95,21 +102,26 @@ class TestFmLoss:
         )
         coords = rng.integers(0, model.params.size, 32)
         assert max_grad_rel_error(
-            lambda ps: fd.fm_loss(model.with_params(ps), batch),
+            lambda ps: fm_mse(model.with_params(ps), batch),
             model.params, grads, coords,
         ) < 1e-4
+
+
+def euler_step(model, X, t_from, t_to):
+    """One explicit Euler step of a (B, d) batch from t_from to t_to."""
+    return fd.integrate(model, X, (t_from, t_to))[-1]
 
 
 class TestEulerStep:
     def test_constant_field(self):
         model = _constant_field_model(2.0)
-        out = fd.euler_step(model, np.array([0.0]), 1.0, 0.5)
-        assert out[0] == pytest.approx(-1.0, abs=1e-12)
+        out = euler_step(model, np.array([[0.0]]), 1.0, 0.5)
+        assert out[0, 0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_no_move_when_times_equal(self):
         model = rand_model(seed=23)
-        x = np.array([0.7])
-        assert np.array_equal(fd.euler_step(model, x, 0.5, 0.5), x)
+        X = np.array([[0.7]])
+        assert np.array_equal(euler_step(model, X, 0.5, 0.5), X)
 
     def test_single_datum_field_lands_exactly(self):
         # v(x, t) = (x - a) / t carries any x to a in one step t -> 0
@@ -120,41 +132,39 @@ class TestEulerStep:
 
     def test_step_matches_eval_velocity(self):
         model = rand_model(seed=24)
-        x, t = np.array([4.0]), 0.8
-        v = fd.eval_velocity(model, x, t)
-        assert np.array_equal(fd.euler_step(model, x, t, 0.4), x + (0.4 - t) * v)
+        X, t = np.array([[4.0]]), 0.8
+        v = fd.eval_velocity(model, X, t)
+        assert np.array_equal(euler_step(model, X, t, 0.4), X + (0.4 - t) * v)
 
 
 class TestDenoise:
     def test_single_step_grid_equals_euler_step(self, quick_teacher):
-        z = np.array([0.45])
-        traj = fd.denoise(quick_teacher, z, fd.TimeGrid.uniform(1))
-        direct = fd.euler_step(quick_teacher, z, 1.0, 0.0)
-        assert np.array_equal(traj.endpoint, direct)
+        Z = np.array([[0.45]])
+        states = fd.denoise_batch(quick_teacher, Z, fd.TimeGrid.uniform(1))
+        direct = euler_step(quick_teacher, Z, 1.0, 0.0)
+        assert np.array_equal(states[0], direct)
 
     def test_constant_field_telescopes(self):
         model = _constant_field_model(1.5)
-        z = np.array([2.0])
+        Z = np.array([[2.0]])
         for n in (1, 4, 10):
-            traj = fd.denoise(model, z, fd.TimeGrid.uniform(n))
-            assert traj.endpoint[0] == pytest.approx(2.0 - 1.5, abs=1e-12)
+            states = fd.denoise_batch(model, Z, fd.TimeGrid.uniform(n))
+            assert states[0, 0, 0] == pytest.approx(2.0 - 1.5, abs=1e-12)
 
     def test_stores_every_state_and_counts_evals(self, quick_teacher):
         grid = fd.TimeGrid.uniform(10)
         before = quick_teacher.eval_count
-        traj = fd.denoise(quick_teacher, np.array([-0.3]), grid)
+        states = fd.denoise_batch(quick_teacher, np.array([[-0.3]]), grid)
         assert quick_teacher.eval_count - before == 10
-        assert traj.states.shape == (11, 1)
+        assert states.shape == (11, 1, 1)
 
     def test_euler_recurrence_exact_on_trajectory(self, quick_teacher):
         grid = fd.TimeGrid.uniform(10)
-        traj = fd.denoise(quick_teacher, np.array([1.2]), grid)
+        states = fd.denoise_batch(quick_teacher, np.array([[1.2]]), grid)
         for j in range(10, 0, -1):
-            v = fd.eval_velocity(quick_teacher, traj.states[j], grid.times[j])
+            v = fd.eval_velocity(quick_teacher, states[j], grid.times[j])
             dt = grid.times[j - 1] - grid.times[j]
-            assert np.allclose(
-                traj.states[j - 1] - traj.states[j], dt * v, rtol=0, atol=1e-12
-            )
+            assert np.allclose(states[j - 1] - states[j], dt * v, rtol=0, atol=1e-12)
 
     def test_batch_matches_recurrence_tolerance(self, quick_teacher):
         grid = fd.TimeGrid.uniform(10)
@@ -167,22 +177,23 @@ class TestDenoise:
 GRID = fd.TimeGrid.uniform(7)
 SCHEDULE = fd.make_key_schedule(10, 5)
 Z = np.random.default_rng(7).standard_normal((5, 2))
-# every public entry point to the Euler integrator: (call, reference, steps)
+# every public entry point to the Euler integrator, at a full batch and,
+# for a single draw, at a one-row batch: (call, reference, steps)
 INTEGRATOR_CALLS = {
-    "denoise": (lambda m: fd.denoise(m, Z[0], GRID).states,
+    "denoise": (lambda m: fd.denoise_batch(m, Z[:1], GRID)[:, 0],
                 lambda m: euler_reference(m, Z[:1], GRID.times[::-1])[::-1, 0], 7),
     "denoise_batch": (lambda m: fd.denoise_batch(m, Z, GRID),
                       lambda m: euler_reference(m, Z, GRID.times[::-1])[::-1], 7),
     "sample_model": (lambda m: fd.sample_model(m, 5, 4, seed=7),
                      lambda m: euler_reference(m, Z, GRID.uniform(4).times[::-1])[-1], 4),
-    "sample_student": (lambda m: fd.sample_student(m, SCHEDULE, Z[0])[0],
+    "sample_student": (lambda m: fd.sample_student_batch(m, SCHEDULE, Z[:1])[0][0],
                        lambda m: euler_reference(m, Z[:1], SCHEDULE.times)[-1, 0], 5),
     "sample_student_batch": (lambda m: fd.sample_student_batch(m, SCHEDULE, Z)[0],
                              lambda m: euler_reference(m, Z, SCHEDULE.times)[-1], 5),
-    "euler_step": (lambda m: fd.euler_step(m, Z[0], 0.8, 0.3),
-                   lambda m: euler_reference(m, Z[:1], [0.8, 0.3])[-1, 0], 1),
-    "euler_step_equal_times": (lambda m: fd.euler_step(m, Z[0], 0.5, 0.5),
-                               lambda m: euler_reference(m, Z[:1], [0.5, 0.5])[-1, 0], 1),
+    "euler_step": (lambda m: fd.integrate(m, Z[:1], (0.8, 0.3))[-1],
+                   lambda m: euler_reference(m, Z[:1], [0.8, 0.3])[-1], 1),
+    "euler_step_equal_times": (lambda m: fd.integrate(m, Z[:1], (0.5, 0.5))[-1],
+                               lambda m: euler_reference(m, Z[:1], [0.5, 0.5])[-1], 1),
     "partial_window": (lambda m: fd.integrate(m, Z, GRID.times[2:6][::-1]),
                        lambda m: euler_reference(m, Z, GRID.times[5:1:-1]), 3),
 }

@@ -18,15 +18,18 @@ def _edit_record(edit):
     return garble
 
 
-# ways to spoil the record on line 3 (trajectory 1); each must be named
+# ways to spoil one line of a store file, as (line number, edit): the
+# header on line 1 or the record on line 3 (trajectory 1); each must be
+# named with its line
 GARBLES = {
-    "truncated": lambda line: line[: len(line) // 2],
-    "not-an-object": lambda line: "[" + line + "]",
-    "missing-states": _edit_record(lambda r: r.pop("states")),
-    "missing-noise-seed": _edit_record(lambda r: r.pop("noise_seed")),
-    "null-noise-seed": _edit_record(lambda r: r.update(noise_seed=None)),
-    "ragged-states": _edit_record(lambda r: r["states"][1].append(0.0)),
-    "non-numeric-states": _edit_record(lambda r: r["states"][1].__setitem__(0, "x")),
+    "truncated": (3, lambda line: line[: len(line) // 2]),
+    "not-an-object": (3, lambda line: "[" + line + "]"),
+    "missing-states": (3, _edit_record(lambda r: r.pop("states"))),
+    "missing-noise-seed": (3, _edit_record(lambda r: r.pop("noise_seed"))),
+    "null-noise-seed": (3, _edit_record(lambda r: r.update(noise_seed=None))),
+    "ragged-states": (3, _edit_record(lambda r: r["states"][1].append(0.0))),
+    "non-numeric-states": (3, _edit_record(lambda r: r["states"][1].__setitem__(0, "x"))),
+    "non-numeric-grid": (1, _edit_record(lambda r: r["grid"].__setitem__(1, "x"))),
 }
 
 
@@ -62,9 +65,9 @@ class TestGenerate:
         # the recurrence tolerance: a one-row evaluation rounds differently
         for i in (0, 7, quick_store.N - 1):
             noise = fd.noise_from_seed(int(quick_store.noise_seeds[i]), quick_store.d)
-            path = fd.denoise(quick_teacher, noise, quick_store.grid)
-            assert np.array_equal(path.states[-1], quick_store.states[i, -1])
-            assert np.max(np.abs(path.states - quick_store.states[i])) <= RECURRENCE_TOL
+            path = fd.denoise_batch(quick_teacher, noise[None], quick_store.grid)[:, 0]
+            assert np.array_equal(path[-1], quick_store.states[i, -1])
+            assert np.max(np.abs(path - quick_store.states[i])) <= RECURRENCE_TOL
 
     def test_invalid_count_rejected(self, quick_teacher):
         with pytest.raises(ConfigError):
@@ -97,9 +100,10 @@ class TestPersistence:
         path = tmp_path / "store.jsonl"
         fd.save_store(quick_store, path)
         lines = path.read_text().splitlines()
-        lines[2] = GARBLES[garble](lines[2])
+        line_no, edit = GARBLES[garble]
+        lines[line_no - 1] = edit(lines[line_no - 1])
         (tmp_path / "bad.jsonl").write_text("\n".join(lines) + "\n")
-        with pytest.raises(StoreFormatError, match="line 3"):
+        with pytest.raises(StoreFormatError, match=f"line {line_no}:"):
             fd.load_store(tmp_path / "bad.jsonl")
 
     def test_validated_load_against_generator(self, quick_teacher, quick_store, tmp_path):
@@ -152,12 +156,11 @@ class TestKeyPoints:
         assert np.array_equal(points[:, 1], quick_store.states[:, 0])
 
     def test_uniform_keys_hit_expected_indices(self, quick_teacher):
-        grid = fd.TimeGrid.uniform(50)
-        traj = fd.denoise(quick_teacher, np.array([0.2]), grid)
+        store = fd.generate_store(quick_teacher, 2, fd.TimeGrid.uniform(50), seed=0)
         schedule = fd.make_key_schedule(50, 5)
-        points = fd.key_points(traj, schedule)
+        points = fd.key_points(store, schedule)
         for row, j in enumerate([50, 40, 30, 20, 10, 0]):
-            assert np.array_equal(points[row], traj.states[j])
+            assert np.array_equal(points[:, row], store.states[:, j])
 
     def test_off_grid_key_time_rejected(self, quick_store):
         schedule = fd.KeySchedule(np.array([1.0, 0.15, 0.0]))  # store grid is n=10

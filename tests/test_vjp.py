@@ -42,7 +42,7 @@ def test_fm_loss_gradient_at_b2048_with_per_row_t():
     rng = np.random.default_rng(0)
     batch = (3 * rng.standard_normal((2048, 1)), rng.standard_normal((2048, 1)),
              rng.random(2048))
-    _assert_same(velocity_mse(model.params, *_fm_regression(batch), R),
+    _assert_same(velocity_mse(model.params, *_fm_regression(*batch), R),
                  fd.value_and_grad(lambda ps: fm_loss_node(ps, batch, R), model.params))
 
 
