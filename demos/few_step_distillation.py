@@ -4,8 +4,9 @@ Distilling a 50-step teacher into a 5-step student
 
 The student starts from the teacher's parameters and learns the
 teacher's 10-step jumps between key timesteps directly from the
-trajectory store, with a queue-based adversarial pass aligning its
-per-timestep latent distributions. Sampling then needs 5 model
+trajectory store, with an adversarial pass that carries a batch of
+generated latents down the key timesteps and aligns its per-timestep
+latent distributions with the store's. Sampling then needs 5 model
 evaluations instead of 50.
 """
 

@@ -1,6 +1,6 @@
 """flowdistill: a desk-scale laboratory for flow-matching teachers,
 synthetic denoising-trajectory stores, few-step student distillation
-with queue-based adversarial refinement, and mismatch diagnostics."""
+with adversarial refinement, and mismatch diagnostics."""
 
 import os as _os
 
@@ -16,10 +16,10 @@ from .adversarial import FeatureTapConfig, ProjectionHead, build_projection_head
 from .analysis import KDConfig, MetricsRecord, MismatchReport, endpoint_error, \
     kd_baseline_distill, mismatch_degree, mismatch_report, mismatch_sweep, \
     shifted_dataset, useless_frequency, w1_distance
-from .distill import DistillConfig, DistillResult, KeySchedule, LatentQueues, \
-    QueueEntry, distill, make_key_schedule, sample_student_batch
-from .errors import ConfigError, FlowDistillError, NumericsError, QueueEmpty, \
-    StoreFormatError, StoreIntegrityError
+from .distill import DistillConfig, DistillResult, KeySchedule, distill, \
+    make_key_schedule, sample_student_batch
+from .errors import ConfigError, FlowDistillError, NumericsError, StoreFormatError, \
+    StoreIntegrityError
 from .flow import TimeGrid, ToyDataset, denoise_batch, integrate, interpolate, \
     sample_model, train_teacher
 from .nn import OptimizerState, ParamSet, VelocityModel, build_velocity_model, \

@@ -40,7 +40,7 @@ def write_json(path, payload: dict):
 
 
 # levels of nesting written member by member; a checkpoint's largest
-# pieces below that are single tensors and queue entries
+# pieces below that are single tensors
 _SPLIT_DEPTH = 3
 
 

@@ -25,7 +25,7 @@ from .errors import FlowDistillError
 from .flow import TimeGrid, denoise_batch, sample_model, train_teacher
 from .nn import load_model, save_model, save_paramset
 from .seeds import derive_seed
-from .trajstore import generate_store, load_store, save_store, validate_store
+from .trajstore import check_teacher, generate_store, load_store, save_store, validate_store
 
 
 def _fmt(value) -> str:
@@ -157,6 +157,7 @@ def cmd_eval(args) -> int:
     freq = float("nan")
     if args.store:
         store = load_store(args.store)
+        check_teacher(store, teacher)
         freq = useless_frequency(
             teacher, store, cfg.dataset, cfg.analysis["t_samples"],
             cfg.analysis["epsilon"], cfg.analysis["mode"],

@@ -36,7 +36,6 @@ DEFAULT_CONFIG = {
         "student_lr": 1e-4,
         "adv_student_lr": 1e-5,
         "head_lr": 1e-2,
-        "queue_capacity": 64,
         "heads": "per_timestep",
         "adv_batch": 32,
         "checkpoint_interval": 200,
@@ -152,7 +151,6 @@ def parse_config(raw: dict) -> RunConfig:
         head_lr=field("head_lr", float, True),
         batch_size=field("batch_size", int, True),
         iterations=field("iterations", int, True),
-        queue_capacity=field("queue_capacity", int, True),
         heads=field("heads", str),
         adv_batch=field("adv_batch", int, True),
         checkpoint_interval=field("checkpoint_interval", int),

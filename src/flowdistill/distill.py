@@ -1,20 +1,19 @@
 """Few-step student training: key-timestep schedules, the trajectory
-regression loss, latent queues, the queue-based adversarial driver, and
-few-step sampling.
+regression loss, the adversarial driver, and few-step sampling.
 
 One training round sweeps k from m-1 down to 0. For each k the student
 is first regressed onto the stored finite-difference velocity over the
-key interval; a generated latent is then popped from queue k+1,
-advanced one student Euler step, pushed into queue k, and compared
-against its paired stored latent through the frozen teacher's features
-and the head for k. Both adversarial gradients are evaluated before
-either update is applied.
+key interval. With the adversary on, the round also carries one batch
+of generated latents down the keys: fresh noise at k = m-1, advanced
+one student Euler step per key, and compared at each key against the
+stored latents of its paired trajectories through the frozen teacher's
+features and the head for k. The chain lives inside the round; both
+adversarial gradients of every key are applied together when it ends.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,17 +22,17 @@ from . import autodiff as ad
 from .adversarial import ProjectionHead, build_projection_head, d_loss_grad, \
     default_taps, features_node, g_loss_grad, head_backward, head_forward
 from .atomic import write_json
-from .errors import ConfigError, NumericsError, QueueEmpty
+from .errors import ConfigError, NumericsError, StoreFormatError
 from .flow import integrate
 from .nn import OptimizerState, VelocityModel, check_grads, check_loss, forward_velocity, \
     init_optimizer, mlp_backward, mlp_forward, optimizer_step, params_from_payload, \
     params_to_payload, read_json, require_fields, velocity_mse, zeros_like
 from .seeds import derive_seed
-from .trajstore import TrajectoryStore, key_points
+from .trajstore import TrajectoryStore, check_teacher, key_points
 
 METRIC_COLUMNS = ("iter", "k", "traj_loss", "d_loss", "g_loss", "queue_sizes")
 CHECKPOINT_FIELDS = ("m", "round", "student", "opt_student", "opt_student_adv", "heads",
-                     "opt_heads", "rng_batch", "rng_noise", "queues", "metrics")
+                     "opt_heads", "rng_batch", "rng_noise", "metrics")
 
 
 @dataclass(frozen=True)
@@ -98,60 +97,15 @@ def traj_loss_node(params, keys, schedule: KeySchedule, k: int, R: int):
     return ad.mean(ad.square(ad.sub(pred, target)))
 
 
-@dataclass
-class QueueEntry:
-    """A batch of B generated latents tagged with a key index, carried
-    together with the real key latents of the paired source
-    trajectories. B may be 1; the arrays are batched regardless."""
-
-    latent: np.ndarray  # (B, d)
-    real_keys: np.ndarray  # (B, m+1, d), ordered like KeySchedule.times
-    traj_index: np.ndarray  # (B,) integer
-    key_index: int
-
-    def __post_init__(self):
-        B = self.latent.shape[0]
-        if (self.latent.ndim != 2 or self.real_keys.ndim != 3
-                or self.real_keys.shape[0] != B or self.traj_index.shape != (B,)):
-            raise ValueError("queue entry arrays must be (B, d), (B, m+1, d) and (B,)")
-
-
-class LatentQueues:
-    """FIFO queues Q_0 ... Q_m of bounded capacity; pushing into a full
-    queue evicts the oldest entry."""
-
-    def __init__(self, m: int, capacity: int):
-        if capacity < 1:
-            raise ConfigError(f"queue capacity must be positive, got {capacity}")
-        self.m = m
-        self.capacity = capacity
-        self._queues = [deque(maxlen=capacity) for _ in range(m + 1)]
-
-    def push(self, k: int, entry: QueueEntry):
-        if entry.key_index != k:
-            raise ValueError(f"entry is tagged for key {entry.key_index}, not {k}")
-        self._queues[k].append(entry)
-
-    def pop(self, k: int) -> QueueEntry:
-        if not self._queues[k]:
-            raise QueueEmpty(f"queue {k} is empty (warm-up skip)")
-        return self._queues[k].popleft()
-
-    def size(self, k: int) -> int:
-        return len(self._queues[k])
-
-    def sizes(self) -> list:
-        return [len(q) for q in self._queues]
-
-
 @dataclass(frozen=True)
 class DistillConfig:
     """Hyperparameters of one distillation run (toy-scale defaults).
 
     The adversarial recipe itself is fixed: the non-saturating generator
-    loss against the real latents queued with each entry, a separate
-    Adam state for the generator-side student step, and one update of
-    the student and the heads at the end of every round."""
+    loss against the stored latents of the trajectories the generated
+    batch was paired with, a separate Adam state for the generator-side
+    student step, and one update of the student and the heads at the
+    end of every round."""
 
     m: int = 5
     n: int = 50
@@ -163,9 +117,8 @@ class DistillConfig:
     batch_size: int = 128
     iterations: int = 3000  # training rounds; each sweeps k = m-1 .. 0
     seed: int = 0
-    queue_capacity: int = 64
     heads: str = "per_timestep"  # or "single"
-    adv_batch: int = 32  # latents per queue entry (the adversarial minibatch)
+    adv_batch: int = 32  # generated latents per round (the adversarial minibatch)
     checkpoint_interval: int = 0  # rounds between checkpoints; 0 disables
 
     def validate(self):
@@ -197,11 +150,11 @@ class DistillResult:
 class _DistillState:
     """Everything the training loop carries between rounds; snapshotting
     this exactly is what makes interrupted runs resumable bit-for-bit.
-    Adversarial gradients are not part of it: each round applies the
-    ones it computed before it ends."""
+    Neither the adversarial gradients nor the generated latents are part
+    of it: each round draws its own noise, carries it down the keys and
+    applies the gradients it computed before it ends."""
 
     def __init__(self, teacher: VelocityModel, config: DistillConfig):
-        m = config.m
         self.round = 0
         self.student_params = teacher.params.copy()
         self.opt_student = init_optimizer(self.student_params, config.student_lr)
@@ -209,15 +162,15 @@ class _DistillState:
         # mixing both losses in one EMA lets every adversarial step
         # replay the trajectory momentum
         self.opt_student_adv = init_optimizer(self.student_params, config.adv_student_lr)
-        n_heads = m if config.heads == "per_timestep" else 1
+        n_heads = config.m if config.heads == "per_timestep" else 1
         self.heads = [
             build_projection_head(teacher.H, k, derive_seed(config.seed, f"head-{k}"))
             for k in range(n_heads)
         ]
         self.opt_heads = [init_optimizer(h.params, config.head_lr) for h in self.heads]
         self.rng_batch = np.random.default_rng(derive_seed(config.seed, "trajectory-batches"))
+        # the label predates the chain; renaming it would change every draw
         self.rng_noise = np.random.default_rng(derive_seed(config.seed, "queue-noise"))
-        self.queues = LatentQueues(m, config.queue_capacity)
         self.metrics = []
 
     def head_for(self, k: int) -> int:
@@ -257,18 +210,6 @@ def save_checkpoint(path, state: _DistillState, config: DistillConfig):
         "opt_heads": [_opt_to_payload(o) for o in state.opt_heads],
         "rng_batch": state.rng_batch.bit_generator.state,
         "rng_noise": state.rng_noise.bit_generator.state,
-        "queues": [
-            [
-                {
-                    "latent": e.latent.tolist(),
-                    "real_keys": e.real_keys.tolist(),
-                    "traj_index": e.traj_index.tolist(),
-                    "key_index": e.key_index,
-                }
-                for e in state.queues._queues[k]
-            ]
-            for k in range(config.m + 1)
-        ],
         "metrics": state.metrics,
     }
     write_json(path, payload)
@@ -284,6 +225,8 @@ def load_checkpoint(path, teacher: VelocityModel, config: DistillConfig) -> _Dis
         raise ConfigError(
             f"checkpoint was written for m={payload['m']}, config has m={config.m}"
         )
+    if type(payload["round"]) is not int or payload["round"] < 0:
+        raise StoreFormatError(f"{path}: field 'round' is not a non-negative integer")
     state = _DistillState(teacher, config)
     state.round = payload["round"]
     state.student_params = params_from_payload(payload["student"], path)
@@ -294,43 +237,35 @@ def load_checkpoint(path, teacher: VelocityModel, config: DistillConfig) -> _Dis
         require_fields(h, ("index", "params"), f"{path}: head")
         state.heads.append(ProjectionHead(h["index"], params_from_payload(h["params"], path)))
     state.opt_heads = [_opt_from_payload(o, path) for o in payload["opt_heads"]]
-    state.rng_batch.bit_generator.state = payload["rng_batch"]
-    state.rng_noise.bit_generator.state = payload["rng_noise"]
-    # older checkpoints hold 1-row entries unbatched: (d,), (m+1, d), int
-    d = teacher.d
-    for k, entries in enumerate(payload["queues"]):
-        for e in entries:
-            require_fields(e, ("latent", "real_keys", "traj_index", "key_index"),
-                           f"{path}: queue {k} entry")
-            state.queues.push(k, QueueEntry(
-                np.asarray(e["latent"], dtype=np.float64).reshape(-1, d),
-                np.asarray(e["real_keys"], dtype=np.float64).reshape(-1, config.m + 1, d),
-                np.atleast_1d(np.asarray(e["traj_index"])), e["key_index"],
-            ))
+    for field in ("rng_batch", "rng_noise"):
+        try:
+            getattr(state, field).bit_generator.state = payload[field]
+        except (TypeError, ValueError, KeyError) as e:
+            raise StoreFormatError(
+                f"{path}: field {field!r} is not a PCG64 state ({e!r})") from e
+    # older checkpoints also carry latent queues: empty where a round reads
     state.metrics = [tuple(row) for row in payload["metrics"]]
     return state
 
 
-def _adv_gradients(teacher, taps, schedule, config, state, k, entry):
-    """Adversarial gradients for one popped queue entry, at the current
-    student and the head for k; nothing in `state` changes.
+def _adv_gradients(teacher, taps, schedule, config, state, k, l_prev, real):
+    """Adversarial gradients at key k, at the current student and the
+    head for k; nothing in `state` changes.
 
-    The generated latents are the entry advanced one student step;
-    their real counterparts are the paired stored latents carried by
-    the entry. The student step, the teacher features and the head
-    logits of the generated latents are computed once and serve the
-    generator gradient, the discriminator and the queue push.
+    The generated latents are the (B, d) latents `l_prev` at t'_{k+1}
+    advanced one student step; their real counterparts are the (B, d)
+    stored latents `real` at t'_k of the paired trajectories. The
+    student step, the teacher features and the head logits of the
+    generated latents are computed once and serve the generator
+    gradient, the discriminator and the next key.
 
-    Returns (d_loss, g_loss, advanced QueueEntry, student gradient,
-    head gradient).
+    Returns (d_loss, g_loss, generated latents, student gradient, head
+    gradient).
     """
-    m = schedule.m
     t_hi, t_lo = schedule.time(k + 1), schedule.time(k)
     dt = t_lo - t_hi
     head = state.heads[state.head_for(k)].params
     student = state.student_params
-    l_prev = entry.latent
-    real = entry.real_keys[:, m - k, :]
 
     v, step_cache = mlp_forward(student, l_prev, t_hi, teacher.R, want_cache=True)
     l_gen = l_prev + v * dt
@@ -357,8 +292,7 @@ def _adv_gradients(teacher, taps, schedule, config, state, k, entry):
     h_grads = head.like(h_real.flat + h_fake.flat)
     check_grads(h_grads)
 
-    advanced = QueueEntry(l_gen, entry.real_keys, entry.traj_index, k)
-    return (d_scaled / config.lambda_adv, g_scaled / config.lambda_adv, advanced,
+    return (d_scaled / config.lambda_adv, g_scaled / config.lambda_adv, l_gen,
             s_grads, h_grads)
 
 
@@ -404,6 +338,7 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
         raise ConfigError(f"store has n={store.grid.n}, config expects n={config.n}")
     if store.d != teacher.d:
         raise ConfigError("store dimension does not match the teacher")
+    check_teacher(store, teacher)
     schedule = make_key_schedule(config.n, config.m)
     taps = default_taps(teacher)
 
@@ -435,31 +370,27 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
             )
 
             d_loss_val = g_loss_val = float("nan")
+            in_flight = [0] * (m + 1)
             if config.lambda_adv > 0.0:
                 if k == m - 1:
                     # fresh noise paired with this iteration's trajectories
                     nb = min(config.adv_batch, B)
-                    z = state.rng_noise.standard_normal((nb, store.d))
-                    state.queues.push(m, QueueEntry(z, keys_b[:nb], idx[:nb], m))
+                    latent = state.rng_noise.standard_normal((nb, store.d))
+                    real_keys = keys_b[:nb]
                 try:
-                    entry = state.queues.pop(k + 1)
-                except QueueEmpty:
-                    pass  # warm-up: skip the adversarial update for this k
-                else:
-                    try:
-                        d_loss_val, g_loss_val, advanced, s_grads, h_grads = \
-                            _adv_gradients(teacher, taps, schedule, config, state, k, entry)
-                    except NumericsError as e:
-                        raise NumericsError(
-                            f"distillation diverged (adv phase, k={k}, round={rnd}): {e}"
-                        ) from e
-                    student_grads.append(s_grads)
-                    head_grads[state.head_for(k)].append(h_grads)
-                    state.queues.push(k, advanced)
+                    d_loss_val, g_loss_val, latent, s_grads, h_grads = _adv_gradients(
+                        teacher, taps, schedule, config, state, k, latent,
+                        real_keys[:, m - k])
+                except NumericsError as e:
+                    raise NumericsError(
+                        f"distillation diverged (adv phase, k={k}, round={rnd}): {e}"
+                    ) from e
+                student_grads.append(s_grads)
+                head_grads[state.head_for(k)].append(h_grads)
+                in_flight[k] = 1
 
             state.metrics.append(
-                (rnd, k, loss, d_loss_val, g_loss_val,
-                 "|".join(str(s) for s in state.queues.sizes()))
+                (rnd, k, loss, d_loss_val, g_loss_val, "|".join(map(str, in_flight)))
             )
         state.round += 1
         _apply_adv_updates(state, student_grads, head_grads)

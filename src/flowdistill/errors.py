@@ -20,7 +20,3 @@ class StoreFormatError(FlowDistillError):
 class StoreIntegrityError(FlowDistillError):
     """A trajectory store does not match its generating model."""
 
-
-class QueueEmpty(FlowDistillError):
-    """Pop on an empty latent queue: the caller should skip this
-    adversarial update (warm-up)."""

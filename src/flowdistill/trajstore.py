@@ -204,13 +204,19 @@ def recurrence_errors(model: VelocityModel, grid: TimeGrid, states) -> np.ndarra
     return worst
 
 
-def validate_store(store: TrajectoryStore, teacher: VelocityModel):
-    """Integrity check of a store against its claimed generator."""
+def check_teacher(store: TrajectoryStore, teacher: VelocityModel):
+    """Refuse a store whose recorded generator is not `teacher`: a
+    fingerprint comparison, without re-checking the recurrence."""
     if teacher.fingerprint() != store.teacher_fingerprint:
         raise StoreIntegrityError(
             "store was generated by a different teacher "
             f"(fingerprint {store.teacher_fingerprint[:12]}… on file)"
         )
+
+
+def validate_store(store: TrajectoryStore, teacher: VelocityModel):
+    """Integrity check of a store against its claimed generator."""
+    check_teacher(store, teacher)
     errors = recurrence_errors(teacher, store.grid, store.states)
     bad = np.flatnonzero(~(errors <= RECURRENCE_TOL))
     if bad.size:

@@ -68,7 +68,5 @@ def adv_step(teacher, student_params, head, taps, l_prev, real_keys, k, schedule
     state = _DistillState(teacher, config)
     state.student_params = student_params
     state.heads[state.head_for(k)] = head
-    entry = fd.QueueEntry(l_prev, real_keys, np.arange(len(l_prev)), k + 1)
-    d_loss, g_loss, advanced, s_grads, h_grads = _adv_gradients(
-        teacher, taps, schedule, config, state, k, entry)
-    return d_loss, g_loss, advanced.latent, s_grads, h_grads
+    return _adv_gradients(teacher, taps, schedule, config, state, k, l_prev,
+                          real_keys[:, schedule.m - k])

@@ -28,8 +28,7 @@ TINY = {
     "teacher": {"iterations": 60, "batch_size": 64, "lr": 1e-3},
     "store": {"N": 24, "n": 10},
     "distill": {"m": 5, "iterations": 6, "batch_size": 8, "lambda_adv": 0.1,
-                "student_lr": 1e-4, "head_lr": 1e-4, "queue_capacity": 8,
-                "checkpoint_interval": 2},
+                "student_lr": 1e-4, "head_lr": 1e-4, "checkpoint_interval": 2},
     "kd": {"windows": 2, "iterations": 10, "batch_size": 8, "lr": 1e-3,
            "pool_size": 64},
     "analysis": {"epsilon": 0.1, "mode": "trajectory-proximity", "t_samples": 64,
@@ -149,6 +148,19 @@ class TestDistill:
                        "--store", f"{trained_dir}/store.jsonl", "--single-head") == 0
         assert os.path.exists(f"{out}/head_shared.json")
 
+    @pytest.mark.parametrize("command", ["distill", "analyze-mismatch", "eval"])
+    def test_store_of_another_teacher_is_refused(self, tiny_config, tmp_path, trained_dir,
+                                                 capsys, command):
+        other = str(tmp_path / "other")
+        assert run_cli("train-teacher", "--config", tiny_config, "--out", other,
+                       "--seed", "7") == 0
+        code = run_cli(command, "--config", tiny_config, "--out", other,
+                       "--teacher", f"{other}/teacher.json",
+                       "--store", f"{trained_dir}/store.jsonl")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: store was generated by a different teacher"), err
+
     def test_rerun_byte_identical(self, tiny_config, tmp_path, trained_dir):
         outs = [str(tmp_path / x) for x in ("r1", "r2")]
         for out in outs:
@@ -246,6 +258,17 @@ class TestCheckpointFormat:
             opt.update(beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0)
 
     @staticmethod
+    def _with_queues(payload):
+        """The layout of versions that carried generated latents between
+        keys in FIFO queues Q_0 ... Q_m. At a round boundary only Q_0,
+        which nothing read, held entries: one per round so far."""
+        m, B = payload["m"], TINY["distill"]["batch_size"]
+        entry = {"latent": np.full((B, 1), 0.5).tolist(),
+                 "real_keys": np.zeros((B, m + 1, 1)).tolist(),
+                 "traj_index": list(range(B)), "key_index": 0}
+        payload["queues"] = [[entry] * payload["round"]] + [[] for _ in range(m)]
+
+    @staticmethod
     def _assert_same_outputs(out, ref_out):
         names = ["student.json", "distill_metrics.csv"] + [
             f"head_{k}.json" for k in range(TINY["distill"]["m"])]
@@ -265,10 +288,17 @@ class TestCheckpointFormat:
         assert run_cli("distill", *args, "--out", out, "--resume") == 0
         self._assert_same_outputs(out, ref_out)
 
+    def test_queues_of_earlier_layout_resume_to_identical_output(self, halfway):
+        args, ref_out, out = halfway
+        with open(f"{out}/distill_checkpoint.json") as f:
+            assert "queues" not in json.load(f)
+        self._rewrite(out, self._with_queues)
+        assert run_cli("distill", *args, "--out", out, "--resume") == 0
+        self._assert_same_outputs(out, ref_out)
+
     @pytest.mark.parametrize("where,field", [
         ((), "round"), (("opt_student",), "lr"), (("heads", 0), "index"),
-        (("queues", 0, 0), "latent"),
-    ], ids=["round", "optimizer-lr", "head-index", "queue-entry-latent"])
+    ], ids=["round", "optimizer-lr", "head-index"])
     def test_missing_field_is_named(self, halfway, capsys, where, field):
         args, _, out = halfway
 
@@ -281,6 +311,18 @@ class TestCheckpointFormat:
         assert run_cli("distill", *args, "--out", out, "--resume") == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}") and f"missing field '{field}'" in err, err
+
+    @pytest.mark.parametrize("field,value", [
+        ("rng_batch", {"bit_generator": "MT19937", "state": {}}),
+        ("rng_noise", "PCG64"),
+        ("round", "2"),
+    ], ids=["rng-batch-not-pcg64", "rng-noise-not-a-state", "round-as-string"])
+    def test_bad_value_is_named(self, halfway, capsys, field, value):
+        args, _, out = halfway
+        path = self._rewrite(out, lambda p: p.update({field: value}))
+        assert run_cli("distill", *args, "--out", out, "--resume") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: field '{field}'"), err
 
     @pytest.mark.parametrize("counts", [(1, (0,) * 5), (0, (0, 1, 0, 0, 0))])
     def test_unapplied_gradient_sums_are_refused(self, halfway, capsys, counts):

@@ -92,7 +92,7 @@ def test_invalid_fields_name_the_field(patch, field):
     ({"kd": {"window": 2}}, "kd.window"),
     ({"analysis": {"eps": 0.1}}, "analysis.eps"),
     ({"sed": 4}, "sed"),
-    ({"distill": {"queue_capacity": "2"}}, "distill.queue_capacity"),
+    ({"distill": {"iterations": "2"}}, "distill.iterations"),
     ({"distill": {"heads": None}}, "distill.heads"),
     ({"distill": {"m": 1.5}}, "distill.m"),
     ({"distill": {"student_lr": "2"}}, "distill.student_lr"),
@@ -120,7 +120,7 @@ def test_removed_distill_fields_are_unknown():
     # each at the value it used to default to
     removed = {"generator_loss": "non_saturating", "adv_real_source": "queued",
                "adv_optimizer": "separate", "adv_accum": 1, "tap_noisy": None,
-               "tap_clean": None}
+               "tap_clean": None, "queue_capacity": 64}
     for key, value in removed.items():
         with pytest.raises(ConfigError, match=f"^config has unknown field distill[.]{key}$"):
             parse_config({"config_version": 1, "distill": {key: value}})

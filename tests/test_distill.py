@@ -1,12 +1,10 @@
-import json
-
 import numpy as np
 import pytest
 
 import flowdistill as fd
 from flowdistill.distill import traj_loss_node, _DistillState, _adv_gradients, \
     _apply_adv_updates, _traj_regression
-from flowdistill.errors import ConfigError, QueueEmpty
+from flowdistill.errors import ConfigError
 from flowdistill.nn import init_optimizer, optimizer_step, value_and_grad, velocity_mse
 from flowdistill.seeds import derive_seed
 
@@ -104,35 +102,6 @@ class TestTrajLoss:
             _traj_regression(np.zeros((6, 1)), schedule, 0)
 
 
-class TestQueues:
-    def test_fifo_order(self):
-        queues = fd.LatentQueues(m=2, capacity=4)
-        a = _entry(0.1, key_index=1)
-        b = _entry(0.2, key_index=1)
-        queues.push(1, a)
-        queues.push(1, b)
-        assert queues.pop(1) is a
-        assert queues.pop(1) is b
-
-    def test_pop_empty_signals_warmup_skip(self):
-        queues = fd.LatentQueues(m=2, capacity=4)
-        with pytest.raises(QueueEmpty):
-            queues.pop(0)
-
-    def test_capacity_evicts_oldest(self):
-        queues = fd.LatentQueues(m=1, capacity=2)
-        entries = [_entry(float(i), key_index=0) for i in range(3)]
-        for e in entries:
-            queues.push(0, e)
-        assert queues.size(0) == 2
-        assert queues.pop(0) is entries[1]
-
-    def test_mistagged_entry_rejected(self):
-        queues = fd.LatentQueues(m=2, capacity=4)
-        with pytest.raises(ValueError):
-            queues.push(2, _entry(0.0, key_index=1))
-
-
 class TestDistill:
     def test_lambda_zero_equals_pure_regression(self, quick_teacher, quick_store):
         cfg = fd.DistillConfig(m=5, n=10, lambda_adv=0.0, iterations=4,
@@ -221,16 +190,19 @@ class TestDistill:
         d_losses = [r[3] for r in result.metrics]
         assert any(np.isfinite(v) for v in d_losses)
 
-    def test_queue_sizes_stay_bounded(self, quick_teacher, quick_store):
-        capacity = 3
-        cfg = fd.DistillConfig(m=5, n=10, iterations=12, batch_size=4, seed=13,
-                               queue_capacity=capacity)
+    @pytest.mark.parametrize("lambda_adv", [0.1, 0.0])
+    def test_queue_sizes_count_latents_in_flight(self, quick_teacher, quick_store,
+                                                 lambda_adv):
+        # after step k the round's generated batch sits at key k; without
+        # the adversary nothing is in flight
+        cfg = fd.DistillConfig(m=5, n=10, iterations=3, batch_size=4, seed=13,
+                               lambda_adv=lambda_adv)
         result = fd.distill(quick_teacher, quick_store, cfg)
-        for row in result.metrics:
-            sizes = [int(s) for s in row[5].split("|")]
-            assert len(sizes) == 6
-            assert all(s <= capacity for s in sizes)
-            assert sum(sizes) <= 6 * capacity
+        for _, k, *_, sizes in result.metrics:
+            expected = ["0"] * 6
+            if lambda_adv:
+                expected[k] = "1"
+            assert sizes == "|".join(expected)
 
     def test_resume_reproduces_uninterrupted_run(self, quick_teacher, quick_store,
                                                  tmp_path):
@@ -246,31 +218,11 @@ class TestDistill:
         for ha, hb in zip(resumed.heads, full.heads):
             assert ha.params.equal(hb.params)
 
-    def test_resume_reads_unbatched_one_row_entries(self, quick_teacher, quick_store,
-                                                    tmp_path):
-        # checkpoints written before entries were always batched hold a
-        # 1-row entry as a (d,) latent, (m+1, d) keys and an int index
-        ckpt = tmp_path / "ckpt.json"
-        cfg = fd.DistillConfig(m=5, n=10, iterations=5, batch_size=4, seed=11,
-                               adv_batch=1, checkpoint_interval=3)
-        full = fd.distill(quick_teacher, quick_store, cfg, checkpoint_path=ckpt)
-        payload = json.loads(ckpt.read_text())
-        entries = [e for queue in payload["queues"] for e in queue]
-        assert entries
-        for e in entries:
-            e["latent"], e["real_keys"], e["traj_index"] = \
-                e["latent"][0], e["real_keys"][0], e["traj_index"][0]
-        ckpt.write_text(json.dumps(payload))
-        resumed = fd.distill(quick_teacher, quick_store, cfg, checkpoint_path=ckpt,
-                             resume=True)
-        assert resumed.student.params.equal(full.student.params)
-        assert resumed.metrics == full.metrics
-
 
 class TestPassCount:
     def test_adversarial_round_makes_four_forwards_per_key(self, quick_teacher,
                                                            quick_store, monkeypatch):
-        # per k: the trajectory pass, the student step of the popped
+        # per k: the trajectory pass, the student step of the generated
         # latents, and two teacher passes (fake, real) that stop at the tap
         import sys
 
@@ -305,9 +257,8 @@ class TestHeadIsolation:
         student_before = state.student_params.copy()
         taps = fd.default_taps(quick_teacher)
         keys = fd.key_points(quick_store, schedule)[:1]
-        entry = fd.QueueEntry(np.array([[0.3]]), keys, np.array([0]), 3)
         *_, s_grads, h_grads = _adv_gradients(quick_teacher, taps, schedule, cfg, state,
-                                              2, entry)
+                                              2, np.array([[0.3]]), keys[:, 5 - 2])
         # computing the gradients moves nothing; the round-end update does
         assert state.student_params.equal(student_before)
         assert all(h.params.equal(b) for h, b in zip(state.heads, before))
@@ -355,11 +306,6 @@ class TestSampling:
         student_evals = quick_teacher.eval_count - start
         assert teacher_evals == 50 and student_evals == 5
         assert teacher_evals // student_evals == 10
-
-
-def _entry(value, key_index):
-    return fd.QueueEntry(np.array([[value]]), np.zeros((1, 3, 1)), np.array([0]),
-                         key_index)
 
 
 def _constant_model(c):
