@@ -9,10 +9,14 @@ one student Euler step per key, and compared at each key against the
 stored latents of its paired trajectories through the frozen teacher's
 features and the head for k. The chain lives inside the round; both
 adversarial gradients of every key are applied together when it ends.
+
+A run's state between rounds is one dataclass, which is also its
+checkpoint; a resume refuses the checkpoint of another teacher or config.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from dataclasses import dataclass
 
@@ -22,17 +26,17 @@ from . import autodiff as ad
 from .adversarial import ProjectionHead, build_projection_head, d_loss_grad, \
     default_taps, features_node, g_loss_grad, head_backward, head_forward
 from .atomic import write_json
-from .errors import ConfigError, NumericsError, StoreFormatError
+from .errors import ConfigError, NumericsError
 from .flow import integrate
-from .nn import OptimizerState, VelocityModel, check_grads, check_loss, forward_velocity, \
-    init_optimizer, mlp_backward, mlp_forward, optimizer_step, params_from_payload, \
-    params_to_payload, read_json, require_fields, velocity_mse, zeros_like
+from .nn import OptimizerState, ParamSet, VelocityModel, check_grads, check_loss, \
+    forward_velocity, from_payload, init_optimizer, mlp_backward, mlp_forward, \
+    optimizer_step, read_json, require_fields, to_payload, velocity_mse, zeros_like
 from .seeds import derive_seed
 from .trajstore import TrajectoryStore, check_teacher, key_points
 
 METRIC_COLUMNS = ("iter", "k", "traj_loss", "d_loss", "g_loss", "queue_sizes")
-CHECKPOINT_FIELDS = ("m", "round", "student", "opt_student", "opt_student_adv", "heads",
-                     "opt_heads", "rng_batch", "rng_noise", "metrics")
+# the DistillConfig fields a resume may change
+RESUMABLE = ("iterations", "checkpoint_interval")
 
 
 @dataclass(frozen=True)
@@ -147,105 +151,74 @@ class DistillResult:
     metrics: list  # rows matching METRIC_COLUMNS
 
 
+@dataclass
 class _DistillState:
-    """Everything the training loop carries between rounds; snapshotting
-    this exactly is what makes interrupted runs resumable bit-for-bit.
-    Neither the adversarial gradients nor the generated latents are part
-    of it: each round draws its own noise, carries it down the keys and
-    applies the gradients it computed before it ends."""
+    """Everything the training loop carries between rounds, and so the
+    checkpoint: saving it and loading it back resumes a run bit for bit.
+    `config` and `teacher`, the teacher's fingerprint, identify the run;
+    only checkpoints older than them hold None. The adversarial
+    gradients and generated latents never outlive the round that made
+    them, so they are not part of it."""
 
-    def __init__(self, teacher: VelocityModel, config: DistillConfig):
-        self.round = 0
-        self.student_params = teacher.params.copy()
-        self.opt_student = init_optimizer(self.student_params, config.student_lr)
-        # the adversarial loss gets its own moments (and a slower step):
-        # mixing both losses in one EMA lets every adversarial step
-        # replay the trajectory momentum
-        self.opt_student_adv = init_optimizer(self.student_params, config.adv_student_lr)
-        n_heads = config.m if config.heads == "per_timestep" else 1
-        self.heads = [
-            build_projection_head(teacher.H, k, derive_seed(config.seed, f"head-{k}"))
-            for k in range(n_heads)
-        ]
-        self.opt_heads = [init_optimizer(h.params, config.head_lr) for h in self.heads]
-        self.rng_batch = np.random.default_rng(derive_seed(config.seed, "trajectory-batches"))
-        # the label predates the chain; renaming it would change every draw
-        self.rng_noise = np.random.default_rng(derive_seed(config.seed, "queue-noise"))
-        self.metrics = []
+    config: DistillConfig | None
+    teacher: str | None
+    round: int
+    student: ParamSet
+    opt_student: OptimizerState
+    # the adversarial loss gets its own moments (and a slower step):
+    # mixing both losses in one EMA lets every adversarial step replay
+    # the trajectory momentum
+    opt_student_adv: OptimizerState
+    heads: list[ProjectionHead]
+    opt_heads: list[OptimizerState]
+    rng_batch: np.random.Generator
+    rng_noise: np.random.Generator
+    metrics: list[tuple[int, int, float, float, float, str]]  # rows of METRIC_COLUMNS
 
     def head_for(self, k: int) -> int:
         return k if len(self.heads) > 1 else 0
 
 
-def _opt_to_payload(opt: OptimizerState) -> dict:
-    return {
-        "m": params_to_payload(opt.m),
-        "v": params_to_payload(opt.v),
-        "step": opt.step,
-        "lr": opt.lr,
-    }
+def init_state(teacher: VelocityModel, config: DistillConfig) -> _DistillState:
+    """The state of a run before its first round."""
+    student = teacher.params.copy()
+    heads = [build_projection_head(teacher.H, k, derive_seed(config.seed, f"head-{k}"))
+             for k in range(config.m if config.heads == "per_timestep" else 1)]
+    return _DistillState(
+        config, teacher.fingerprint(), 0, student, init_optimizer(student, config.student_lr),
+        init_optimizer(student, config.adv_student_lr),
+        heads, [init_optimizer(h.params, config.head_lr) for h in heads],
+        np.random.default_rng(derive_seed(config.seed, "trajectory-batches")),
+        # the label predates the chain; renaming it would change every draw
+        np.random.default_rng(derive_seed(config.seed, "queue-noise")), [])
 
 
-def _opt_from_payload(p: dict, source) -> OptimizerState:
-    # older checkpoints also carry beta1, beta2, eps and weight_decay,
-    # always at the values that are now constants
-    require_fields(p, ("m", "v", "step", "lr"), f"{source}: optimizer state")
-    return OptimizerState(params_from_payload(p["m"], source),
-                          params_from_payload(p["v"], source), p["step"], p["lr"])
-
-
-def save_checkpoint(path, state: _DistillState, config: DistillConfig):
-    payload = {
-        "format": "flowdistill-checkpoint",
-        "version": 1,
-        "m": config.m,
-        "round": state.round,
-        "student": params_to_payload(state.student_params),
-        "opt_student": _opt_to_payload(state.opt_student),
-        "opt_student_adv": _opt_to_payload(state.opt_student_adv),
-        "heads": [
-            {"index": h.index, "params": params_to_payload(h.params)}
-            for h in state.heads
-        ],
-        "opt_heads": [_opt_to_payload(o) for o in state.opt_heads],
-        "rng_batch": state.rng_batch.bit_generator.state,
-        "rng_noise": state.rng_noise.bit_generator.state,
-        "metrics": state.metrics,
-    }
-    write_json(path, payload)
+def save_checkpoint(path, state: _DistillState):
+    write_json(path, {"format": "flowdistill-checkpoint", "version": 1, **to_payload(state)})
 
 
 def load_checkpoint(path, teacher: VelocityModel, config: DistillConfig) -> _DistillState:
-    payload = read_json(path, "flowdistill-checkpoint", CHECKPOINT_FIELDS)
+    """The state saved in `path`, which must be a run of `teacher` under
+    `config` up to the fields in RESUMABLE: a defect in the file is a
+    StoreFormatError, another run a ConfigError, each naming the field."""
+    payload = read_json(path, "flowdistill-checkpoint", ())
     # older checkpoints carry the adversarial gradient sums; they were
     # written after each round's update, so a resumable one holds none
     if payload.get("adv_g_count", 0) or any(payload.get("adv_h_count", ())):
         raise ConfigError(f"{path}: holds adversarial gradients of an unfinished round")
-    if payload["m"] != config.m:
-        raise ConfigError(
-            f"checkpoint was written for m={payload['m']}, config has m={config.m}"
-        )
-    if type(payload["round"]) is not int or payload["round"] < 0:
-        raise StoreFormatError(f"{path}: field 'round' is not a non-negative integer")
-    state = _DistillState(teacher, config)
-    state.round = payload["round"]
-    state.student_params = params_from_payload(payload["student"], path)
-    state.opt_student = _opt_from_payload(payload["opt_student"], path)
-    state.opt_student_adv = _opt_from_payload(payload["opt_student_adv"], path)
-    state.heads = []
-    for h in payload["heads"]:
-        require_fields(h, ("index", "params"), f"{path}: head")
-        state.heads.append(ProjectionHead(h["index"], params_from_payload(h["params"], path)))
-    state.opt_heads = [_opt_from_payload(o, path) for o in payload["opt_heads"]]
-    for field in ("rng_batch", "rng_noise"):
-        try:
-            getattr(state, field).bit_generator.state = payload[field]
-        except (TypeError, ValueError, KeyError) as e:
-            raise StoreFormatError(
-                f"{path}: field {field!r} is not a PCG64 state ({e!r})") from e
-    # older checkpoints also carry latent queues: empty where a round reads
-    state.metrics = [tuple(row) for row in payload["metrics"]]
-    return state
+    fresh = init_state(teacher, config)
+    state = from_payload(_DistillState, payload, path, like=fresh)
+    # older checkpoints carry m alone of the run's identity, and some carry
+    # Adam settings or latent queues, which are constants or unread now
+    saved = state.config or dataclasses.replace(
+        config, m=require_fields(payload, ("m",), path)["m"])
+    for name, was, now in [(f.name, getattr(saved, f.name), getattr(config, f.name))
+                           for f in dataclasses.fields(config) if f.name not in RESUMABLE
+                           ] + [("teacher", state.teacher or fresh.teacher, fresh.teacher)]:
+        if was != now:
+            raise ConfigError(f"{path}: checkpoint was written for {name}={was!r}, "
+                              f"this run has {name}={now!r}")
+    return dataclasses.replace(state, config=config, teacher=fresh.teacher)
 
 
 def _adv_gradients(teacher, taps, schedule, config, state, k, l_prev, real):
@@ -265,7 +238,7 @@ def _adv_gradients(teacher, taps, schedule, config, state, k, l_prev, real):
     t_hi, t_lo = schedule.time(k + 1), schedule.time(k)
     dt = t_lo - t_hi
     head = state.heads[state.head_for(k)].params
-    student = state.student_params
+    student = state.student
 
     v, step_cache = mlp_forward(student, l_prev, t_hi, teacher.R, want_cache=True)
     l_gen = l_prev + v * dt
@@ -309,8 +282,8 @@ def _apply_adv_updates(state, student_grads, head_grads):
     gradients one round collected for it (`head_grads[i]` for head i);
     a part with none is left alone."""
     if student_grads:
-        state.student_params, state.opt_student_adv = optimizer_step(
-            state.student_params, _mean_grad(state.student_params, student_grads),
+        state.student, state.opt_student_adv = optimizer_step(
+            state.student, _mean_grad(state.student, student_grads),
             state.opt_student_adv,
         )
     for i, grads in enumerate(head_grads):
@@ -342,14 +315,13 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
     schedule = make_key_schedule(config.n, config.m)
     taps = default_taps(teacher)
 
-    teacher_print = teacher.fingerprint()
     keys_all = key_points(store, schedule)
     m, B, N = config.m, config.batch_size, store.N
 
     if resume and checkpoint_path and os.path.exists(checkpoint_path):
         state = load_checkpoint(checkpoint_path, teacher, config)
     else:
-        state = _DistillState(teacher, config)
+        state = init_state(teacher, config)
 
     while state.round < config.iterations:
         rnd = state.round
@@ -359,14 +331,14 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
             idx = state.rng_batch.integers(0, N, size=B)
             keys_b = keys_all[idx]
             try:
-                loss, grads = velocity_mse(state.student_params,
+                loss, grads = velocity_mse(state.student,
                                            *_traj_regression(keys_b, schedule, k), teacher.R)
             except NumericsError as e:
                 raise NumericsError(
                     f"distillation diverged (traj phase, k={k}, round={rnd}): {e}"
                 ) from e
-            state.student_params, state.opt_student = optimizer_step(
-                state.student_params, grads, state.opt_student
+            state.student, state.opt_student = optimizer_step(
+                state.student, grads, state.opt_student
             )
 
             d_loss_val = g_loss_val = float("nan")
@@ -396,11 +368,11 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
         _apply_adv_updates(state, student_grads, head_grads)
         if (checkpoint_path and config.checkpoint_interval
                 and state.round % config.checkpoint_interval == 0):
-            save_checkpoint(checkpoint_path, state, config)
+            save_checkpoint(checkpoint_path, state)
 
-    if teacher.fingerprint() != teacher_print:
+    if teacher.fingerprint() != state.teacher:
         raise NumericsError("teacher parameters changed during distillation")
-    student = teacher.with_params(state.student_params)
+    student = teacher.with_params(state.student)
     return DistillResult(student=student, heads=list(state.heads), metrics=state.metrics)
 
 

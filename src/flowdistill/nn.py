@@ -1,5 +1,5 @@
 """Dense-network substrate: parameter sets, residual MLP velocity models,
-gradient computation, and Adam updates.
+gradient computation, Adam updates, and their JSON payload codec.
 
 A velocity model maps a state vector and a scalar time to a velocity
 vector of the same dimension as the state. The architecture is an input
@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import typing
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -143,12 +144,11 @@ class VelocityModel:
     H: int
     R: int
     params: ParamSet
-    activation: str = "silu"
     eval_count: int = dataclasses.field(default=0, compare=False)
 
     @property
     def arch(self) -> dict:
-        return {"d": self.d, "H": self.H, "R": self.R, "activation": self.activation}
+        return {"d": self.d, "H": self.H, "R": self.R}
 
     def with_params(self, params) -> "VelocityModel":
         return dataclasses.replace(self, params=params, eval_count=0)
@@ -421,11 +421,20 @@ def optimizer_step(params: ParamSet, grads: ParamSet, state: OptimizerState):
     return params.like(p), new_state
 
 
-def params_to_payload(params: ParamSet) -> list:
-    return [
-        {"name": n, "shape": list(t.shape), "data": t.tolist()}
-        for n, t in zip(params.names, params.tensors)
-    ]
+def to_payload(value):
+    """The JSON form of a ParamSet, a PCG64 generator, a dataclass whose
+    fields are such values, or a list or tuple of them; any other value
+    is taken to be JSON already. `from_payload` reads it back."""
+    if isinstance(value, ParamSet):
+        return [{"name": n, "shape": list(t.shape), "data": t.tolist()}
+                for n, t in zip(value.names, value.tensors)]
+    if isinstance(value, np.random.Generator):
+        return value.bit_generator.state
+    if dataclasses.is_dataclass(value):
+        return {f.name: to_payload(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [to_payload(v) for v in value]
+    return value
 
 
 def require_fields(obj, fields, where):
@@ -453,26 +462,62 @@ def read_json(path, fmt: str, fields) -> dict:
     return require_fields(payload, fields, path)
 
 
-def params_from_payload(records: list, source) -> ParamSet:
-    """The ParamSet of `params_to_payload` records read from `source`; a
-    tensor record without its fields, or whose data does not have its
-    recorded shape, is a format error naming the file and the tensor."""
-    names, tensors = [], []
-    for i, rec in enumerate(records):
-        require_fields(rec, ("name", "shape", "data"), f"{source}: tensor record {i}")
+def from_payload(kind, value, source, field: str = "", like=None):
+    """The `kind` value whose `to_payload` form is `value`, read from the
+    file `source`: a dataclass (a field typed `X | None` may be absent),
+    ParamSet, Generator, `list[X]`, fixed-length `tuple[X, Y]`, float,
+    str or non-negative int. A ParamSet must have the layout of its
+    counterpart in `like`, if given. A defect is a StoreFormatError
+    naming the file and the dotted field, e.g. `opt_heads[2].step`."""
+    where = f"{source}: field {field!r}"
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if type(None) in args:  # X | None
+        return None if value is None else from_payload(args[0], value, source, field, like)
+    if dataclasses.is_dataclass(kind):
+        hints = typing.get_type_hints(kind)
+        require_fields(value, [n for n, h in hints.items() if type(None) not in
+                               typing.get_args(h)], where if field else source)
+        return kind(**{n: from_payload(h, value.get(n), source, f"{field}.{n}".lstrip("."),
+                                       getattr(like, n, None)) for n, h in hints.items()})
+    if kind is ParamSet:
+        if not isinstance(value, list):
+            raise StoreFormatError(f"{where} is not a list of tensor records")
+        tensors = []
+        for i, rec in enumerate(value):
+            require_fields(rec, ("name", "shape", "data"), f"{source}: tensor record {i}")
+            try:
+                tensors.append(np.asarray(rec["data"], dtype=np.float64))
+            except (TypeError, ValueError) as e:
+                raise StoreFormatError(
+                    f"{source}: tensor {rec['name']!r} is not a numeric array ({e})") from e
+            if list(tensors[-1].shape) != rec["shape"]:
+                raise StoreFormatError(f"{source}: tensor {rec['name']!r} has shape "
+                                       f"{list(tensors[-1].shape)}, header says {rec['shape']}")
+        params = ParamSet([r["name"] for r in value], tensors)
+        if like is not None and (params.names, params.shapes) != (like.names, like.shapes):
+            raise StoreFormatError(f"{where} holds tensors {params.names} of shapes "
+                                   f"{params.shapes}, the run has {like.shapes}")
+        return params
+    if kind is np.random.Generator:
+        rng = np.random.Generator(np.random.PCG64(0))
         try:
-            t = np.asarray(rec["data"], dtype=np.float64)
-        except (TypeError, ValueError) as e:
-            raise StoreFormatError(
-                f"{source}: tensor {rec['name']!r} is not a numeric array ({e})") from e
-        if list(t.shape) != rec["shape"]:
-            raise StoreFormatError(
-                f"{source}: tensor {rec['name']!r} has shape {list(t.shape)}, "
-                f"header says {rec['shape']}"
-            )
-        names.append(rec["name"])
-        tensors.append(t)
-    return ParamSet(tuple(names), tuple(tensors))
+            rng.bit_generator.state = value
+        except (TypeError, ValueError, KeyError) as e:
+            raise StoreFormatError(f"{where} is not a PCG64 state ({e!r})") from e
+        return rng
+    if origin in (list, tuple):
+        if not isinstance(value, list) or origin is tuple and len(value) != len(args):
+            raise StoreFormatError(f"{where} is not a list"
+                                   + (f" of {len(args)} values" if origin is tuple else ""))
+        kinds = args * len(value) if origin is list else args
+        return origin(from_payload(k, v, source, f"{field}[{i}]",
+                                   like[i] if like and i < len(like) else None)
+                      for i, (k, v) in enumerate(zip(kinds, value)))
+    if type(value) is kind or kind is float and type(value) is int:
+        if kind is not int or value >= 0:
+            return kind(value)
+    what = "non-negative int" if kind is int else kind.__name__
+    raise StoreFormatError(f"{where} is not a {what}")
 
 
 def save_paramset(path, params: ParamSet, meta: dict):
@@ -481,7 +526,7 @@ def save_paramset(path, params: ParamSet, meta: dict):
         "format": "flowdistill-paramset",
         "version": 1,
         "meta": meta,
-        "tensors": params_to_payload(params),
+        "tensors": to_payload(params),
     }
     write_json(path, payload)
 
@@ -489,11 +534,12 @@ def save_paramset(path, params: ParamSet, meta: dict):
 def load_paramset(path):
     """Read back (ParamSet, meta); shape/size mismatches are format errors."""
     payload = read_json(path, "flowdistill-paramset", ("meta", "tensors"))
-    return params_from_payload(payload["tensors"], path), payload["meta"]
+    return from_payload(ParamSet, payload["tensors"], path, "tensors"), payload["meta"]
 
 
 def save_model(path, model: VelocityModel):
-    save_paramset(path, model.params, {"kind": "velocity_model", **model.arch})
+    save_paramset(path, model.params,
+                  {"kind": "velocity_model", **model.arch, "activation": "silu"})
 
 
 def load_model(path) -> VelocityModel:
@@ -503,7 +549,10 @@ def load_model(path) -> VelocityModel:
     require_fields(meta, ("d", "H", "R", "activation"), f"{path}: meta")
     if not all(type(meta[key]) is int for key in ("d", "H", "R")):
         raise StoreFormatError(f"{path}: meta fields d, H and R must be integers")
-    model = VelocityModel(meta["d"], meta["H"], meta["R"], params, meta["activation"])
+    if meta["activation"] != "silu":
+        raise StoreFormatError(f"{path}: meta.activation is {meta['activation']!r}, "
+                               "but the model only implements 'silu'")
+    model = VelocityModel(meta["d"], meta["H"], meta["R"], params)
     expected = [name for name, _ in _param_layout(model.d, model.H, model.R)]
     if list(params.names) != expected:
         raise StoreFormatError(f"{path}: parameter names do not match architecture")

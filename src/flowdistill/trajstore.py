@@ -148,8 +148,12 @@ def load_store(path, teacher: VelocityModel | None = None) -> TrajectoryStore:
     if grid.n != header["n"]:
         raise StoreFormatError(f"{path}: line 1: grid length disagrees with n")
     N, d = header["N"], header["d"]
-    if type(N) is not int or type(d) is not int or d < 1:
-        raise StoreFormatError(f"{path}: line 1: N and d must be integers, d positive")
+    for key, valid in (
+            ("version", header["version"] == 1), ("seed", type(header["seed"]) is int),
+            ("N", type(N) is int), ("d", type(d) is int and d >= 1),
+            ("teacher_fingerprint", isinstance(header["teacher_fingerprint"], str))):
+        if not valid:
+            raise StoreFormatError(f"{path}: line 1: {key} {header[key]!r} is not valid")
     if len(lines) - 1 != N:
         raise StoreFormatError(
             f"{path}: line {len(lines)}: expected {N} trajectory records, "

@@ -62,11 +62,11 @@ def adv_step(teacher, student_params, head, taps, l_prev, real_keys, k, schedule
     (`distill._adv_gradients`) on a fresh state holding `student_params`
     and, for key k, `head`. Returns (d_loss, g_loss, generated latents,
     student gradient, head gradient)."""
-    from flowdistill.distill import _DistillState, _adv_gradients
+    from flowdistill.distill import _adv_gradients, init_state
 
     config = fd.DistillConfig(m=schedule.m, n=schedule.m, lambda_adv=scale, heads=heads)
-    state = _DistillState(teacher, config)
-    state.student_params = student_params
+    state = init_state(teacher, config)
+    state.student = student_params
     state.heads[state.head_for(k)] = head
     return _adv_gradients(teacher, taps, schedule, config, state, k, l_prev,
                           real_keys[:, schedule.m - k])

@@ -9,7 +9,7 @@ import pytest
 
 import flowdistill as fd
 from flowdistill.cli import write_csv
-from flowdistill.distill import _DistillState, save_checkpoint
+from flowdistill.distill import init_state, save_checkpoint
 
 from helpers import rand_model
 
@@ -38,10 +38,10 @@ def _paramset(path, monkeypatch, fail):
 
 def _checkpoint(path, monkeypatch, fail):
     cfg = fd.DistillConfig(m=5, n=10, iterations=1, batch_size=4)
-    state = _DistillState(rand_model(seed=2), cfg)
+    state = init_state(rand_model(seed=2), cfg)
     if fail:
         state.metrics.append((0, 0, object()))
-    save_checkpoint(path, state, cfg)
+    save_checkpoint(path, state)
 
 
 def _store(path, monkeypatch, fail):

@@ -239,9 +239,18 @@ class TestCheckpointFormat:
         return path
 
     @staticmethod
-    def _with_gradient_sums(payload, g_count=0, h_counts=(0,) * 5):
+    def _as_parent_layout(payload):
+        """The layout of versions that recorded m alone of the run's
+        identity: no config and no teacher fingerprint."""
+        payload["m"] = payload.pop("config")["m"]
+        del payload["teacher"]
+
+    @classmethod
+    def _with_gradient_sums(cls, payload, g_count=0, h_counts=(0,) * 5):
         """The layout of versions that kept summed adversarial gradients
         in the checkpoint (written after each round's update, so empty)."""
+        cls._as_parent_layout(payload)
+
         def zeros(records):
             return [dict(r, data=np.zeros(r["shape"]).tolist()) for r in records]
         payload["adv_g_sum"] = zeros(payload["student"])
@@ -249,19 +258,21 @@ class TestCheckpointFormat:
         payload["adv_h_sum"] = [zeros(h["params"]) for h in payload["heads"]]
         payload["adv_h_count"] = list(h_counts)
 
-    @staticmethod
-    def _with_adam_settings(payload):
+    @classmethod
+    def _with_adam_settings(cls, payload):
         """The layout of versions whose optimizer states carried the Adam
         settings, always at the values that are now constants."""
+        cls._as_parent_layout(payload)
         for opt in (payload["opt_student"], payload["opt_student_adv"],
                     *payload["opt_heads"]):
             opt.update(beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0)
 
-    @staticmethod
-    def _with_queues(payload):
+    @classmethod
+    def _with_queues(cls, payload):
         """The layout of versions that carried generated latents between
         keys in FIFO queues Q_0 ... Q_m. At a round boundary only Q_0,
         which nothing read, held entries: one per round so far."""
+        cls._as_parent_layout(payload)
         m, B = payload["m"], TINY["distill"]["batch_size"]
         entry = {"latent": np.full((B, 1), 0.5).tolist(),
                  "real_keys": np.zeros((B, m + 1, 1)).tolist(),
@@ -275,6 +286,24 @@ class TestCheckpointFormat:
         for name in names:
             assert open(f"{out}/{name}", "rb").read() == \
                 open(f"{ref_out}/{name}", "rb").read(), name
+
+    def test_parent_layout_resumes_to_identical_output(self, halfway):
+        args, ref_out, out = halfway
+        self._rewrite(out, self._as_parent_layout)
+        assert run_cli("distill", *args, "--out", out, "--resume") == 0
+        self._assert_same_outputs(out, ref_out)
+
+    def test_parent_layout_of_another_m_is_refused(self, halfway, capsys):
+        args, _, out = halfway
+
+        def other_m(payload):
+            self._as_parent_layout(payload)
+            payload["m"] = 4
+
+        path = self._rewrite(out, other_m)
+        assert run_cli("distill", *args, "--out", out, "--resume") == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: checkpoint was written for m=4"), path
 
     def test_earlier_layout_resumes_to_identical_output(self, halfway):
         args, ref_out, out = halfway
@@ -312,17 +341,64 @@ class TestCheckpointFormat:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}") and f"missing field '{field}'" in err, err
 
-    @pytest.mark.parametrize("field,value", [
-        ("rng_batch", {"bit_generator": "MT19937", "state": {}}),
-        ("rng_noise", "PCG64"),
-        ("round", "2"),
-    ], ids=["rng-batch-not-pcg64", "rng-noise-not-a-state", "round-as-string"])
-    def test_bad_value_is_named(self, halfway, capsys, field, value):
+    @pytest.mark.parametrize("field,edit", [
+        ("rng_batch", lambda p: p.update(rng_batch={"bit_generator": "MT19937",
+                                                    "state": {}})),
+        ("rng_noise", lambda p: p.update(rng_noise="PCG64")),
+        ("round", lambda p: p.update(round="2")),
+        ("metrics", lambda p: p.update(metrics=5)),
+        ("heads", lambda p: p.update(heads=7)),
+        ("opt_student.step", lambda p: p["opt_student"].update(step="3")),
+        ("heads[2].index", lambda p: p["heads"][2].update(index="2")),
+        # shape and data agree with each other, not with the student
+        ("student", lambda p: p["student"][1].update(shape=[3], data=[0.0] * 3)),
+    ], ids=["rng-batch-not-pcg64", "rng-noise-not-a-state", "round-as-string",
+            "metrics-not-a-list", "heads-not-a-list", "optimizer-step-as-string",
+            "head-index-as-string", "consistent-wrong-shape"])
+    def test_bad_value_is_named(self, halfway, capsys, field, edit):
         args, _, out = halfway
-        path = self._rewrite(out, lambda p: p.update({field: value}))
+        path = self._rewrite(out, edit)
         assert run_cli("distill", *args, "--out", out, "--resume") == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: field '{field}'"), err
+
+    @staticmethod
+    def _changing(field, tmp_path, tiny_config):
+        """Arguments that, put after a run's own, change `field` of the run
+        (argparse keeps the last of a repeated option)."""
+        if field == "batch_size":
+            path = tmp_path / "batch.json"
+            path.write_text(json.dumps(dict(TINY, distill=dict(TINY["distill"], batch_size=4))))
+            return ["--config", str(path)]
+        if field == "teacher":
+            # another teacher, with its own store so the store check passes
+            other = str(tmp_path / "other")
+            assert run_cli("train-teacher", "--config", tiny_config, "--out", other,
+                           "--seed", "7") == 0
+            assert run_cli("synth", "--config", tiny_config, "--out", other,
+                           "--teacher", f"{other}/teacher.json") == 0
+            return ["--teacher", f"{other}/teacher.json", "--store", f"{other}/store.jsonl"]
+        return {"heads": ["--single-head"], "lambda_adv": ["--no-adv"]}[field]
+
+    @pytest.mark.parametrize("field", ["heads", "lambda_adv", "batch_size", "teacher"])
+    def test_resume_of_another_run_is_refused(self, halfway, tmp_path, tiny_config,
+                                              capsys, field):
+        args, _, out = halfway
+        changed = self._changing(field, tmp_path, tiny_config)
+        assert run_cli("distill", *args, *changed, "--out", out, "--resume") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: {out}/distill_checkpoint.json: checkpoint was written for {field}="), err
+
+    def test_resume_may_change_iterations(self, halfway, tmp_path):
+        # the checkpoint was written by a 2-round run; this one runs 6
+        args, ref_out, out = halfway
+        with open(f"{out}/distill_checkpoint.json") as f:
+            assert json.load(f)["config"]["iterations"] == 2
+        assert run_cli("distill", *args, "--out", out, "--resume") == 0
+        self._assert_same_outputs(out, ref_out)
+        assert open(f"{out}/distill_checkpoint.json", "rb").read() == \
+            open(f"{ref_out}/distill_checkpoint.json", "rb").read()
 
     @pytest.mark.parametrize("counts", [(1, (0,) * 5), (0, (0, 1, 0, 0, 0))])
     def test_unapplied_gradient_sums_are_refused(self, halfway, capsys, counts):
@@ -375,6 +451,8 @@ BAD_MODELS = {
                        "meta: missing field 'd'"),
     "tensor-without-shape": (lambda p: dict(p, tensors=[_drop(p["tensors"][0], "shape")]),
                              "tensor record 0: missing field 'shape'"),
+    "relu-activation": (lambda p: dict(p, meta=dict(p["meta"], activation="relu")),
+                        "meta.activation"),
 }
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import flowdistill as fd
-from flowdistill.distill import traj_loss_node, _DistillState, _adv_gradients, \
-    _apply_adv_updates, _traj_regression
+from flowdistill.distill import traj_loss_node, _adv_gradients, _apply_adv_updates, \
+    _traj_regression, init_state
 from flowdistill.errors import ConfigError
 from flowdistill.nn import init_optimizer, optimizer_step, value_and_grad, velocity_mse
 from flowdistill.seeds import derive_seed
@@ -252,15 +252,15 @@ class TestHeadIsolation:
                                                            quick_store):
         cfg = fd.DistillConfig(m=5, n=10, iterations=1, batch_size=4, seed=12)
         schedule = fd.make_key_schedule(10, 5)
-        state = _DistillState(quick_teacher, cfg)
+        state = init_state(quick_teacher, cfg)
         before = [h.params.copy() for h in state.heads]
-        student_before = state.student_params.copy()
+        student_before = state.student.copy()
         taps = fd.default_taps(quick_teacher)
         keys = fd.key_points(quick_store, schedule)[:1]
         *_, s_grads, h_grads = _adv_gradients(quick_teacher, taps, schedule, cfg, state,
                                               2, np.array([[0.3]]), keys[:, 5 - 2])
         # computing the gradients moves nothing; the round-end update does
-        assert state.student_params.equal(student_before)
+        assert state.student.equal(student_before)
         assert all(h.params.equal(b) for h, b in zip(state.heads, before))
         _apply_adv_updates(state, [s_grads], [[], [], [h_grads], [], []])
         assert not state.heads[2].params.equal(before[2])

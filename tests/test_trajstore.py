@@ -30,6 +30,9 @@ GARBLES = {
     "ragged-states": (3, _edit_record(lambda r: r["states"][1].append(0.0))),
     "non-numeric-states": (3, _edit_record(lambda r: r["states"][1].__setitem__(0, "x"))),
     "non-numeric-grid": (1, _edit_record(lambda r: r["grid"].__setitem__(1, "x"))),
+    "unknown-version": (1, _edit_record(lambda r: r.update(version=99))),
+    "non-integer-seed": (1, _edit_record(lambda r: r.update(seed="banana"))),
+    "non-string-fingerprint": (1, _edit_record(lambda r: r.update(teacher_fingerprint=5))),
 }
 
 
