@@ -11,7 +11,8 @@ features and the head for k. The chain lives inside the round; both
 adversarial gradients of every key are applied together when it ends.
 
 A run's state between rounds is one dataclass, which is also its
-checkpoint; a resume refuses the checkpoint of another teacher or config.
+checkpoint; a resume refuses the checkpoint of another teacher, store or
+config.
 """
 
 from __future__ import annotations
@@ -155,13 +156,14 @@ class DistillResult:
 class _DistillState:
     """Everything the training loop carries between rounds, and so the
     checkpoint: saving it and loading it back resumes a run bit for bit.
-    `config` and `teacher`, the teacher's fingerprint, identify the run;
-    only checkpoints older than them hold None. The adversarial
+    `config` and the fingerprints of its `teacher` and `store` identify
+    the run; only checkpoints older than them hold None. The adversarial
     gradients and generated latents never outlive the round that made
     them, so they are not part of it."""
 
     config: DistillConfig | None
     teacher: str | None
+    store: str | None
     round: int
     student: ParamSet
     opt_student: OptimizerState
@@ -179,14 +181,15 @@ class _DistillState:
         return k if len(self.heads) > 1 else 0
 
 
-def init_state(teacher: VelocityModel, config: DistillConfig) -> _DistillState:
-    """The state of a run before its first round."""
+def init_state(teacher: VelocityModel, store: TrajectoryStore,
+               config: DistillConfig) -> _DistillState:
+    """The state of a run on `store` before its first round."""
     student = teacher.params.copy()
     heads = [build_projection_head(teacher.H, k, derive_seed(config.seed, f"head-{k}"))
              for k in range(config.m if config.heads == "per_timestep" else 1)]
     return _DistillState(
-        config, teacher.fingerprint(), 0, student, init_optimizer(student, config.student_lr),
-        init_optimizer(student, config.adv_student_lr),
+        config, teacher.fingerprint(), store.fingerprint(), 0, student,
+        init_optimizer(student, config.student_lr), init_optimizer(student, config.adv_student_lr),
         heads, [init_optimizer(h.params, config.head_lr) for h in heads],
         np.random.default_rng(derive_seed(config.seed, "trajectory-batches")),
         # the label predates the chain; renaming it would change every draw
@@ -197,16 +200,19 @@ def save_checkpoint(path, state: _DistillState):
     write_json(path, {"format": "flowdistill-checkpoint", "version": 1, **to_payload(state)})
 
 
-def load_checkpoint(path, teacher: VelocityModel, config: DistillConfig) -> _DistillState:
-    """The state saved in `path`, which must be a run of `teacher` under
-    `config` up to the fields in RESUMABLE: a defect in the file is a
-    StoreFormatError, another run a ConfigError, each naming the field."""
+def load_checkpoint(path, teacher: VelocityModel, store: TrajectoryStore,
+                    config: DistillConfig) -> _DistillState:
+    """The state saved in `path`, which must be a run of `teacher` on
+    `store` under `config` up to the fields in RESUMABLE: a defect in the
+    file is a StoreFormatError, another run a ConfigError, each naming it."""
     payload = read_json(path, "flowdistill-checkpoint", ())
     # older checkpoints carry the adversarial gradient sums; they were
     # written after each round's update, so a resumable one holds none
-    if payload.get("adv_g_count", 0) or any(payload.get("adv_h_count", ())):
+    if (from_payload(int, payload.get("adv_g_count", 0), path, "adv_g_count")
+            or any(from_payload(list[int], payload.get("adv_h_count", []), path,
+                                "adv_h_count"))):
         raise ConfigError(f"{path}: holds adversarial gradients of an unfinished round")
-    fresh = init_state(teacher, config)
+    fresh = init_state(teacher, store, config)
     state = from_payload(_DistillState, payload, path, like=fresh)
     # older checkpoints carry m alone of the run's identity, and some carry
     # Adam settings or latent queues, which are constants or unread now
@@ -214,11 +220,13 @@ def load_checkpoint(path, teacher: VelocityModel, config: DistillConfig) -> _Dis
         config, m=require_fields(payload, ("m",), path)["m"])
     for name, was, now in [(f.name, getattr(saved, f.name), getattr(config, f.name))
                            for f in dataclasses.fields(config) if f.name not in RESUMABLE
-                           ] + [("teacher", state.teacher or fresh.teacher, fresh.teacher)]:
+                           ] + [(name, getattr(state, name) or getattr(fresh, name),
+                                 getattr(fresh, name)) for name in ("teacher", "store")]:
         if was != now:
             raise ConfigError(f"{path}: checkpoint was written for {name}={was!r}, "
                               f"this run has {name}={now!r}")
-    return dataclasses.replace(state, config=config, teacher=fresh.teacher)
+    return dataclasses.replace(state, config=config, teacher=fresh.teacher,
+                               store=fresh.store)
 
 
 def _adv_gradients(teacher, taps, schedule, config, state, k, l_prev, real):
@@ -319,9 +327,9 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
     m, B, N = config.m, config.batch_size, store.N
 
     if resume and checkpoint_path and os.path.exists(checkpoint_path):
-        state = load_checkpoint(checkpoint_path, teacher, config)
+        state = load_checkpoint(checkpoint_path, teacher, store, config)
     else:
-        state = init_state(teacher, config)
+        state = init_state(teacher, store, config)
 
     while state.round < config.iterations:
         rnd = state.round

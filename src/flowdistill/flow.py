@@ -19,17 +19,6 @@ from .nn import VelocityModel, build_velocity_model, eval_velocity, forward_velo
     init_optimizer, optimizer_step, velocity_mse
 from .seeds import derive_seed
 
-# glibc's malloc gives freed memory at the top of the heap back to the
-# kernel once it exceeds a threshold (128 KB at start, then twice the
-# largest mmap'd block freed so far), and the next allocation faults it
-# in again. The (B, H) temporaries of a B=2048 training step are 0.5 MB
-# each, so every step paid thousands of page faults, more or fewer with
-# the process layout. Freeing one untouched block of this size first
-# lifts the threshold above a step's temporaries by glibc's own rule. It
-# changes no result; elsewhere it is one allocation of untouched memory.
-_HEAP_WARMUP_BYTES = 16 << 20
-
-
 @dataclass(frozen=True)
 class ToyDataset:
     """A finite-support toy distribution: points drawn uniformly from
@@ -138,7 +127,6 @@ def train_teacher(data: ToyDataset, iterations: int, batch_size: int, lr: float,
     params = model.params
     opt = init_optimizer(params, lr)
     losses = np.empty(iterations)
-    np.empty(_HEAP_WARMUP_BYTES // 8)
     for i in range(iterations):
         x0 = data.sample(batch_size, rng)
         x1 = rng.standard_normal((batch_size, data.d))

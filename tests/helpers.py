@@ -65,7 +65,9 @@ def adv_step(teacher, student_params, head, taps, l_prev, real_keys, k, schedule
     from flowdistill.distill import _adv_gradients, init_state
 
     config = fd.DistillConfig(m=schedule.m, n=schedule.m, lambda_adv=scale, heads=heads)
-    state = init_state(teacher, config)
+    # the store only names the run; a one-step, one-path one is enough
+    state = init_state(teacher, fd.generate_store(teacher, 1, fd.TimeGrid.uniform(1), 0),
+                       config)
     state.student = student_params
     state.heads[state.head_for(k)] = head
     return _adv_gradients(teacher, taps, schedule, config, state, k, l_prev,

@@ -352,9 +352,13 @@ class TestCheckpointFormat:
         ("heads[2].index", lambda p: p["heads"][2].update(index="2")),
         # shape and data agree with each other, not with the student
         ("student", lambda p: p["student"][1].update(shape=[3], data=[0.0] * 3)),
+        # the gradient-sum counts of earlier layouts
+        ("adv_g_count", lambda p: p.update(adv_g_count="1")),
+        ("adv_h_count", lambda p: p.update(adv_h_count=5)),
     ], ids=["rng-batch-not-pcg64", "rng-noise-not-a-state", "round-as-string",
             "metrics-not-a-list", "heads-not-a-list", "optimizer-step-as-string",
-            "head-index-as-string", "consistent-wrong-shape"])
+            "head-index-as-string", "consistent-wrong-shape", "adv-g-count-as-string",
+            "adv-h-count-not-a-list"])
     def test_bad_value_is_named(self, halfway, capsys, field, edit):
         args, _, out = halfway
         path = self._rewrite(out, edit)
@@ -378,9 +382,16 @@ class TestCheckpointFormat:
             assert run_cli("synth", "--config", tiny_config, "--out", other,
                            "--teacher", f"{other}/teacher.json") == 0
             return ["--teacher", f"{other}/teacher.json", "--store", f"{other}/store.jsonl"]
+        if field == "store":
+            # another store of the same teacher
+            other = str(tmp_path / "other")
+            assert run_cli("synth", "--config", tiny_config, "--out", other, "--seed", "5",
+                           "--teacher", f"{tmp_path}/run/teacher.json") == 0
+            return ["--store", f"{other}/store.jsonl"]
         return {"heads": ["--single-head"], "lambda_adv": ["--no-adv"]}[field]
 
-    @pytest.mark.parametrize("field", ["heads", "lambda_adv", "batch_size", "teacher"])
+    @pytest.mark.parametrize("field", ["heads", "lambda_adv", "batch_size", "teacher",
+                                       "store"])
     def test_resume_of_another_run_is_refused(self, halfway, tmp_path, tiny_config,
                                               capsys, field):
         args, _, out = halfway

@@ -252,7 +252,7 @@ class TestHeadIsolation:
                                                            quick_store):
         cfg = fd.DistillConfig(m=5, n=10, iterations=1, batch_size=4, seed=12)
         schedule = fd.make_key_schedule(10, 5)
-        state = init_state(quick_teacher, cfg)
+        state = init_state(quick_teacher, quick_store, cfg)
         before = [h.params.copy() for h in state.heads]
         student_before = state.student.copy()
         taps = fd.default_taps(quick_teacher)

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -5,9 +6,21 @@ import pytest
 
 import flowdistill as fd
 from flowdistill.errors import ConfigError, StoreFormatError, StoreIntegrityError
-from flowdistill.trajstore import RECURRENCE_TOL, VALIDATION_BLOCK
+from flowdistill.trajstore import RECURRENCE_TOL, ROW_BLOCK
 
 from helpers import rand_model
+
+
+def _encode(states):
+    return base64.b64encode(np.asarray(states, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _saved_with(store, tmp_path, edit):
+    """The path of `store` saved, with its list of lines passed through `edit`."""
+    path = tmp_path / "store.jsonl"
+    fd.save_store(store, path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    return path
 
 
 def _edit_record(edit):
@@ -27,10 +40,15 @@ GARBLES = {
     "missing-states": (3, _edit_record(lambda r: r.pop("states"))),
     "missing-noise-seed": (3, _edit_record(lambda r: r.pop("noise_seed"))),
     "null-noise-seed": (3, _edit_record(lambda r: r.update(noise_seed=None))),
-    "ragged-states": (3, _edit_record(lambda r: r["states"][1].append(0.0))),
-    "non-numeric-states": (3, _edit_record(lambda r: r["states"][1].__setitem__(0, "x"))),
+    # one float64 short, still valid padded base64
+    "wrong-length-states": (3, _edit_record(lambda r: r.update(states=_encode(
+        np.frombuffer(base64.b64decode(r["states"]), "<f8")[:-1])))),
+    "non-base64-states": (3, _edit_record(lambda r: r.update(states="*" + r["states"][1:]))),
+    "unpadded-states": (3, _edit_record(lambda r: r.update(states=r["states"].rstrip("=")))),
+    "non-string-states": (3, _edit_record(lambda r: r.update(states=[0.0] * 11))),
     "non-numeric-grid": (1, _edit_record(lambda r: r["grid"].__setitem__(1, "x"))),
     "unknown-version": (1, _edit_record(lambda r: r.update(version=99))),
+    "version-1": (1, _edit_record(lambda r: r.update(version=1))),
     "non-integer-seed": (1, _edit_record(lambda r: r.update(seed="banana"))),
     "non-string-fingerprint": (1, _edit_record(lambda r: r.update(teacher_fingerprint=5))),
 }
@@ -72,6 +90,18 @@ class TestGenerate:
             assert np.array_equal(path[-1], quick_store.states[i, -1])
             assert np.max(np.abs(path - quick_store.states[i])) <= RECURRENCE_TOL
 
+    def test_partial_last_block(self):
+        # N = ROW_BLOCK + 5: the last block holds 5 paths
+        model = rand_model(d=2, H=4, R=1, seed=43)
+        N = ROW_BLOCK + 5
+        store = fd.generate_store(model, N, fd.TimeGrid.uniform(4), seed=6)
+        assert store.states.shape == (N, 5, 2)
+        assert np.all(fd.recurrence_errors(model, store.grid, store.states) <= RECURRENCE_TOL)
+        for i in range(ROW_BLOCK, N):
+            seed = fd.derive_seed(6, f"trajectory-{i}")
+            assert store.noise_seeds[i] == seed
+            assert np.array_equal(store.states[i, -1], fd.noise_from_seed(seed, 2))
+
     def test_invalid_count_rejected(self, quick_teacher):
         with pytest.raises(ConfigError):
             fd.generate_store(quick_teacher, 0, fd.TimeGrid.uniform(4), seed=0)
@@ -109,6 +139,38 @@ class TestPersistence:
         with pytest.raises(StoreFormatError, match=f"line {line_no}:"):
             fd.load_store(tmp_path / "bad.jsonl")
 
+    def test_non_utf8_line_is_named(self, quick_store, tmp_path):
+        path = tmp_path / "store.jsonl"
+        fd.save_store(quick_store, path)
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2][:20] + b"\xff" + lines[2][21:]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(StoreFormatError, match="line 3:"):
+            fd.load_store(path)
+
+    def test_version_1_store_asks_for_synth(self, quick_store, tmp_path):
+        path = _saved_with(quick_store, tmp_path, lambda lines: [
+            lines[0].replace('"version":2', '"version":1'), *lines[1:]])
+        with pytest.raises(StoreFormatError, match="version 1 is not 2; re-run synth"):
+            fd.load_store(path)
+
+    # at 2**56 times the paths, np.empty's size would overflow: reaching
+    # it would be a ValueError, not a StoreFormatError
+    @pytest.mark.parametrize("factor", [2, 2**56], ids=["double", "overflowing"])
+    def test_header_count_beyond_file_size(self, quick_store, tmp_path, factor):
+        N = factor * quick_store.N
+        path = _saved_with(quick_store, tmp_path, lambda lines: [
+            lines[0].replace(f'"N":{quick_store.N},', f'"N":{N},'), *lines[1:]])
+        with pytest.raises(StoreFormatError, match=f"line 1: N={N} records need at least"):
+            fd.load_store(path)
+
+    def test_one_record_too_many(self, quick_store, tmp_path):
+        path = _saved_with(quick_store, tmp_path, lambda lines: lines + lines[-1:])
+        N = quick_store.N
+        with pytest.raises(StoreFormatError,
+                           match=f"line {N + 2}: expected {N} trajectory records, found {N + 1}"):
+            fd.load_store(path)
+
     def test_validated_load_against_generator(self, quick_teacher, quick_store, tmp_path):
         path = tmp_path / "store.jsonl"
         fd.save_store(quick_store, path)
@@ -127,7 +189,9 @@ class TestPersistence:
         fd.save_store(quick_store, path)
         lines = path.read_text().splitlines()
         record = json.loads(lines[1])
-        record["states"][3][0] += 0.5
+        states = np.frombuffer(base64.b64decode(record["states"]), "<f8").copy()
+        states[3] += 0.5
+        record["states"] = _encode(states)
         lines[1] = json.dumps(record, separators=(",", ":"))
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(StoreIntegrityError):
@@ -136,7 +200,7 @@ class TestPersistence:
     @pytest.mark.parametrize("tamper", [0.5, float("nan")])
     def test_validation_names_path_in_last_block(self, tamper):
         model = rand_model(d=1, H=4, R=1, seed=41)
-        N = VALIDATION_BLOCK + 5
+        N = ROW_BLOCK + 5
         store = fd.generate_store(model, N, fd.TimeGrid.uniform(4), seed=2)
         fd.validate_store(store, model)
         store.states[N - 2, 2, 0] += tamper
