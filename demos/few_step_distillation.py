@@ -32,11 +32,12 @@ rng = np.random.default_rng(3)
 Z = rng.standard_normal((4096, 1))
 teacher_samples = fd.denoise_batch(teacher, Z, grid)[0]
 
-schedule = fd.make_key_schedule(50, 5)
+# the student samples on its key grid: one model evaluation per key step
 before = result.student.eval_count
-student_samples, nfe = fd.sample_student_batch(result.student, schedule, Z)
-print(f"\nstudent evaluations per batch: {result.student.eval_count - before} "
-      f"(nfe={nfe}) vs teacher {grid.n}: {grid.n // nfe}x fewer steps")
+student_samples = fd.denoise_batch(result.student, Z, fd.TimeGrid.uniform(config.m))[0]
+nfe = result.student.eval_count - before
+print(f"\nstudent evaluations per batch: {nfe} vs teacher {grid.n}: "
+      f"{grid.n // nfe}x fewer steps")
 
 w1 = fd.w1_distance(student_samples[:, 0], teacher_samples[:, 0])
 print(f"W1(student 5-step, teacher 50-step) = {w1:.4f}")

@@ -25,11 +25,12 @@ print(f"store: N={store.N}, n={store.grid.n}, d={store.d}")
 print(f"endpoint range: [{endpoints.min():+.3f}, {endpoints.max():+.3f}], "
       f"share near +3: {np.mean(endpoints > 0):.2f}")
 
-# the m+1 key latents of every trajectory, (N, m+1, d), from noise down to data
-schedule = fd.make_key_schedule(n=50, m=5)
-keys = fd.key_points(store, schedule)[0]
+# the m+1 key latents of every trajectory, (N, m+1, d), on the key grid
+# t'_k = k/m: from data (k = 0) up to noise (k = m)
+key_grid = fd.TimeGrid.uniform(5)
+keys = fd.key_points(store, key_grid)[0]
 print("\nkey timesteps and latents of trajectory 0:")
-for t, val in zip(schedule.times, keys[:, 0]):
+for t, val in zip(key_grid.times, keys[:, 0]):
     print(f"  t'={t:.1f}  latent={val:+.4f}")
 
 with tempfile.TemporaryDirectory() as tmp:

@@ -31,11 +31,9 @@ _np.empty(_HEAP_WARMUP_BYTES // 8)
 
 from .adversarial import FeatureTapConfig, ProjectionHead, build_projection_head, \
     default_taps, discriminate
-from .analysis import KDConfig, MetricsRecord, MismatchReport, endpoint_error, \
-    kd_baseline_distill, mismatch_degree, mismatch_report, mismatch_sweep, \
-    shifted_dataset, useless_frequency, w1_distance
-from .distill import DistillConfig, DistillResult, KeySchedule, distill, \
-    make_key_schedule, sample_student_batch
+from .analysis import KDConfig, MetricsRecord, endpoint_error, kd_baseline_distill, \
+    mismatch_degree, mismatch_sweep, shifted_dataset, useless_frequency, w1_distance
+from .distill import DistillConfig, DistillResult, distill
 from .errors import ConfigError, FlowDistillError, NumericsError, StoreFormatError, \
     StoreIntegrityError
 from .flow import TimeGrid, ToyDataset, denoise_batch, integrate, interpolate, \

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distill import DistillConfig, distill, make_key_schedule, sample_student_batch
+from .distill import DistillConfig, distill
 from .errors import ConfigError, NumericsError
 from .flow import TimeGrid, ToyDataset, denoise_batch, integrate, interpolate
 from .nn import VelocityModel, build_velocity_model, init_optimizer, optimizer_step, \
@@ -22,22 +22,6 @@ from .trajstore import TrajectoryStore
 
 SWEEP_COLUMNS = ("M", "seed", "useless_frequency", "kd_w1", "traj_distill_w1",
                  "endpoint_error")
-
-
-@dataclass(frozen=True)
-class MismatchReport:
-    """Mismatch degree together with the per-point nearest distances it
-    sums, plus the analysis settings it was measured under."""
-
-    M: float
-    nearest_distances: tuple
-    epsilon: float | None = None
-    sample_count: int | None = None
-
-    def __post_init__(self):
-        if not math.isclose(self.M, math.fsum(self.nearest_distances), rel_tol=0.0,
-                            abs_tol=0.0):
-            raise ValueError("M must equal the sum of the per-point minima")
 
 
 def _support_of(points) -> np.ndarray:
@@ -64,12 +48,6 @@ def nearest_distances(p_d, p) -> np.ndarray:
 def mismatch_degree(p_d, p) -> float:
     """Sum over p_d of the distance to the nearest point of p."""
     return math.fsum(nearest_distances(p_d, p))
-
-
-def mismatch_report(p_d, p, epsilon=None, sample_count=None) -> MismatchReport:
-    near = nearest_distances(p_d, p)
-    return MismatchReport(math.fsum(near), tuple(float(x) for x in near),
-                          epsilon, sample_count)
 
 
 def shifted_dataset(p: ToyDataset, shift: float) -> ToyDataset:
@@ -269,7 +247,6 @@ def mismatch_sweep(teacher: VelocityModel, store: TrajectoryStore, p: ToyDataset
     inputs depend on the shifted dataset. Trajectory distillation never
     touches p_d, so one run per seed is shared across every M.
     """
-    schedule = make_key_schedule(store.grid.n, distill_config.m)
     distill_w1 = {}
     for seed in seeds:
         run_cfg = dataclasses.replace(distill_config,
@@ -277,7 +254,7 @@ def mismatch_sweep(teacher: VelocityModel, store: TrajectoryStore, p: ToyDataset
         student = distill(teacher, store, run_cfg).student
         rng = np.random.default_rng(derive_seed(seed, "sweep-eval"))
         Z = rng.standard_normal((sample_count, teacher.d))
-        s_samples, _ = sample_student_batch(student, schedule, Z)
+        s_samples = denoise_batch(student, Z, TimeGrid.uniform(distill_config.m))[0]
         teacher_s = denoise_batch(teacher, Z, store.grid)[0]
         distill_w1[seed] = w1_distance(s_samples[:, 0], teacher_s[:, 0])
 

@@ -20,7 +20,7 @@ from .analysis import MetricsRecord, SWEEP_COLUMNS, endpoint_error, \
     w1_distance
 from .atomic import atomic_open
 from .config import load_config
-from .distill import distill, make_key_schedule, sample_student_batch, METRIC_COLUMNS
+from .distill import distill, METRIC_COLUMNS
 from .errors import FlowDistillError
 from .flow import TimeGrid, denoise_batch, sample_model, train_teacher
 from .nn import load_model, save_model, save_paramset
@@ -172,10 +172,10 @@ def cmd_eval(args) -> int:
     )]
     if args.student:
         student = load_model(args.student)
-        schedule = make_key_schedule(n, cfg.distill.m)
-        s_samples, nfe = sample_student_batch(student, schedule, Z)
+        m = cfg.distill.m
+        s_samples = denoise_batch(student, Z, TimeGrid.uniform(m))[0]
         records.append(MetricsRecord(
-            label=f"student-{nfe}step",
+            label=f"student-{m}step",
             w1=w1_distance(s_samples[:, 0], teacher_samples[:, 0]),
             endpoint_error=endpoint_error(s_samples, cfg.dataset.support),
             useless_frequency=freq, seed=cfg.seed,

@@ -1,5 +1,11 @@
-"""Few-step student training: key-timestep schedules, the trajectory
-regression loss, the adversarial driver, and few-step sampling.
+"""Few-step student training: the trajectory regression loss and the
+adversarial driver.
+
+The key timesteps t'_0 = 0 < ... < t'_m = 1 of a run are the time grid
+TimeGrid.uniform(m), indexed like every grid: key_grid.times[k] is t'_k,
+and key_points(store, key_grid)[:, k] the stored latents there. The
+student is sampled on the same grid, `denoise_batch(student, Z,
+key_grid)[0]`, in m model evaluations.
 
 One training round sweeps k from m-1 down to 0. For each k the student
 is first regressed onto the stored finite-difference velocity over the
@@ -28,10 +34,10 @@ from .adversarial import ProjectionHead, build_projection_head, d_loss_grad, \
     default_taps, features_node, g_loss_grad, head_backward, head_forward
 from .atomic import write_json
 from .errors import ConfigError, NumericsError
-from .flow import integrate
+from .flow import TimeGrid
 from .nn import OptimizerState, ParamSet, VelocityModel, check_grads, check_loss, \
     forward_velocity, from_payload, init_optimizer, mlp_backward, mlp_forward, \
-    optimizer_step, read_json, require_fields, to_payload, velocity_mse, zeros_like
+    optimizer_step, read_json, to_payload, velocity_mse, zeros_like
 from .seeds import derive_seed
 from .trajstore import TrajectoryStore, check_teacher, key_points
 
@@ -40,64 +46,29 @@ METRIC_COLUMNS = ("iter", "k", "traj_loss", "d_loss", "g_loss", "queue_sizes")
 RESUMABLE = ("iterations", "checkpoint_interval")
 
 
-@dataclass(frozen=True)
-class KeySchedule:
-    """The m+1 key timesteps t'_m = 1 > ... > t'_0 = 0, stored in that
-    (descending) order; every entry must lie on the inference grid."""
-
-    times: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64)
-        if times.ndim != 1 or times.size < 2:
-            raise ConfigError("key schedule needs at least two timesteps")
-        if times[0] != 1.0 or times[-1] != 0.0:
-            raise ConfigError("key schedule endpoints must be exactly 1 and 0")
-        if np.any(np.diff(times) >= 0):
-            raise ConfigError("key timesteps must be strictly decreasing")
-        object.__setattr__(self, "times", times)
-
-    @property
-    def m(self) -> int:
-        return self.times.size - 1
-
-    def time(self, k: int) -> float:
-        """t'_k; k counts up from the clean end (t'_0 = 0)."""
-        return float(self.times[self.m - k])
-
-
-def make_key_schedule(n: int, m: int) -> KeySchedule:
-    """Uniform key timesteps t'_k = k/m on an n-step uniform grid."""
-    if m < 1:
-        raise ConfigError(f"interval count must be positive, got {m}")
-    if n % m != 0:
-        raise ConfigError(f"uniform keys need n divisible by m, got n={n}, m={m}")
-    return KeySchedule(np.arange(m, -1, -1) / m)
-
-
-def _traj_regression(keys, schedule: KeySchedule, k: int):
+def _traj_regression(keys, key_grid: TimeGrid, k: int):
     """Inputs (latents at t'_{k+1}, t'_{k+1}) and finite-difference
     velocity targets of the key interval [t'_k, t'_{k+1}], for the
-    (B, m+1, d) keys of a batch of trajectories."""
+    (B, m+1, d) keys of a batch of trajectories, keys[:, k] being the
+    latents at key_grid.times[k] = t'_k."""
     keys = np.asarray(keys, dtype=np.float64)
-    m = schedule.m
+    m = key_grid.n
     if not 0 <= k <= m - 1:
         raise ValueError(f"k must lie in [0, {m - 1}], got {k}")
     if keys.ndim != 3 or keys.shape[1] != m + 1:
         raise ValueError(f"keys must be (B, {m + 1}, d), got shape {keys.shape}")
-    t_lo, t_hi = schedule.time(k), schedule.time(k + 1)
-    l_lo = keys[:, m - k, :]
-    l_hi = keys[:, m - k - 1, :]
+    t_lo, t_hi = key_grid.times[k], key_grid.times[k + 1]
+    l_lo, l_hi = keys[:, k, :], keys[:, k + 1, :]
     return l_hi, t_hi, (l_lo - l_hi) / (t_lo - t_hi)
 
 
-def traj_loss_node(params, keys, schedule: KeySchedule, k: int, R: int):
+def traj_loss_node(params, keys, key_grid: TimeGrid, k: int, R: int):
     """Trajectory-regression loss as a node of the autodiff tape (the
     reference for the explicit gradient of the trajectory phase): the
     squared error between the velocity at the key latents for t'_{k+1}
     and the stored finite-difference velocity over [t'_k, t'_{k+1}],
     averaged over trajectories and dimensions."""
-    l_hi, t_hi, target = _traj_regression(keys, schedule, k)
+    l_hi, t_hi, target = _traj_regression(keys, key_grid, k)
     pred = forward_velocity(params, l_hi, t_hi, R)
     return ad.mean(ad.square(ad.sub(pred, target)))
 
@@ -157,13 +128,12 @@ class _DistillState:
     """Everything the training loop carries between rounds, and so the
     checkpoint: saving it and loading it back resumes a run bit for bit.
     `config` and the fingerprints of its `teacher` and `store` identify
-    the run; only checkpoints older than them hold None. The adversarial
-    gradients and generated latents never outlive the round that made
-    them, so they are not part of it."""
+    the run. The adversarial gradients and generated latents never
+    outlive the round that made them, so they are not part of it."""
 
-    config: DistillConfig | None
-    teacher: str | None
-    store: str | None
+    config: DistillConfig
+    teacher: str
+    store: str
     round: int
     student: ParamSet
     opt_student: OptimizerState
@@ -206,30 +176,20 @@ def load_checkpoint(path, teacher: VelocityModel, store: TrajectoryStore,
     `store` under `config` up to the fields in RESUMABLE: a defect in the
     file is a StoreFormatError, another run a ConfigError, each naming it."""
     payload = read_json(path, "flowdistill-checkpoint", ())
-    # older checkpoints carry the adversarial gradient sums; they were
-    # written after each round's update, so a resumable one holds none
-    if (from_payload(int, payload.get("adv_g_count", 0), path, "adv_g_count")
-            or any(from_payload(list[int], payload.get("adv_h_count", []), path,
-                                "adv_h_count"))):
-        raise ConfigError(f"{path}: holds adversarial gradients of an unfinished round")
     fresh = init_state(teacher, store, config)
     state = from_payload(_DistillState, payload, path, like=fresh)
-    # older checkpoints carry m alone of the run's identity, and some carry
-    # Adam settings or latent queues, which are constants or unread now
-    saved = state.config or dataclasses.replace(
-        config, m=require_fields(payload, ("m",), path)["m"])
-    for name, was, now in [(f.name, getattr(saved, f.name), getattr(config, f.name))
-                           for f in dataclasses.fields(config) if f.name not in RESUMABLE
-                           ] + [(name, getattr(state, name) or getattr(fresh, name),
-                                 getattr(fresh, name)) for name in ("teacher", "store")]:
+    identity = [(f.name, getattr(state.config, f.name), getattr(config, f.name))
+                for f in dataclasses.fields(config) if f.name not in RESUMABLE]
+    identity += [(name, getattr(state, name), getattr(fresh, name))
+                 for name in ("teacher", "store")]
+    for name, was, now in identity:
         if was != now:
             raise ConfigError(f"{path}: checkpoint was written for {name}={was!r}, "
                               f"this run has {name}={now!r}")
-    return dataclasses.replace(state, config=config, teacher=fresh.teacher,
-                               store=fresh.store)
+    return dataclasses.replace(state, config=config)
 
 
-def _adv_gradients(teacher, taps, schedule, config, state, k, l_prev, real):
+def _adv_gradients(teacher, taps, key_grid, config, state, k, l_prev, real):
     """Adversarial gradients at key k, at the current student and the
     head for k; nothing in `state` changes.
 
@@ -243,7 +203,7 @@ def _adv_gradients(teacher, taps, schedule, config, state, k, l_prev, real):
     Returns (d_loss, g_loss, generated latents, student gradient, head
     gradient).
     """
-    t_hi, t_lo = schedule.time(k + 1), schedule.time(k)
+    t_hi, t_lo = key_grid.times[k + 1], key_grid.times[k]
     dt = t_lo - t_hi
     head = state.heads[state.head_for(k)].params
     student = state.student
@@ -320,10 +280,10 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
     if store.d != teacher.d:
         raise ConfigError("store dimension does not match the teacher")
     check_teacher(store, teacher)
-    schedule = make_key_schedule(config.n, config.m)
+    key_grid = TimeGrid.uniform(config.m)
     taps = default_taps(teacher)
 
-    keys_all = key_points(store, schedule)
+    keys_all = key_points(store, key_grid)
     m, B, N = config.m, config.batch_size, store.N
 
     if resume and checkpoint_path and os.path.exists(checkpoint_path):
@@ -340,7 +300,7 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
             keys_b = keys_all[idx]
             try:
                 loss, grads = velocity_mse(state.student,
-                                           *_traj_regression(keys_b, schedule, k), teacher.R)
+                                           *_traj_regression(keys_b, key_grid, k), teacher.R)
             except NumericsError as e:
                 raise NumericsError(
                     f"distillation diverged (traj phase, k={k}, round={rnd}): {e}"
@@ -359,8 +319,8 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
                     real_keys = keys_b[:nb]
                 try:
                     d_loss_val, g_loss_val, latent, s_grads, h_grads = _adv_gradients(
-                        teacher, taps, schedule, config, state, k, latent,
-                        real_keys[:, m - k])
+                        teacher, taps, key_grid, config, state, k, latent,
+                        real_keys[:, k])
                 except NumericsError as e:
                     raise NumericsError(
                         f"distillation diverged (adv phase, k={k}, round={rnd}): {e}"
@@ -383,9 +343,3 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
     student = teacher.with_params(state.student)
     return DistillResult(student=student, heads=list(state.heads), metrics=state.metrics)
 
-
-def sample_student_batch(student: VelocityModel, schedule: KeySchedule, Z):
-    """Few-step sampling: integrate (B, d) noise draws through the m key
-    steps. Returns ((B, d) samples, nfe); nfe counts model evaluations
-    and equals m."""
-    return integrate(student, Z, schedule.times)[-1], schedule.m

@@ -464,20 +464,17 @@ def read_json(path, fmt: str, fields) -> dict:
 
 def from_payload(kind, value, source, field: str = "", like=None):
     """The `kind` value whose `to_payload` form is `value`, read from the
-    file `source`: a dataclass (a field typed `X | None` may be absent),
-    ParamSet, Generator, `list[X]`, fixed-length `tuple[X, Y]`, float,
-    str or non-negative int. A ParamSet must have the layout of its
-    counterpart in `like`, if given. A defect is a StoreFormatError
-    naming the file and the dotted field, e.g. `opt_heads[2].step`."""
+    file `source`: a dataclass, ParamSet, Generator, `list[X]`,
+    fixed-length `tuple[X, Y]`, float, str or non-negative int. A
+    ParamSet must have the layout of its counterpart in `like`, if
+    given. A defect is a StoreFormatError naming the file and the dotted
+    field, e.g. `opt_heads[2].step`."""
     where = f"{source}: field {field!r}"
     origin, args = typing.get_origin(kind), typing.get_args(kind)
-    if type(None) in args:  # X | None
-        return None if value is None else from_payload(args[0], value, source, field, like)
     if dataclasses.is_dataclass(kind):
         hints = typing.get_type_hints(kind)
-        require_fields(value, [n for n, h in hints.items() if type(None) not in
-                               typing.get_args(h)], where if field else source)
-        return kind(**{n: from_payload(h, value.get(n), source, f"{field}.{n}".lstrip("."),
+        require_fields(value, hints, where if field else source)
+        return kind(**{n: from_payload(h, value[n], source, f"{field}.{n}".lstrip("."),
                                        getattr(like, n, None)) for n, h in hints.items()})
     if kind is ParamSet:
         if not isinstance(value, list):

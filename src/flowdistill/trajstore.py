@@ -259,8 +259,9 @@ def validate_store(store: TrajectoryStore, teacher: VelocityModel):
                                   "from its seeded noise draw")
 
 
-def key_points(x, schedule) -> np.ndarray:
-    """States at the key timesteps, ordered from t'_m = 1 down to t'_0 = 0
-    (matching schedule.times): (N, m+1, d) for a TrajectoryStore."""
-    rows = [x.grid.index_of(t) for t in schedule.times]
+def key_points(x, key_grid: TimeGrid) -> np.ndarray:
+    """The (N, m+1, d) states of a TrajectoryStore at the times of
+    `key_grid`, in grid order: [:, k] holds the latents at
+    key_grid.times[k]. A key time off the store's grid is a ConfigError."""
+    rows = [x.grid.index_of(t) for t in key_grid.times]
     return x.states[:, rows]

@@ -31,12 +31,14 @@ def parallel_map(fn, args):
 
 def distill_and_score(args):
     """One ablation cell: distill a student, sample it in m steps from Z
-    and measure its W1 to the teacher's samples on the same noise."""
-    teacher, store, config, schedule, Z, teacher_samples = args
-    result = fd.distill(teacher, store, config)
-    samples, nfe = fd.sample_student_batch(result.student, schedule, Z)
+    and measure its W1 to the teacher's samples on the same noise, and
+    its NFE, the model evaluations the sampling took."""
+    teacher, store, config, Z, teacher_samples = args
+    student = fd.distill(teacher, store, config).student
+    before = student.eval_count
+    samples = fd.denoise_batch(student, Z, fd.TimeGrid.uniform(config.m))[0]
     w1 = fd.w1_distance(samples[:, 0], teacher_samples[:, 0])
-    return {"student": result.student, "w1": w1, "nfe": nfe}
+    return {"student": student, "w1": w1, "nfe": student.eval_count - before}
 
 
 def kd_and_score(args):
@@ -56,7 +58,7 @@ def rand_head(width, index=0, seed=0, scale=0.3):
     return head.with_params(head.params.map(lambda t: t + rng.normal(0, scale, t.shape)))
 
 
-def adv_step(teacher, student_params, head, taps, l_prev, real_keys, k, schedule,
+def adv_step(teacher, student_params, head, taps, l_prev, real_keys, k, key_grid,
              scale=1.0, heads="per_timestep"):
     """One adversarial step through the training loop's explicit path
     (`distill._adv_gradients`) on a fresh state holding `student_params`
@@ -64,11 +66,11 @@ def adv_step(teacher, student_params, head, taps, l_prev, real_keys, k, schedule
     student gradient, head gradient)."""
     from flowdistill.distill import _adv_gradients, init_state
 
-    config = fd.DistillConfig(m=schedule.m, n=schedule.m, lambda_adv=scale, heads=heads)
+    config = fd.DistillConfig(m=key_grid.n, n=key_grid.n, lambda_adv=scale, heads=heads)
     # the store only names the run; a one-step, one-path one is enough
     state = init_state(teacher, fd.generate_store(teacher, 1, fd.TimeGrid.uniform(1), 0),
                        config)
     state.student = student_params
     state.heads[state.head_for(k)] = head
-    return _adv_gradients(teacher, taps, schedule, config, state, k, l_prev,
-                          real_keys[:, schedule.m - k])
+    return _adv_gradients(teacher, taps, key_grid, config, state, k, l_prev,
+                          real_keys[:, k])

@@ -74,11 +74,6 @@ def store(teacher, grid):
 
 
 @pytest.fixture(scope="session")
-def schedule():
-    return fd.make_key_schedule(GRID_N, M_KEYS)
-
-
-@pytest.fixture(scope="session")
 def teacher_samples(teacher, grid):
     """Per-seed evaluation noise and the teacher's 50-step samples on it."""
     out = {}
@@ -90,7 +85,7 @@ def teacher_samples(teacher, grid):
 
 
 @pytest.fixture(scope="session")
-def ablation(teacher, store, schedule, teacher_samples):
+def ablation(teacher, store, teacher_samples):
     """Distilled students and their W1-to-teacher for each (variant, seed)."""
     variants = {
         "adv": DISTILL_BASE,
@@ -100,7 +95,7 @@ def ablation(teacher, store, schedule, teacher_samples):
     cells = [(name, seed) for seed in SEEDS for name in variants]
     tasks = [
         (teacher, store, dataclasses.replace(variants[name], seed=derive_seed(seed, "distill")),
-         schedule, *teacher_samples[seed])
+         *teacher_samples[seed])
         for name, seed in cells
     ]
     return dict(zip(cells, parallel_map(distill_and_score, tasks)))
@@ -120,7 +115,7 @@ def test_criterion_1_teacher_fidelity(teacher_run, data):
 
 def test_criterion_2_gradient_correctness(teacher):
     worst = {"fm": 0.0, "traj": 0.0, "adv": 0.0}
-    schedule10 = fd.make_key_schedule(10, 5)
+    key_grid = fd.TimeGrid.uniform(5)
     for seed in SEEDS:
         rng = np.random.default_rng(derive_seed(seed, "gradcheck"))
         model = rand_model(seed=seed + 100, H=16, R=2)
@@ -135,9 +130,9 @@ def test_criterion_2_gradient_correctness(teacher):
 
         keys = 2 * rng.standard_normal((1, 6, 1))
         k = int(rng.integers(0, 5))
-        _, g = velocity_mse(model.params, *_traj_regression(keys, schedule10, k), model.R)
+        _, g = velocity_mse(model.params, *_traj_regression(keys, key_grid, k), model.R)
         worst["traj"] = max(worst["traj"], max_grad_rel_error(
-            lambda ps: velocity_mse(ps, *_traj_regression(keys, schedule10, k), model.R)[0],
+            lambda ps: velocity_mse(ps, *_traj_regression(keys, key_grid, k), model.R)[0],
             model.params, g, coords))
 
         # the generator loss through one student step from t'_2 = 0.4 to
@@ -151,7 +146,7 @@ def test_criterion_2_gradient_correctness(teacher):
         real_keys = np.zeros((1, 6, 1))
 
         def adv_gen(ps):
-            return adv_step(teacher, ps, head, taps, l_prev, real_keys, 1, schedule10)
+            return adv_step(teacher, ps, head, taps, l_prev, real_keys, 1, key_grid)
 
         g = adv_gen(student.params)[3]
         worst["adv"] = max(worst["adv"], max_grad_rel_error(
@@ -239,8 +234,7 @@ def test_criterion_6_kd_degrades_distillation_does_not(teacher, store, data,
           f"distillation W1 varies {spread:.1%} across the sweep (<25%)")
 
 
-def test_criterion_7_few_step_fidelity_and_nfe(teacher, schedule, ablation,
-                                               teacher_samples):
+def test_criterion_7_few_step_fidelity_and_nfe(teacher, ablation, teacher_samples):
     run = ablation["adv", 0]
     assert run["w1"] < 0.2
     assert run["nfe"] == M_KEYS
@@ -248,7 +242,7 @@ def test_criterion_7_few_step_fidelity_and_nfe(teacher, schedule, ablation,
     student = run["student"]
     Z, _ = teacher_samples[0]
     before_student = student.eval_count
-    _, nfe = fd.sample_student_batch(student, schedule, Z[:16])
+    fd.denoise_batch(student, Z[:16], fd.TimeGrid.uniform(M_KEYS))
     student_evals = student.eval_count - before_student
     before_teacher = teacher.eval_count
     fd.denoise_batch(teacher, Z[:16], fd.TimeGrid.uniform(GRID_N))

@@ -209,7 +209,7 @@ class TestKillResume:
 
 class TestCheckpointFormat:
     """`distill --resume` on checkpoints other than the ones this version
-    writes: the layout of earlier versions, and damaged files."""
+    writes: damaged files, and those of another run."""
 
     @pytest.fixture
     def halfway(self, tmp_path, trained_dir):
@@ -239,47 +239,6 @@ class TestCheckpointFormat:
         return path
 
     @staticmethod
-    def _as_parent_layout(payload):
-        """The layout of versions that recorded m alone of the run's
-        identity: no config and no teacher fingerprint."""
-        payload["m"] = payload.pop("config")["m"]
-        del payload["teacher"]
-
-    @classmethod
-    def _with_gradient_sums(cls, payload, g_count=0, h_counts=(0,) * 5):
-        """The layout of versions that kept summed adversarial gradients
-        in the checkpoint (written after each round's update, so empty)."""
-        cls._as_parent_layout(payload)
-
-        def zeros(records):
-            return [dict(r, data=np.zeros(r["shape"]).tolist()) for r in records]
-        payload["adv_g_sum"] = zeros(payload["student"])
-        payload["adv_g_count"] = g_count
-        payload["adv_h_sum"] = [zeros(h["params"]) for h in payload["heads"]]
-        payload["adv_h_count"] = list(h_counts)
-
-    @classmethod
-    def _with_adam_settings(cls, payload):
-        """The layout of versions whose optimizer states carried the Adam
-        settings, always at the values that are now constants."""
-        cls._as_parent_layout(payload)
-        for opt in (payload["opt_student"], payload["opt_student_adv"],
-                    *payload["opt_heads"]):
-            opt.update(beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0)
-
-    @classmethod
-    def _with_queues(cls, payload):
-        """The layout of versions that carried generated latents between
-        keys in FIFO queues Q_0 ... Q_m. At a round boundary only Q_0,
-        which nothing read, held entries: one per round so far."""
-        cls._as_parent_layout(payload)
-        m, B = payload["m"], TINY["distill"]["batch_size"]
-        entry = {"latent": np.full((B, 1), 0.5).tolist(),
-                 "real_keys": np.zeros((B, m + 1, 1)).tolist(),
-                 "traj_index": list(range(B)), "key_index": 0}
-        payload["queues"] = [[entry] * payload["round"]] + [[] for _ in range(m)]
-
-    @staticmethod
     def _assert_same_outputs(out, ref_out):
         names = ["student.json", "distill_metrics.csv"] + [
             f"head_{k}.json" for k in range(TINY["distill"]["m"])]
@@ -287,47 +246,11 @@ class TestCheckpointFormat:
             assert open(f"{out}/{name}", "rb").read() == \
                 open(f"{ref_out}/{name}", "rb").read(), name
 
-    def test_parent_layout_resumes_to_identical_output(self, halfway):
-        args, ref_out, out = halfway
-        self._rewrite(out, self._as_parent_layout)
-        assert run_cli("distill", *args, "--out", out, "--resume") == 0
-        self._assert_same_outputs(out, ref_out)
-
-    def test_parent_layout_of_another_m_is_refused(self, halfway, capsys):
-        args, _, out = halfway
-
-        def other_m(payload):
-            self._as_parent_layout(payload)
-            payload["m"] = 4
-
-        path = self._rewrite(out, other_m)
-        assert run_cli("distill", *args, "--out", out, "--resume") == 1
-        assert capsys.readouterr().err.startswith(
-            f"error: {path}: checkpoint was written for m=4"), path
-
-    def test_earlier_layout_resumes_to_identical_output(self, halfway):
-        args, ref_out, out = halfway
-        self._rewrite(out, self._with_gradient_sums)
-        assert run_cli("distill", *args, "--out", out, "--resume") == 0
-        self._assert_same_outputs(out, ref_out)
-
-    def test_adam_settings_of_earlier_layout_resume_to_identical_output(self, halfway):
-        args, ref_out, out = halfway
-        self._rewrite(out, self._with_adam_settings)
-        assert run_cli("distill", *args, "--out", out, "--resume") == 0
-        self._assert_same_outputs(out, ref_out)
-
-    def test_queues_of_earlier_layout_resume_to_identical_output(self, halfway):
-        args, ref_out, out = halfway
-        with open(f"{out}/distill_checkpoint.json") as f:
-            assert "queues" not in json.load(f)
-        self._rewrite(out, self._with_queues)
-        assert run_cli("distill", *args, "--out", out, "--resume") == 0
-        self._assert_same_outputs(out, ref_out)
-
     @pytest.mark.parametrize("where,field", [
         ((), "round"), (("opt_student",), "lr"), (("heads", 0), "index"),
-    ], ids=["round", "optimizer-lr", "head-index"])
+        # a run's identity: without it a resume could mix runs
+        ((), "config"), ((), "teacher"), ((), "store"),
+    ], ids=["round", "optimizer-lr", "head-index", "config", "teacher", "store"])
     def test_missing_field_is_named(self, halfway, capsys, where, field):
         args, _, out = halfway
 
@@ -352,13 +275,9 @@ class TestCheckpointFormat:
         ("heads[2].index", lambda p: p["heads"][2].update(index="2")),
         # shape and data agree with each other, not with the student
         ("student", lambda p: p["student"][1].update(shape=[3], data=[0.0] * 3)),
-        # the gradient-sum counts of earlier layouts
-        ("adv_g_count", lambda p: p.update(adv_g_count="1")),
-        ("adv_h_count", lambda p: p.update(adv_h_count=5)),
     ], ids=["rng-batch-not-pcg64", "rng-noise-not-a-state", "round-as-string",
             "metrics-not-a-list", "heads-not-a-list", "optimizer-step-as-string",
-            "head-index-as-string", "consistent-wrong-shape", "adv-g-count-as-string",
-            "adv-h-count-not-a-list"])
+            "head-index-as-string", "consistent-wrong-shape"])
     def test_bad_value_is_named(self, halfway, capsys, field, edit):
         args, _, out = halfway
         path = self._rewrite(out, edit)
@@ -410,13 +329,6 @@ class TestCheckpointFormat:
         self._assert_same_outputs(out, ref_out)
         assert open(f"{out}/distill_checkpoint.json", "rb").read() == \
             open(f"{ref_out}/distill_checkpoint.json", "rb").read()
-
-    @pytest.mark.parametrize("counts", [(1, (0,) * 5), (0, (0, 1, 0, 0, 0))])
-    def test_unapplied_gradient_sums_are_refused(self, halfway, capsys, counts):
-        args, _, out = halfway
-        path = self._rewrite(out, lambda p: self._with_gradient_sums(p, *counts))
-        assert run_cli("distill", *args, "--out", out, "--resume") == 1
-        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
     def test_truncated_checkpoint_is_an_error_line(self, halfway, capsys):
         args, _, out = halfway

@@ -12,94 +12,67 @@ from helpers import rand_model
 from oracles import max_grad_rel_error
 
 
-class TestKeySchedule:
-    def test_uniform_5_of_50(self):
-        schedule = fd.make_key_schedule(50, 5)
-        assert np.array_equal(schedule.times, [1.0, 0.8, 0.6, 0.4, 0.2, 0.0])
-        assert schedule.m == 5
-
-    def test_single_interval(self):
-        schedule = fd.make_key_schedule(50, 1)
-        assert np.array_equal(schedule.times, [1.0, 0.0])
-
-    def test_indivisible_rejected(self):
-        with pytest.raises(ConfigError):
-            fd.make_key_schedule(50, 3)
-
-    def test_time_accessor_counts_from_clean_end(self):
-        schedule = fd.make_key_schedule(50, 5)
-        assert schedule.time(0) == 0.0
-        assert schedule.time(5) == 1.0
-        assert schedule.time(1) == pytest.approx(0.2)
-
-    def test_keys_lie_on_grid(self):
-        grid = fd.TimeGrid.uniform(50)
-        for t in fd.make_key_schedule(50, 5).times:
-            grid.index_of(t)  # raises if off-grid
-
-
-def traj_mse(model, keys, schedule, k):
+def traj_mse(model, keys, key_grid, k):
     """Trajectory-regression loss of `model` on (B, m+1, d) keys."""
-    return velocity_mse(model.params, *_traj_regression(keys, schedule, k), model.R)[0]
+    return velocity_mse(model.params, *_traj_regression(keys, key_grid, k), model.R)[0]
 
 
 class TestTrajLoss:
     def test_zero_when_student_matches_target(self, quick_store):
-        schedule = fd.make_key_schedule(10, 5)
-        keys = fd.key_points(quick_store, schedule)[:1]
-        m = schedule.m
-        for k in range(m):
-            target = (keys[0, m - k] - keys[0, m - k - 1]) / (
-                schedule.time(k) - schedule.time(k + 1))
+        key_grid = fd.TimeGrid.uniform(5)
+        keys = fd.key_points(quick_store, key_grid)[:1]
+        for k in range(key_grid.n):
+            target = (keys[0, k] - keys[0, k + 1]) / (
+                key_grid.times[k] - key_grid.times[k + 1])
             rigged = _constant_model(float(target[0]))
-            assert traj_mse(rigged, keys, schedule, k) == pytest.approx(0.0, abs=1e-24)
+            assert traj_mse(rigged, keys, key_grid, k) == pytest.approx(0.0, abs=1e-24)
 
     def test_direct_value_with_zero_student(self):
         # keys for the interval [0, 0.2]: latent 0.5 at t=0.2, 3 at t=0
-        schedule = fd.make_key_schedule(50, 5)
+        key_grid = fd.TimeGrid.uniform(5)
         keys = np.zeros((1, 6, 1))
-        keys[0, 4, 0] = 0.5  # t' = 0.2
-        keys[0, 5, 0] = 3.0  # t' = 0
+        keys[0, 1, 0] = 0.5  # t' = 0.2
+        keys[0, 0, 0] = 3.0  # t' = 0
         student = fd.build_velocity_model(1, 8, 1, seed=0)  # zero output
-        assert traj_mse(student, keys, schedule, 0) == pytest.approx(156.25)
+        assert traj_mse(student, keys, key_grid, 0) == pytest.approx(156.25)
 
     def test_k_out_of_range_rejected(self, quick_teacher):
-        schedule = fd.make_key_schedule(10, 5)
+        key_grid = fd.TimeGrid.uniform(5)
         keys = np.zeros((1, 6, 1))
         with pytest.raises(ValueError):
-            traj_mse(quick_teacher, keys, schedule, 5)
+            traj_mse(quick_teacher, keys, key_grid, 5)
         with pytest.raises(ValueError):
-            traj_mse(quick_teacher, keys, schedule, -1)
+            traj_mse(quick_teacher, keys, key_grid, -1)
 
     def test_gradient_vs_finite_differences(self):
         model = rand_model(seed=31)
-        schedule = fd.make_key_schedule(10, 5)
+        key_grid = fd.TimeGrid.uniform(5)
         rng = np.random.default_rng(2)
         keys = rng.standard_normal((1, 6, 1)) * 2
         k = 2
         _, grads = fd.value_and_grad(
-            lambda ps: traj_loss_node(ps, keys, schedule, k, model.R), model.params
+            lambda ps: traj_loss_node(ps, keys, key_grid, k, model.R), model.params
         )
         coords = rng.integers(0, model.params.size, 32)
         assert max_grad_rel_error(
-            lambda ps: traj_mse(model.with_params(ps), keys, schedule, k),
+            lambda ps: traj_mse(model.with_params(ps), keys, key_grid, k),
             model.params, grads, coords,
         ) < 1e-4
 
     def test_batched_equals_mean_of_singles(self):
         # the batched loss equals the mean of the one-row losses
         model = rand_model(seed=32)
-        schedule = fd.make_key_schedule(10, 5)
+        key_grid = fd.TimeGrid.uniform(5)
         rng = np.random.default_rng(3)
         keys_b = rng.standard_normal((7, 6, 1))
-        batched = float(traj_loss_node(model.params, keys_b, schedule, 1, model.R).data)
-        singles = [traj_mse(model, keys_b[i:i + 1], schedule, 1) for i in range(7)]
+        batched = float(traj_loss_node(model.params, keys_b, key_grid, 1, model.R).data)
+        singles = [traj_mse(model, keys_b[i:i + 1], key_grid, 1) for i in range(7)]
         assert batched == pytest.approx(np.mean(singles), rel=1e-12)
 
     def test_unbatched_keys_rejected(self):
-        schedule = fd.make_key_schedule(10, 5)
+        key_grid = fd.TimeGrid.uniform(5)
         with pytest.raises(ValueError, match="keys must be"):
-            _traj_regression(np.zeros((6, 1)), schedule, 0)
+            _traj_regression(np.zeros((6, 1)), key_grid, 0)
 
 
 class TestDistill:
@@ -109,8 +82,8 @@ class TestDistill:
         result = fd.distill(quick_teacher, quick_store, cfg)
 
         # hand-rolled loop: trajectory regression only, same rng stream
-        schedule = fd.make_key_schedule(cfg.n, cfg.m)
-        keys_all = fd.key_points(quick_store, schedule)
+        key_grid = fd.TimeGrid.uniform(cfg.m)
+        keys_all = fd.key_points(quick_store, key_grid)
         params = quick_teacher.params.copy()
         opt = init_optimizer(params, cfg.student_lr)
         rng = np.random.default_rng(derive_seed(cfg.seed, "trajectory-batches"))
@@ -118,7 +91,7 @@ class TestDistill:
             for k in range(cfg.m - 1, -1, -1):
                 idx = rng.integers(0, quick_store.N, size=cfg.batch_size)
                 _, grads = value_and_grad(
-                    lambda ps: traj_loss_node(ps, keys_all[idx], schedule, k,
+                    lambda ps: traj_loss_node(ps, keys_all[idx], key_grid, k,
                                               quick_teacher.R),
                     params,
                 )
@@ -134,10 +107,10 @@ class TestDistill:
     def test_initial_traj_loss_is_teachers_own_mismatch(self, quick_teacher, quick_store):
         # student initialized from the teacher: before any update the loss
         # equals the teacher's finite-difference mismatch, strictly positive
-        schedule = fd.make_key_schedule(10, 5)
-        keys = fd.key_points(quick_store, schedule)[:1]
+        key_grid = fd.TimeGrid.uniform(5)
+        keys = fd.key_points(quick_store, key_grid)[:1]
         for k in range(5):
-            loss = traj_mse(quick_teacher, keys, schedule, k)
+            loss = traj_mse(quick_teacher, keys, key_grid, k)
             assert loss > 0.0
 
     def test_first_metric_row_matches_recomputed_loss(self, quick_teacher, quick_store):
@@ -146,11 +119,11 @@ class TestDistill:
         result = fd.distill(quick_teacher, quick_store, cfg)
         rnd, k, loss, d_loss, g_loss, sizes = result.metrics[0]
         assert (rnd, k) == (0, 4)
-        schedule = fd.make_key_schedule(10, 5)
-        keys_all = fd.key_points(quick_store, schedule)
+        key_grid = fd.TimeGrid.uniform(5)
+        keys_all = fd.key_points(quick_store, key_grid)
         rng = np.random.default_rng(derive_seed(cfg.seed, "trajectory-batches"))
         idx = rng.integers(0, quick_store.N, size=cfg.batch_size)
-        expected = float(traj_loss_node(quick_teacher.params, keys_all[idx], schedule,
+        expected = float(traj_loss_node(quick_teacher.params, keys_all[idx], key_grid,
                                         4, quick_teacher.R).data)
         assert loss == expected
         assert np.isnan(d_loss) and np.isnan(g_loss)
@@ -251,14 +224,14 @@ class TestHeadIsolation:
     def test_update_for_one_k_leaves_other_heads_identical(self, quick_teacher,
                                                            quick_store):
         cfg = fd.DistillConfig(m=5, n=10, iterations=1, batch_size=4, seed=12)
-        schedule = fd.make_key_schedule(10, 5)
+        key_grid = fd.TimeGrid.uniform(5)
         state = init_state(quick_teacher, quick_store, cfg)
         before = [h.params.copy() for h in state.heads]
         student_before = state.student.copy()
         taps = fd.default_taps(quick_teacher)
-        keys = fd.key_points(quick_store, schedule)[:1]
-        *_, s_grads, h_grads = _adv_gradients(quick_teacher, taps, schedule, cfg, state,
-                                              2, np.array([[0.3]]), keys[:, 5 - 2])
+        keys = fd.key_points(quick_store, key_grid)[:1]
+        *_, s_grads, h_grads = _adv_gradients(quick_teacher, taps, key_grid, cfg, state,
+                                              2, np.array([[0.3]]), keys[:, 2])
         # computing the gradients moves nothing; the round-end update does
         assert state.student.equal(student_before)
         assert all(h.params.equal(b) for h, b in zip(state.heads, before))
@@ -269,40 +242,38 @@ class TestHeadIsolation:
 
 
 class TestSampling:
+    """Few-step sampling is `denoise_batch` on the key grid; its NFE is
+    counted on the model, not returned."""
+
     def test_nfe_equals_m(self, quick_teacher):
-        schedule = fd.make_key_schedule(10, 5)
         before = quick_teacher.eval_count
-        x, nfe = fd.sample_student_batch(quick_teacher, schedule, np.array([[0.5]]))
-        assert nfe == 5
+        fd.denoise_batch(quick_teacher, np.array([[0.5]]), fd.TimeGrid.uniform(5))
         assert quick_teacher.eval_count - before == 5
 
     def test_single_step_constant_field(self):
         model = _constant_model(2.5)
-        schedule = fd.make_key_schedule(10, 1)
-        x, nfe = fd.sample_student_batch(model, schedule, np.array([[1.0]]))
-        assert nfe == 1
+        x = fd.denoise_batch(model, np.array([[1.0]]), fd.TimeGrid.uniform(1))[0]
+        assert model.eval_count == 1
         assert x[0, 0] == pytest.approx(1.0 - 2.5, abs=1e-12)
 
     def test_batch_matches_single(self, quick_teacher):
         # one-row batches agree with the full batch to rounding
-        schedule = fd.make_key_schedule(10, 5)
+        key_grid = fd.TimeGrid.uniform(5)
         Z = np.random.default_rng(5).standard_normal((4, 1))
-        batch, nfe = fd.sample_student_batch(quick_teacher, schedule, Z)
-        assert nfe == 5
-        singles = np.concatenate([fd.sample_student_batch(quick_teacher, schedule,
-                                                          Z[i:i + 1])[0]
+        before = quick_teacher.eval_count
+        batch = fd.denoise_batch(quick_teacher, Z, key_grid)[0]
+        assert quick_teacher.eval_count - before == 5
+        singles = np.concatenate([fd.denoise_batch(quick_teacher, Z[i:i + 1], key_grid)[0]
                                   for i in range(4)])
         assert np.allclose(batch, singles, rtol=0, atol=1e-12)
 
     def test_step_ratio_teacher_to_student(self, quick_teacher):
-        grid = fd.TimeGrid.uniform(50)
-        schedule = fd.make_key_schedule(50, 5)
         Z = np.array([[0.1]])
         start = quick_teacher.eval_count
-        fd.denoise_batch(quick_teacher, Z, grid)
+        fd.denoise_batch(quick_teacher, Z, fd.TimeGrid.uniform(50))
         teacher_evals = quick_teacher.eval_count - start
         start = quick_teacher.eval_count
-        fd.sample_student_batch(quick_teacher, schedule, Z)
+        fd.denoise_batch(quick_teacher, Z, fd.TimeGrid.uniform(5))
         student_evals = quick_teacher.eval_count - start
         assert teacher_evals == 50 and student_evals == 5
         assert teacher_evals // student_evals == 10

@@ -175,7 +175,7 @@ class TestDenoise:
 
 
 GRID = fd.TimeGrid.uniform(7)
-SCHEDULE = fd.make_key_schedule(10, 5)
+KEY_GRID = fd.TimeGrid.uniform(5)
 Z = np.random.default_rng(7).standard_normal((5, 2))
 # every public entry point to the Euler integrator, at a full batch and,
 # for a single draw, at a one-row batch: (call, reference, steps)
@@ -186,10 +186,8 @@ INTEGRATOR_CALLS = {
                       lambda m: euler_reference(m, Z, GRID.times[::-1])[::-1], 7),
     "sample_model": (lambda m: fd.sample_model(m, 5, 4, seed=7),
                      lambda m: euler_reference(m, Z, GRID.uniform(4).times[::-1])[-1], 4),
-    "sample_student": (lambda m: fd.sample_student_batch(m, SCHEDULE, Z[:1])[0][0],
-                       lambda m: euler_reference(m, Z[:1], SCHEDULE.times)[-1, 0], 5),
-    "sample_student_batch": (lambda m: fd.sample_student_batch(m, SCHEDULE, Z)[0],
-                             lambda m: euler_reference(m, Z, SCHEDULE.times)[-1], 5),
+    "few_step_sample": (lambda m: fd.denoise_batch(m, Z, KEY_GRID)[0],
+                        lambda m: euler_reference(m, Z, KEY_GRID.times[::-1])[-1], 5),
     "euler_step": (lambda m: fd.integrate(m, Z[:1], (0.8, 0.3))[-1],
                    lambda m: euler_reference(m, Z[:1], [0.8, 0.3])[-1], 1),
     "euler_step_equal_times": (lambda m: fd.integrate(m, Z[:1], (0.5, 0.5))[-1],

@@ -210,32 +210,33 @@ class TestPersistence:
 
 class TestKeyPoints:
     def test_full_grid_schedule_returns_all_states(self, quick_store):
-        n = quick_store.grid.n
-        schedule = fd.make_key_schedule(n, n)
-        points = fd.key_points(quick_store, schedule)
-        assert np.array_equal(points, quick_store.states[:, ::-1])
+        points = fd.key_points(quick_store, fd.TimeGrid.uniform(quick_store.grid.n))
+        assert np.array_equal(points, quick_store.states)
 
     def test_two_point_schedule_is_noise_and_endpoint(self, quick_store):
-        schedule = fd.make_key_schedule(quick_store.grid.n, 1)
-        points = fd.key_points(quick_store, schedule)
+        points = fd.key_points(quick_store, fd.TimeGrid.uniform(1))
         assert points.shape == (quick_store.N, 2, quick_store.d)
-        assert np.array_equal(points[:, 0], quick_store.states[:, -1])
-        assert np.array_equal(points[:, 1], quick_store.states[:, 0])
+        assert np.array_equal(points[:, 0], quick_store.states[:, 0])
+        assert np.array_equal(points[:, 1], quick_store.states[:, -1])
 
     def test_uniform_keys_hit_expected_indices(self, quick_teacher):
         store = fd.generate_store(quick_teacher, 2, fd.TimeGrid.uniform(50), seed=0)
-        schedule = fd.make_key_schedule(50, 5)
-        points = fd.key_points(store, schedule)
-        for row, j in enumerate([50, 40, 30, 20, 10, 0]):
-            assert np.array_equal(points[:, row], store.states[:, j])
+        points = fd.key_points(store, fd.TimeGrid.uniform(5))
+        for k, j in enumerate([0, 10, 20, 30, 40, 50]):
+            assert np.array_equal(points[:, k], store.states[:, j])
 
     def test_off_grid_key_time_rejected(self, quick_store):
-        schedule = fd.KeySchedule(np.array([1.0, 0.15, 0.0]))  # store grid is n=10
+        key_grid = fd.TimeGrid(np.array([0.0, 0.15, 1.0]))  # store grid is n=10
         with pytest.raises(ConfigError):
-            fd.key_points(quick_store, schedule)
+            fd.key_points(quick_store, key_grid)
 
     def test_key_points_are_exact_subsequence(self, quick_store):
-        schedule = fd.make_key_schedule(quick_store.grid.n, 5)
-        points = fd.key_points(quick_store, schedule)[0]
+        n = quick_store.grid.n
+        points = fd.key_points(quick_store, fd.TimeGrid.uniform(5))[0]
         state_rows = {tuple(s) for s in quick_store.states[0]}
         assert all(tuple(p) in state_rows for p in points)
+        # key k of m is grid step k·n/m, for every m dividing n
+        for m in (m for m in range(1, n + 1) if n % m == 0):
+            points = fd.key_points(quick_store, fd.TimeGrid.uniform(m))
+            for k in range(m + 1):
+                assert np.array_equal(points[:, k], quick_store.states[:, k * n // m]), (m, k)

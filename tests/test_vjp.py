@@ -49,11 +49,11 @@ def test_fm_loss_gradient_at_b2048_with_per_row_t():
 @pytest.mark.parametrize("k", range(5))
 def test_traj_loss_gradient_at_b128(k):
     model = rand_model(H=H, R=R, seed=3)
-    schedule = fd.make_key_schedule(50, 5)
+    key_grid = fd.TimeGrid.uniform(5)
     keys = 2 * np.random.default_rng(k).standard_normal((128, 6, 1))
     _assert_same(
-        velocity_mse(model.params, *_traj_regression(keys, schedule, k), R),
-        fd.value_and_grad(lambda ps: traj_loss_node(ps, keys, schedule, k, R),
+        velocity_mse(model.params, *_traj_regression(keys, key_grid, k), R),
+        fd.value_and_grad(lambda ps: traj_loss_node(ps, keys, key_grid, k, R),
                           model.params))
 
 
@@ -81,17 +81,16 @@ def test_adversarial_step_matches_tape(loss, taps, batch, heads):
     student = rand_model(H=H, R=R, seed=7).params
     tap = (fd.FeatureTapConfig(R, R // 2) if taps == "default"
            else fd.FeatureTapConfig(R // 2, R))
-    schedule = fd.make_key_schedule(10, 5)
+    key_grid = fd.TimeGrid.uniform(5)
     rng = np.random.default_rng(batch)
-    for k in range(schedule.m):
+    for k in range(key_grid.n):
         head = rand_head(H, index=k, seed=10 + k)
         l_prev = rng.standard_normal((batch, 1))
         real_keys = rng.standard_normal((batch, 6, 1))
-        explicit = adv_step(teacher, student, head, tap, l_prev, real_keys, k, schedule,
+        explicit = adv_step(teacher, student, head, tap, l_prev, real_keys, k, key_grid,
                             scale=0.1, heads=heads)
-        tape = adv_step_tape(teacher, student, head.params, tap, l_prev,
-                             real_keys[:, schedule.m - k, :], schedule.time(k + 1),
-                             schedule.time(k), 0.1)
+        tape = adv_step_tape(teacher, student, head.params, tap, l_prev, real_keys[:, k, :],
+                             key_grid.times[k + 1], key_grid.times[k], 0.1)
         assert explicit[:2] == tape[:2], k
         for got, want in zip(explicit[2:], tape[2:]):
             assert np.array_equal(getattr(got, "flat", got), getattr(want, "flat", want)), k
