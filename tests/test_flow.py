@@ -186,8 +186,11 @@ INTEGRATOR_CALLS = {
                       lambda m: euler_reference(m, Z, GRID.times[::-1])[::-1], 7),
     "sample_model": (lambda m: fd.sample_model(m, 5, 4, seed=7),
                      lambda m: euler_reference(m, Z, GRID.uniform(4).times[::-1])[-1], 4),
-    "few_step_sample": (lambda m: fd.denoise_batch(m, Z, KEY_GRID)[0],
-                        lambda m: euler_reference(m, Z, KEY_GRID.times[::-1])[-1], 5),
+    # few-step student sampling: the Euler walk over the key grid
+    "sample_student": (lambda m: fd.denoise_batch(m, Z[:1], KEY_GRID)[0, 0],
+                       lambda m: euler_reference(m, Z[:1], KEY_GRID.times[::-1])[-1, 0], 5),
+    "sample_student_batch": (lambda m: fd.denoise_batch(m, Z, KEY_GRID)[0],
+                             lambda m: euler_reference(m, Z, KEY_GRID.times[::-1])[-1], 5),
     "euler_step": (lambda m: fd.integrate(m, Z[:1], (0.8, 0.3))[-1],
                    lambda m: euler_reference(m, Z[:1], [0.8, 0.3])[-1], 1),
     "euler_step_equal_times": (lambda m: fd.integrate(m, Z[:1], (0.5, 0.5))[-1],
