@@ -10,9 +10,9 @@ latent distributions with the store's. Sampling then needs 5 model
 evaluations instead of 50.
 """
 
-import numpy as np
-
+# flowdistill before numpy: importing it pins BLAS to one thread
 import flowdistill as fd
+import numpy as np
 
 data = fd.ToyDataset(np.array([-3.0, 3.0]))
 teacher, _ = fd.train_teacher(data, iterations=2000, batch_size=512, lr=3e-4, seed=0)

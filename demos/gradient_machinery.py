@@ -10,11 +10,11 @@ finite differences, then shows the Adam update direction on a fresh
 optimizer state.
 """
 
-import numpy as np
-
+# flowdistill before numpy: importing it pins BLAS to one thread
 import flowdistill as fd
 from flowdistill.flow import fm_loss_node
 from flowdistill.nn import velocity_mse
+import numpy as np
 
 rng = np.random.default_rng(0)
 model = fd.build_velocity_model(d=1, H=16, R=2, seed=3)

@@ -8,9 +8,9 @@ This demo uses a shortened run; the full recipe (10000 iterations,
 batch 2048, lr 1e-4) is what the acceptance suite verifies.
 """
 
-import numpy as np
-
+# flowdistill before numpy: importing it pins BLAS to one thread
 import flowdistill as fd
+import numpy as np
 
 data = fd.ToyDataset(np.array([-3.0, 3.0]))
 teacher, losses = fd.train_teacher(

@@ -11,9 +11,9 @@ through its JSONL file format.
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
+# flowdistill before numpy: importing it pins BLAS to one thread
 import flowdistill as fd
+import numpy as np
 
 data = fd.ToyDataset(np.array([-3.0, 3.0]))
 teacher, _ = fd.train_teacher(data, iterations=1500, batch_size=512, lr=3e-4, seed=0)

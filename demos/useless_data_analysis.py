@@ -10,10 +10,10 @@ store-based distillation is untouched (it never sees the shifted
 dataset). This is the diagnostic the analyze-mismatch command sweeps.
 """
 
-import numpy as np
-
+# flowdistill before numpy: importing it pins BLAS to one thread
 import flowdistill as fd
 from flowdistill.analysis import KDConfig
+import numpy as np
 
 p = fd.ToyDataset(np.array([-3.0, 3.0]))
 teacher, _ = fd.train_teacher(p, iterations=2000, batch_size=512, lr=3e-4, seed=0)

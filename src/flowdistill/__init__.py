@@ -29,8 +29,7 @@ import numpy as _np
 _HEAP_WARMUP_BYTES = 16 << 20
 _np.empty(_HEAP_WARMUP_BYTES // 8)
 
-from .adversarial import FeatureTapConfig, ProjectionHead, build_projection_head, \
-    default_taps, discriminate
+from .adversarial import ProjectionHead, build_projection_head, discriminate
 from .analysis import KDConfig, MetricsRecord, endpoint_error, kd_baseline_distill, \
     mismatch_degree, mismatch_sweep, shifted_dataset, useless_frequency, w1_distance
 from .distill import DistillConfig, DistillResult, distill
@@ -43,6 +42,6 @@ from .nn import OptimizerState, ParamSet, VelocityModel, build_velocity_model, \
     save_model, save_paramset, value_and_grad
 from .seeds import derive_seed
 from .trajstore import TrajectoryStore, generate_store, key_points, load_store, \
-    noise_from_seed, recurrence_errors, save_store, validate_store
+    path_noise, recurrence_errors, save_store, validate_store
 
 __version__ = "0.1.0"

@@ -21,28 +21,10 @@ from .nn import ParamSet, VelocityModel, forward_velocity, mlp_forward
 PROB_EPS = 1e-7
 
 
-@dataclass(frozen=True)
-class FeatureTapConfig:
-    """Which residual-block outputs serve as discriminator features.
-
-    Block index 0 is the input projection's output; R is the last block.
-    """
-
-    noisy_block: int
-    clean_block: int
-
-    def block_for(self, t: float) -> int:
-        return self.noisy_block if t > 0.0 else self.clean_block
-
-
-def default_taps(model: VelocityModel) -> FeatureTapConfig:
-    # deep features for noisy inputs, a mid-depth block for clean ones
-    return FeatureTapConfig(noisy_block=model.R, clean_block=max(1, model.R // 2))
-
-
-def features_node(teacher: VelocityModel, x, t: float, tap: FeatureTapConfig,
-                  want_cache: bool = False):
-    """Hidden activation of the frozen teacher at the tap for time t.
+def features_node(teacher: VelocityModel, x, t: float, want_cache: bool = False):
+    """Hidden activation of the frozen teacher at its tap for time t:
+    block R, the deepest, for noisy inputs (t > 0), and block max(1, R // 2)
+    for clean ones (t = 0). Block 0 is the input projection's output.
 
     For a (B, d) array `x` this is the explicit pass: the teacher runs
     only up to the tapped block, and the (B, H) features come back as
@@ -52,11 +34,7 @@ def features_node(teacher: VelocityModel, x, t: float, tap: FeatureTapConfig,
     (the reference the explicit path is tested against). Either way
     the teacher parameters are constants and never receive gradients.
     """
-    block = tap.block_for(t)
-    if not 0 <= block <= teacher.R:
-        raise ConfigError(
-            f"feature tap {block} out of range for a model with R={teacher.R} blocks"
-        )
+    block = teacher.R if t > 0.0 else max(1, teacher.R // 2)
     if isinstance(x, Tensor):
         _, hidden = forward_velocity(teacher.params, x, t, teacher.R, want_hidden=True)
         return hidden[block]

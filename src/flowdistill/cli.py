@@ -21,7 +21,7 @@ from .analysis import MetricsRecord, SWEEP_COLUMNS, endpoint_error, \
 from .atomic import atomic_open
 from .config import load_config
 from .distill import distill, METRIC_COLUMNS
-from .errors import FlowDistillError
+from .errors import ConfigError, FlowDistillError
 from .flow import TimeGrid, denoise_batch, sample_model, train_teacher
 from .nn import load_model, save_model, save_paramset
 from .seeds import derive_seed
@@ -86,9 +86,9 @@ def cmd_distill(args) -> int:
         dcfg = dataclasses.replace(dcfg, lambda_adv=0.0)
     if args.single_head:
         dcfg = dataclasses.replace(dcfg, heads="single")
-    checkpoint = os.path.join(cfg.out_dir, "distill_checkpoint.json")
+    # a resume reads the checkpoint whatever the interval: RESUMABLE lets it change
     result = distill(teacher, store, dcfg,
-                     checkpoint_path=checkpoint if dcfg.checkpoint_interval else None,
+                     checkpoint_path=os.path.join(cfg.out_dir, "distill_checkpoint.json"),
                      resume=args.resume)
     save_model(os.path.join(cfg.out_dir, "student.json"), result.student)
     for head in result.heads:
@@ -102,6 +102,8 @@ def cmd_distill(args) -> int:
 
 
 def cmd_kd_baseline(args) -> int:
+    if not np.isfinite(args.mismatch):
+        raise ConfigError(f"--mismatch must be finite, got {args.mismatch}")
     cfg = _prepare(args)
     teacher = load_model(args.teacher)
     p_d = shifted_dataset(cfg.dataset, args.mismatch)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .adversarial import ProjectionHead, build_projection_head, d_loss_grad, \
-    default_taps, features_node, g_loss_grad, head_backward, head_forward
+    features_node, g_loss_grad, head_backward, head_forward
 from .atomic import write_json
 from .errors import ConfigError, NumericsError
 from .flow import TimeGrid
@@ -189,7 +189,7 @@ def load_checkpoint(path, teacher: VelocityModel, store: TrajectoryStore,
     return dataclasses.replace(state, config=config)
 
 
-def _adv_gradients(teacher, taps, key_grid, config, state, k, l_prev, real):
+def _adv_gradients(teacher, key_grid, config, state, k, l_prev, real):
     """Adversarial gradients at key k, at the current student and the
     head for k; nothing in `state` changes.
 
@@ -210,7 +210,7 @@ def _adv_gradients(teacher, taps, key_grid, config, state, k, l_prev, real):
 
     v, step_cache = mlp_forward(student, l_prev, t_hi, teacher.R, want_cache=True)
     l_gen = l_prev + v * dt
-    feats_fake, tap_cache = features_node(teacher, l_gen, t_lo, taps, want_cache=True)
+    feats_fake, tap_cache = features_node(teacher, l_gen, t_lo, want_cache=True)
     logit_fake, head_fake = head_forward(head, feats_fake)
 
     # generator: back through the head, the frozen teacher and the step
@@ -224,7 +224,7 @@ def _adv_gradients(teacher, taps, key_grid, config, state, k, l_prev, real):
 
     # discriminator: both branches of the head, summed per parameter
     logit_real, head_real = head_forward(
-        head, features_node(teacher, real, t_lo, taps))
+        head, features_node(teacher, real, t_lo))
     d_scaled, g_real, g_fake = d_loss_grad(logit_real, logit_fake, config.lambda_adv)
     check_loss(d_scaled)
     h_real, h_fake = zeros_like(head), zeros_like(head)
@@ -271,8 +271,8 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
     never modified. With lambda_adv = 0 the adversarial phase is skipped
     entirely, leaving pure trajectory regression. When `checkpoint_path`
     is set, full training state is snapshotted every
-    `config.checkpoint_interval` rounds and `resume=True` continues an
-    interrupted run bit-for-bit.
+    `config.checkpoint_interval` rounds (never at 0), and `resume=True`
+    continues an interrupted run bit-for-bit from a checkpoint there.
     """
     config.validate()
     if store.grid.n != config.n:
@@ -281,7 +281,6 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
         raise ConfigError("store dimension does not match the teacher")
     check_teacher(store, teacher)
     key_grid = TimeGrid.uniform(config.m)
-    taps = default_taps(teacher)
 
     keys_all = key_points(store, key_grid)
     m, B, N = config.m, config.batch_size, store.N
@@ -319,7 +318,7 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
                     real_keys = keys_b[:nb]
                 try:
                     d_loss_val, g_loss_val, latent, s_grads, h_grads = _adv_gradients(
-                        teacher, taps, key_grid, config, state, k, latent,
+                        teacher, key_grid, config, state, k, latent,
                         real_keys[:, k])
                 except NumericsError as e:
                     raise NumericsError(

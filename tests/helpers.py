@@ -58,7 +58,7 @@ def rand_head(width, index=0, seed=0, scale=0.3):
     return head.with_params(head.params.map(lambda t: t + rng.normal(0, scale, t.shape)))
 
 
-def adv_step(teacher, student_params, head, taps, l_prev, real_keys, k, key_grid,
+def adv_step(teacher, student_params, head, l_prev, real_keys, k, key_grid,
              scale=1.0, heads="per_timestep"):
     """One adversarial step through the training loop's explicit path
     (`distill._adv_gradients`) on a fresh state holding `student_params`
@@ -72,5 +72,4 @@ def adv_step(teacher, student_params, head, taps, l_prev, real_keys, k, key_grid
                        config)
     state.student = student_params
     state.heads[state.head_for(k)] = head
-    return _adv_gradients(teacher, taps, key_grid, config, state, k, l_prev,
-                          real_keys[:, k])
+    return _adv_gradients(teacher, key_grid, config, state, k, l_prev, real_keys[:, k])

@@ -107,8 +107,7 @@ def euler_reference(model, X, times):
     return np.stack(states)
 
 
-def adv_step_tape(teacher, student_params, head_params, taps, l_prev, real, t_hi, t_lo,
-                  scale):
+def adv_step_tape(teacher, student_params, head_params, l_prev, real, t_hi, t_lo, scale):
     """One adversarial step of distillation differentiated on the
     autodiff tape, as the training loop computed it before it had
     explicit gradients: the generator gradient on the student, then the
@@ -125,14 +124,14 @@ def adv_step_tape(teacher, student_params, head_params, taps, l_prev, real, t_hi
     def gen_loss(ps):
         v = forward_velocity(ps, l_prev, t_hi, teacher.R)
         l_gen = ad.add(l_prev, ad.mul(v, dt))
-        feats = features_node(teacher, l_gen, t_lo, taps)
+        feats = features_node(teacher, l_gen, t_lo)
         p_fake = ad.sigmoid(head_logit_node(head_params, feats))
         return ad.mul(g_loss_node(p_fake), scale)
 
     g_scaled, s_grads = value_and_grad(gen_loss, student_params)
     l_gen = l_prev + dt * forward_velocity(student_params, l_prev, t_hi, teacher.R).data
-    feats_fake = features_node(teacher, ad.Tensor(l_gen), t_lo, taps).data
-    feats_real = features_node(teacher, ad.Tensor(real), t_lo, taps).data
+    feats_fake = features_node(teacher, ad.Tensor(l_gen), t_lo).data
+    feats_real = features_node(teacher, ad.Tensor(real), t_lo).data
 
     def disc_loss(ps):
         p_real = ad.sigmoid(head_logit_node(ps, feats_real))

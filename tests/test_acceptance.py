@@ -141,12 +141,11 @@ def test_criterion_2_gradient_correctness(teacher):
         head = fd.build_projection_head(teacher.H, 0, seed + 300)
         head = head.with_params(head.params.map(
             lambda t: t + rng.normal(0, 0.3, t.shape)))
-        taps = fd.default_taps(teacher)
         l_prev = rng.standard_normal((1, 1))
         real_keys = np.zeros((1, 6, 1))
 
         def adv_gen(ps):
-            return adv_step(teacher, ps, head, taps, l_prev, real_keys, 1, key_grid)
+            return adv_step(teacher, ps, head, l_prev, real_keys, 1, key_grid)
 
         g = adv_gen(student.params)[3]
         worst["adv"] = max(worst["adv"], max_grad_rel_error(

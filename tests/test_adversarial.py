@@ -5,7 +5,6 @@ import flowdistill as fd
 import flowdistill.autodiff as ad
 from flowdistill.adversarial import PROB_EPS, d_loss_grad, features_node, g_loss_grad, \
     g_loss_node, head_logit_node
-from flowdistill.errors import ConfigError
 from flowdistill.nn import forward_velocity
 
 from helpers import rand_model
@@ -14,52 +13,41 @@ from oracles import central_diff
 
 class TestFeatureExtraction:
     def test_feature_width_is_hidden_width(self, quick_teacher):
-        taps = fd.default_taps(quick_teacher)
-        feats = features_node(quick_teacher, np.array([[0.4]]), 0.5, taps)
+        feats = features_node(quick_teacher, np.array([[0.4]]), 0.5)
         assert feats.shape == (1, quick_teacher.H)
 
     def test_teacher_unmodified_by_extraction(self, quick_teacher):
-        taps = fd.default_taps(quick_teacher)
         before = quick_teacher.fingerprint()
-        features_node(quick_teacher, np.array([[0.4]]), 0.5, taps)
+        features_node(quick_teacher, np.array([[0.4]]), 0.5)
         assert quick_teacher.fingerprint() == before
 
     def test_features_stable_across_student_updates(self, quick_teacher, quick_store):
-        taps = fd.default_taps(quick_teacher)
         X, t = np.array([[0.3]]), 0.5
-        before = features_node(quick_teacher, X, t, taps)
+        before = features_node(quick_teacher, X, t)
         cfg = fd.DistillConfig(m=5, n=10, iterations=2, batch_size=4, seed=3)
         fd.distill(quick_teacher, quick_store, cfg)
-        after = features_node(quick_teacher, X, t, taps)
+        after = features_node(quick_teacher, X, t)
         assert np.array_equal(before, after)
 
     def test_clean_and_noisy_taps_differ(self, quick_teacher):
-        taps = fd.default_taps(quick_teacher)
-        assert taps.noisy_block != taps.clean_block
+        assert quick_teacher.R != max(1, quick_teacher.R // 2)
         X = np.array([[0.8]])
-        noisy = features_node(quick_teacher, X, 0.2, taps)
-        clean = features_node(quick_teacher, X, 0.0, taps)
+        noisy = features_node(quick_teacher, X, 0.2)
+        clean = features_node(quick_teacher, X, 0.0)
         assert not np.allclose(noisy, clean)
 
     def test_same_tap_same_features(self, quick_teacher):
-        taps = fd.FeatureTapConfig(noisy_block=2, clean_block=2)
         X = np.array([[0.8]])
-        a = features_node(quick_teacher, X, 0.2, taps)
-        b = features_node(quick_teacher, X, 0.2, taps)
+        a = features_node(quick_teacher, X, 0.2)
+        b = features_node(quick_teacher, X, 0.2)
         assert np.array_equal(a, b)
 
-    def test_out_of_range_tap_rejected(self, quick_teacher):
-        taps = fd.FeatureTapConfig(noisy_block=quick_teacher.R + 1, clean_block=1)
-        with pytest.raises(ConfigError):
-            features_node(quick_teacher, np.array([[0.0]]), 0.5, taps)
-
     def test_tap_matches_forward_hidden(self, quick_teacher):
-        taps = fd.default_taps(quick_teacher)
-        X = np.array([[0.4]])
-        _, hidden = forward_velocity(quick_teacher.params, X, 0.5, quick_teacher.R,
-                                     want_hidden=True)
-        feats = features_node(quick_teacher, X, 0.5, taps)
-        assert np.array_equal(feats, hidden[taps.noisy_block].data)
+        # block R for noisy inputs, block max(1, R // 2) for clean ones
+        R, X = quick_teacher.R, np.array([[0.4]])
+        for t, block in ((0.5, R), (0.0, max(1, R // 2))):
+            _, hidden = forward_velocity(quick_teacher.params, X, t, R, want_hidden=True)
+            assert np.array_equal(features_node(quick_teacher, X, t), hidden[block].data)
 
 
 class TestDiscriminate:
@@ -153,14 +141,13 @@ class TestAdvLosses:
         head = fd.build_projection_head(quick_teacher.H, index=0, seed=42)
         head = head.with_params(head.params.map(
             lambda t: t + np.random.default_rng(43).normal(0, 0.3, t.shape)))
-        taps = fd.default_taps(quick_teacher)
         l_prev = np.array([[0.7]])
         t_hi, t_lo = 0.4, 0.2
 
         def g_loss_fn(ps):
             v = forward_velocity(ps, l_prev, t_hi, student.R)
             l_gen = ad.add(l_prev, ad.mul(v, t_lo - t_hi))
-            feats = features_node(quick_teacher, l_gen, t_lo, taps)
+            feats = features_node(quick_teacher, l_gen, t_lo)
             p_fake = ad.sigmoid(head_logit_node(head.params, feats))
             return g_loss_node(p_fake)
 
@@ -169,7 +156,7 @@ class TestAdvLosses:
         worst = 0.0
         for i in rng.integers(0, student.params.size, 32):
             ref = central_diff(
-                lambda ps: float(g_loss_fn_on(ps, quick_teacher, head, taps, l_prev,
+                lambda ps: float(g_loss_fn_on(ps, quick_teacher, head, l_prev,
                                               t_hi, t_lo, student.R)),
                 student.params, int(i),
             )
@@ -186,9 +173,9 @@ class TestAdvLosses:
             pytest.approx(-np.log(0.3))
 
 
-def g_loss_fn_on(ps, teacher, head, taps, l_prev, t_hi, t_lo, R):
+def g_loss_fn_on(ps, teacher, head, l_prev, t_hi, t_lo, R):
     v = forward_velocity(ps, l_prev, t_hi, R)
     l_gen = ad.add(l_prev, ad.mul(v, t_lo - t_hi))
-    feats = features_node(teacher, l_gen, t_lo, taps)
+    feats = features_node(teacher, l_gen, t_lo)
     p_fake = ad.sigmoid(head_logit_node(head.params, feats))
     return g_loss_node(p_fake).data

@@ -2,6 +2,7 @@
 write that fails part-way leaves the previous file byte-identical and
 no temporary file behind."""
 
+import base64
 import io
 import json
 
@@ -19,16 +20,16 @@ class Unprintable:
         raise RuntimeError("cannot format")
 
 
-def _fail_on_second_dumps(monkeypatch):
-    real, calls = json.dumps, []
+def _fail_on_second_encode(monkeypatch):
+    real, calls = base64.b64encode, []
 
-    def dumps(*args, **kwargs):
+    def b64encode(*args, **kwargs):
         calls.append(1)
         if len(calls) == 2:
             raise RuntimeError("disk full")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(json, "dumps", dumps)
+    monkeypatch.setattr(base64, "b64encode", b64encode)
 
 
 def _paramset(path, monkeypatch, fail):
@@ -48,7 +49,7 @@ def _checkpoint(path, monkeypatch, fail):
 def _store(path, monkeypatch, fail):
     store = fd.generate_store(rand_model(seed=3), 4, fd.TimeGrid.uniform(4), seed=0)
     if fail:
-        _fail_on_second_dumps(monkeypatch)
+        _fail_on_second_encode(monkeypatch)
     fd.save_store(store, path)
 
 

@@ -330,15 +330,35 @@ class TestCheckpointFormat:
         assert open(f"{out}/distill_checkpoint.json", "rb").read() == \
             open(f"{ref_out}/distill_checkpoint.json", "rb").read()
 
-    def test_truncated_checkpoint_is_an_error_line(self, halfway, capsys):
+    @staticmethod
+    def _interval_0(tmp_path):
+        """Arguments that, put after a run's own, turn its checkpoints off."""
+        path = tmp_path / "interval0.json"
+        path.write_text(json.dumps(dict(
+            TINY, distill=dict(TINY["distill"], checkpoint_interval=0))))
+        return ["--config", str(path)]
+
+    def test_truncated_checkpoint_is_an_error_line(self, halfway, tmp_path, capsys):
         args, _, out = halfway
         path = f"{out}/distill_checkpoint.json"
         with open(path, "rb") as f:
             head = f.read(3000)
         with open(path, "wb") as f:
             f.write(head)
-        assert run_cli("distill", *args, "--out", out, "--resume") == 1
-        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        # at interval 0 too: it says when to write checkpoints, not whether to read one
+        for interval in ([], self._interval_0(tmp_path)):
+            assert run_cli("distill", *args, *interval, "--out", out, "--resume") == 1
+            assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    def test_resume_at_interval_0_continues_and_keeps_the_checkpoint(self, halfway,
+                                                                     tmp_path):
+        args, ref_out, out = halfway
+        path = f"{out}/distill_checkpoint.json"
+        before = open(path, "rb").read()
+        assert run_cli("distill", *args, *self._interval_0(tmp_path), "--out", out,
+                       "--resume") == 0
+        self._assert_same_outputs(out, ref_out)
+        assert open(path, "rb").read() == before
 
     def test_tensor_off_its_shape_is_named(self, halfway, capsys):
         args, _, out = halfway
@@ -360,6 +380,16 @@ class TestKdBaseline:
                        "--mismatch", "1.0") == 0
         assert os.path.exists(f"{out}/kd_student.json")
         assert os.path.exists(f"{out}/kd_loss.csv")
+
+    @pytest.mark.parametrize("mismatch", ["nan", "inf"])
+    def test_non_finite_mismatch_is_refused_first(self, tiny_config, tmp_path, capsys,
+                                                  mismatch):
+        # refused before the output directory is made or the teacher read
+        out = tmp_path / "kd"
+        assert run_cli("kd-baseline", "--config", tiny_config, "--out", str(out),
+                       "--teacher", str(tmp_path / "none.json"), "--mismatch", mismatch) == 1
+        assert capsys.readouterr().err.startswith("error: --mismatch must be finite")
+        assert not out.exists()
 
 
 def _drop(obj, key):

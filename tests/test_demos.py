@@ -1,7 +1,8 @@
 """The demos and the README's Python quickstart name only what the
 package provides: every `fd.<name>` (after `import flowdistill as fd`)
-and every `from flowdistill[.<module>] import <name>` resolves. Checked
-on the parsed source, without running the scripts."""
+and every `from flowdistill[.<module>] import <name>` resolves; and each
+demo imports flowdistill before numpy. Checked on the parsed source,
+without running the scripts."""
 
 import ast
 import importlib
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted(ROOT.glob("demos/*.py")) + [ROOT / "README.md"]
+DEMOS = sorted(ROOT.glob("demos/*.py"))
+SOURCES = DEMOS + [ROOT / "README.md"]
 
 
 def _python_of(path: Path) -> str:
@@ -42,3 +44,18 @@ def test_names_resolve_in_the_package(path):
     missing = [f"line {line}: {module}.{name}" for module, name, line in used
                if not hasattr(importlib.import_module(module), name)]
     assert not missing, f"{path.name}: " + ", ".join(missing)
+
+
+def _first_import(tree: ast.AST, package: str) -> float:
+    return min((node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                and any(a.name.split(".")[0] == package for a in node.names)
+                or isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == package), default=float("inf"))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_flowdistill_imported_before_numpy(path):
+    # the package pins BLAS to one thread only if numpy is not loaded yet
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _first_import(tree, "flowdistill") < _first_import(tree, "numpy"), path.name

@@ -212,11 +212,10 @@ class TestPassCount:
                 monkeypatch.setattr(module, "mlp_forward", counted)
         cfg = fd.DistillConfig(m=5, n=10, iterations=1, batch_size=4, seed=14)
         fd.distill(quick_teacher, quick_store, cfg)
-        taps = fd.default_taps(quick_teacher)
+        R = quick_teacher.R
         teacher_stops = [stop for frozen, stop in calls if frozen]
         assert len(calls) == 20
-        assert sorted(teacher_stops) == sorted(
-            [taps.noisy_block] * 8 + [taps.clean_block] * 2)
+        assert sorted(teacher_stops) == sorted([R] * 8 + [max(1, R // 2)] * 2)
         assert [stop for frozen, stop in calls if not frozen] == [None] * 10
 
 
@@ -228,9 +227,8 @@ class TestHeadIsolation:
         state = init_state(quick_teacher, quick_store, cfg)
         before = [h.params.copy() for h in state.heads]
         student_before = state.student.copy()
-        taps = fd.default_taps(quick_teacher)
         keys = fd.key_points(quick_store, key_grid)[:1]
-        *_, s_grads, h_grads = _adv_gradients(quick_teacher, taps, key_grid, cfg, state,
+        *_, s_grads, h_grads = _adv_gradients(quick_teacher, key_grid, cfg, state,
                                               2, np.array([[0.3]]), keys[:, 2])
         # computing the gradients moves nothing; the round-end update does
         assert state.student.equal(student_before)

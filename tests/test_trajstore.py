@@ -15,7 +15,7 @@ def _encode(states):
     return base64.b64encode(np.asarray(states, dtype="<f8").tobytes()).decode("ascii")
 
 
-def _saved_with(store, tmp_path, edit):
+def _saved_with(store, tmp_path, edit=lambda lines: lines):
     """The path of `store` saved, with its list of lines passed through `edit`."""
     path = tmp_path / "store.jsonl"
     fd.save_store(store, path)
@@ -23,12 +23,18 @@ def _saved_with(store, tmp_path, edit):
     return path
 
 
-def _edit_record(edit):
+def _edit_header(edit):
     def garble(line):
-        record = json.loads(line)
-        edit(record)
-        return json.dumps(record)
+        header = json.loads(line)
+        edit(header)
+        return json.dumps(header)
     return garble
+
+
+def _edit_row(edit):
+    """A record edit that passes the record's decoded float64 row through `edit`."""
+    return lambda line: json.dumps(_encode(edit(
+        np.frombuffer(base64.b64decode(json.loads(line)), "<f8").copy())))
 
 
 # ways to spoil one line of a store file, as (line number, edit): the
@@ -36,21 +42,28 @@ def _edit_record(edit):
 # named with its line
 GARBLES = {
     "truncated": (3, lambda line: line[: len(line) // 2]),
-    "not-an-object": (3, lambda line: "[" + line + "]"),
-    "missing-states": (3, _edit_record(lambda r: r.pop("states"))),
-    "missing-noise-seed": (3, _edit_record(lambda r: r.pop("noise_seed"))),
-    "null-noise-seed": (3, _edit_record(lambda r: r.update(noise_seed=None))),
+    "not-a-string": (3, lambda line: "[" + line[1:-1] + "]"),  # of the right length
+    "missing-states": (3, lambda line: '""'),
     # one float64 short, still valid padded base64
-    "wrong-length-states": (3, _edit_record(lambda r: r.update(states=_encode(
-        np.frombuffer(base64.b64decode(r["states"]), "<f8")[:-1])))),
-    "non-base64-states": (3, _edit_record(lambda r: r.update(states="*" + r["states"][1:]))),
-    "unpadded-states": (3, _edit_record(lambda r: r.update(states=r["states"].rstrip("=")))),
-    "non-string-states": (3, _edit_record(lambda r: r.update(states=[0.0] * 11))),
-    "non-numeric-grid": (1, _edit_record(lambda r: r["grid"].__setitem__(1, "x"))),
-    "unknown-version": (1, _edit_record(lambda r: r.update(version=99))),
-    "version-1": (1, _edit_record(lambda r: r.update(version=1))),
-    "non-integer-seed": (1, _edit_record(lambda r: r.update(seed="banana"))),
-    "non-string-fingerprint": (1, _edit_record(lambda r: r.update(teacher_fingerprint=5))),
+    "wrong-length-states": (3, _edit_row(lambda row: row[:-1])),
+    "non-base64-states": (3, lambda line: '"*' + line[2:]),
+    "unpadded-states": (3, lambda line: line.replace("=", "")),
+    "non-string-states": (3, lambda line: json.dumps([0.0] * 11)),
+    "non-numeric-grid": (1, _edit_header(lambda r: r["grid"].__setitem__(1, "x"))),
+    "unknown-version": (1, _edit_header(lambda r: r.update(version=99))),
+    "version-1": (1, _edit_header(lambda r: r.update(version=1))),
+    "version-2": (1, _edit_header(lambda r: r.update(version=2))),
+    "non-integer-seed": (1, _edit_header(lambda r: r.update(seed="banana"))),
+    "non-string-fingerprint": (1, _edit_header(lambda r: r.update(teacher_fingerprint=5))),
+}
+
+# edits that leave every path a valid Euler path of the teacher but move
+# a path off the noise draw of its header seed and position, as (the
+# first path to name, edit of the file's lines)
+RESEEDS = {
+    "header-seed": (0, lambda lines: [
+        _edit_header(lambda r: r.update(seed=r["seed"] + 1))(lines[0]), *lines[1:]]),
+    "swapped-paths": (1, lambda lines: [*lines[:2], lines[3], lines[2], *lines[4:]]),
 }
 
 
@@ -72,9 +85,8 @@ class TestGenerate:
         assert not a.equal(b)
 
     def test_first_state_reproduces_seeded_noise(self, quick_store):
-        for noise_seed, states in zip(quick_store.noise_seeds, quick_store.states):
-            expected = fd.noise_from_seed(int(noise_seed), quick_store.d)
-            assert np.array_equal(states[-1], expected)
+        expected = fd.path_noise(quick_store.seed, range(quick_store.N), quick_store.d)
+        assert np.array_equal(quick_store.states[:, -1], expected)
 
     def test_recurrence_within_tolerance(self, quick_teacher, quick_store):
         errors = fd.recurrence_errors(quick_teacher, quick_store.grid, quick_store.states)
@@ -85,8 +97,8 @@ class TestGenerate:
         # one path denoised alone matches its stored row only to within
         # the recurrence tolerance: a one-row evaluation rounds differently
         for i in (0, 7, quick_store.N - 1):
-            noise = fd.noise_from_seed(int(quick_store.noise_seeds[i]), quick_store.d)
-            path = fd.denoise_batch(quick_teacher, noise[None], quick_store.grid)[:, 0]
+            noise = fd.path_noise(quick_store.seed, range(i, i + 1), quick_store.d)
+            path = fd.denoise_batch(quick_teacher, noise, quick_store.grid)[:, 0]
             assert np.array_equal(path[-1], quick_store.states[i, -1])
             assert np.max(np.abs(path - quick_store.states[i])) <= RECURRENCE_TOL
 
@@ -98,9 +110,8 @@ class TestGenerate:
         assert store.states.shape == (N, 5, 2)
         assert np.all(fd.recurrence_errors(model, store.grid, store.states) <= RECURRENCE_TOL)
         for i in range(ROW_BLOCK, N):
-            seed = fd.derive_seed(6, f"trajectory-{i}")
-            assert store.noise_seeds[i] == seed
-            assert np.array_equal(store.states[i, -1], fd.noise_from_seed(seed, 2))
+            rng = np.random.default_rng(fd.derive_seed(6, f"trajectory-{i}"))
+            assert np.array_equal(store.states[i, -1], rng.standard_normal(2))
 
     def test_invalid_count_rejected(self, quick_teacher):
         with pytest.raises(ConfigError):
@@ -109,10 +120,12 @@ class TestGenerate:
 
 class TestPersistence:
     def test_round_trip_elementwise_equal(self, quick_store, tmp_path):
-        path = tmp_path / "store.jsonl"
-        fd.save_store(quick_store, path)
+        path = _saved_with(quick_store, tmp_path)
         loaded = fd.load_store(path)
         assert loaded.equal(quick_store)
+        # one header line, then N records of one length
+        lines = path.read_bytes().splitlines()
+        assert len(lines) == quick_store.N + 1 and len({len(r) for r in lines[1:]}) == 1
 
     def test_round_trip_bytes_stable(self, quick_store, tmp_path):
         p1, p2 = tmp_path / "s1.jsonl", tmp_path / "s2.jsonl"
@@ -121,23 +134,17 @@ class TestPersistence:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_truncated_file_is_parse_error(self, quick_store, tmp_path):
-        path = tmp_path / "store.jsonl"
-        fd.save_store(quick_store, path)
-        lines = path.read_text().splitlines()
-        (tmp_path / "cut.jsonl").write_text("\n".join(lines[:-3]) + "\n")
-        with pytest.raises(StoreFormatError):
-            fd.load_store(tmp_path / "cut.jsonl")
+        path = _saved_with(quick_store, tmp_path, lambda lines: lines[:-3])
+        with pytest.raises(StoreFormatError, match="line 1: expected "):
+            fd.load_store(path)
 
     @pytest.mark.parametrize("garble", list(GARBLES))
     def test_garbled_record_names_line(self, quick_store, tmp_path, garble):
-        path = tmp_path / "store.jsonl"
-        fd.save_store(quick_store, path)
-        lines = path.read_text().splitlines()
         line_no, edit = GARBLES[garble]
-        lines[line_no - 1] = edit(lines[line_no - 1])
-        (tmp_path / "bad.jsonl").write_text("\n".join(lines) + "\n")
+        path = _saved_with(quick_store, tmp_path, lambda lines: [
+            *lines[:line_no - 1], edit(lines[line_no - 1]), *lines[line_no:]])
         with pytest.raises(StoreFormatError, match=f"line {line_no}:"):
-            fd.load_store(tmp_path / "bad.jsonl")
+            fd.load_store(path)
 
     def test_non_utf8_line_is_named(self, quick_store, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -150,8 +157,8 @@ class TestPersistence:
 
     def test_version_1_store_asks_for_synth(self, quick_store, tmp_path):
         path = _saved_with(quick_store, tmp_path, lambda lines: [
-            lines[0].replace('"version":2', '"version":1'), *lines[1:]])
-        with pytest.raises(StoreFormatError, match="version 1 is not 2; re-run synth"):
+            lines[0].replace('"version":3', '"version":1'), *lines[1:]])
+        with pytest.raises(StoreFormatError, match="version 1 is not 3; re-run synth"):
             fd.load_store(path)
 
     # at 2**56 times the paths, np.empty's size would overflow: reaching
@@ -161,7 +168,8 @@ class TestPersistence:
         N = factor * quick_store.N
         path = _saved_with(quick_store, tmp_path, lambda lines: [
             lines[0].replace(f'"N":{quick_store.N},', f'"N":{N},'), *lines[1:]])
-        with pytest.raises(StoreFormatError, match=f"line 1: N={N} records need at least"):
+        with pytest.raises(StoreFormatError, match=f"line 1: expected {N} trajectory records, "
+                                                   f"found {quick_store.N} "):
             fd.load_store(path)
 
     def test_one_record_too_many(self, quick_store, tmp_path):
@@ -172,29 +180,31 @@ class TestPersistence:
             fd.load_store(path)
 
     def test_validated_load_against_generator(self, quick_teacher, quick_store, tmp_path):
-        path = tmp_path / "store.jsonl"
-        fd.save_store(quick_store, path)
-        loaded = fd.load_store(path, teacher=quick_teacher)
+        loaded = fd.load_store(_saved_with(quick_store, tmp_path), teacher=quick_teacher)
         assert loaded.N == quick_store.N
 
     def test_wrong_teacher_is_integrity_error(self, quick_store, tmp_path):
-        path = tmp_path / "store.jsonl"
-        fd.save_store(quick_store, path)
-        other = rand_model(seed=99)
+        path = _saved_with(quick_store, tmp_path)
         with pytest.raises(StoreIntegrityError):
-            fd.load_store(path, teacher=other)
+            fd.load_store(path, teacher=rand_model(seed=99))
 
     def test_tampered_states_fail_validation(self, quick_teacher, quick_store, tmp_path):
-        path = tmp_path / "store.jsonl"
-        fd.save_store(quick_store, path)
-        lines = path.read_text().splitlines()
-        record = json.loads(lines[1])
-        states = np.frombuffer(base64.b64decode(record["states"]), "<f8").copy()
-        states[3] += 0.5
-        record["states"] = _encode(states)
-        lines[1] = json.dumps(record, separators=(",", ":"))
-        path.write_text("\n".join(lines) + "\n")
+        def bump(row):
+            row[3] += 0.5
+            return row
+        path = _saved_with(quick_store, tmp_path,
+                           lambda lines: [lines[0], _edit_row(bump)(lines[1]), *lines[2:]])
         with pytest.raises(StoreIntegrityError):
+            fd.load_store(path, teacher=quick_teacher)
+
+    @pytest.mark.parametrize("reseed", list(RESEEDS))
+    def test_noise_is_tied_to_header_seed_and_position(self, quick_teacher, quick_store,
+                                                       tmp_path, reseed):
+        first, edit = RESEEDS[reseed]
+        path = _saved_with(quick_store, tmp_path, edit)
+        fd.load_store(path)  # well formed
+        with pytest.raises(StoreIntegrityError,
+                           match=f"trajectory {first} does not start from its seeded noise"):
             fd.load_store(path, teacher=quick_teacher)
 
     @pytest.mark.parametrize("tamper", [0.5, float("nan")])
