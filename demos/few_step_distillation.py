@@ -20,10 +20,10 @@ teacher, _ = fd.train_teacher(data, iterations=2000, batch_size=512, lr=3e-4, se
 grid = fd.TimeGrid.uniform(50)
 store = fd.generate_store(teacher, N=1024, grid=grid, seed=1)
 
-config = fd.DistillConfig(m=5, n=50, iterations=800, batch_size=128,
+config = fd.DistillConfig(m=5, iterations=800, batch_size=128,
                           lambda_adv=0.1, seed=2)
 result = fd.distill(teacher, store, config)
-print(f"metrics rows: {len(result.metrics)}, heads: {len(result.heads)}")
+print(f"metrics rows: {len(result.metrics)}, heads: {result.heads.shapes[0][0]}")
 first, last = result.metrics[0], result.metrics[-1]
 print(f"trajectory loss: {first[2]:.4f} (start) -> {last[2]:.4f} (end)")
 

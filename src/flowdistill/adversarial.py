@@ -4,12 +4,11 @@ timestep projection heads, and the GAN losses.
 The discriminator never owns a feature extractor of its own: features
 are hidden activations of the frozen teacher, tapped at one block for
 noisy inputs (t > 0) and an earlier block for clean inputs (t = 0).
-Each projection head maps a feature vector to a single logit.
+Each projection head maps a feature vector to a single logit; all heads
+of a run are one ParamSet with a leading head axis (`build_heads`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,88 +41,63 @@ def features_node(teacher: VelocityModel, x, t: float, want_cache: bool = False)
     return mlp_forward(teacher.params, X, t, teacher.R, stop=block, want_cache=want_cache)
 
 
-@dataclass
-class ProjectionHead:
-    """Small MLP (H -> H/2 -> 1) producing a real/fake logit for the key
-    timestep it serves. The output layer starts at zero, so a fresh head
+def build_heads(feature_width: int, seeds) -> ParamSet:
+    """One small MLP head (H -> H/2 -> 1) per seed, producing a real/fake
+    logit, stacked on a leading head axis: w1 (count, H, H/2), b1
+    (count, H/2), w2 (count, H/2, 1), b2 (count, 1). Head i's w1 is
+    drawn from `seeds[i]`; the rest starts at zero, so a fresh head
     reports probability exactly 0.5 everywhere."""
-
-    index: int
-    params: ParamSet
-
-    @property
-    def in_width(self) -> int:
-        return self.params.tensors[0].shape[0]
-
-    def with_params(self, params: ParamSet) -> "ProjectionHead":
-        return ProjectionHead(self.index, params)
-
-
-def build_projection_head(feature_width: int, index: int, seed: int) -> ProjectionHead:
     if feature_width < 2:
         raise ConfigError(f"feature width must be at least 2, got {feature_width}")
-    rng = np.random.default_rng(seed)
-    mid = feature_width // 2
-    params = ParamSet(
-        ("w1", "b1", "w2", "b2"),
-        (
-            rng.normal(0.0, 1.0 / np.sqrt(feature_width), size=(feature_width, mid)),
-            np.zeros(mid),
-            np.zeros((mid, 1)),
-            np.zeros(1),
-        ),
-    )
-    return ProjectionHead(index, params)
+    count, mid = len(seeds), feature_width // 2
+    w1 = [np.random.default_rng(s).normal(0.0, 1.0 / np.sqrt(feature_width),
+                                          size=(feature_width, mid)) for s in seeds]
+    return ParamSet(("w1", "b1", "w2", "b2"), (np.stack(w1), np.zeros((count, mid)),
+                                               np.zeros((count, mid, 1)), np.zeros((count, 1))))
 
 
-def head_logit_node(params, features) -> Tensor:
-    """Logit of a head on (B, H) features, built on the autodiff tape;
-    either side may carry grads. The reference for `head_forward` and
-    `head_backward`."""
-    w1, b1, w2, b2 = getattr(params, "tensors", params)
+def head_of(heads: ParamSet, i: int) -> tuple:
+    """Head i of stacked `heads` (or of their gradients): its four
+    tensors, as contiguous views."""
+    return tuple(t[i] for t in heads.tensors)
+
+
+def head_logit_node(head, features) -> Tensor:
+    """Logit of a head, its four tensors or Tensors, on (B, H) features,
+    built on the autodiff tape; either side may carry grads. The
+    reference for `head_forward` and `head_backward`."""
+    w1, b1, w2, b2 = getattr(head, "tensors", head)
     h = ad.silu(ad.add(ad.matmul(ad.as_tensor(features), w1), b1))
     return ad.add(ad.matmul(h, w2), b2)
 
 
-def head_forward(params: ParamSet, features):
-    """(B, 1) logits of a head on (B, H) features, plus the cache for
-    `head_backward`; the arithmetic of `head_logit_node`, without the
-    tape."""
-    w1, b1, w2, b2 = params.tensors
+def head_forward(head, features):
+    """(B, 1) logits of a head, its four tensors, on (B, H) features,
+    plus the cache for `head_backward`; the arithmetic of
+    `head_logit_node`, without the tape."""
+    w1, b1, w2, b2 = head
     a = features @ w1 + b1
     s = ad.stable_sigmoid(a)
     h = a * s
     return h @ w2 + b2, (features, a, s, h)
 
 
-def head_backward(params: ParamSet, cache, g, grads: ParamSet | None = None,
-                  want_input: bool = False):
+def head_backward(head, cache, g, grads=None, want_input: bool = False):
     """Reverse pass of `head_forward` for the logit gradient g: writes
-    the parameter gradients into `grads` unless it is None, and returns
-    the gradient with respect to the features when `want_input` is
-    set. Same arithmetic as the tape's VJPs."""
+    the parameter gradients into `grads`, four arrays shaped like the
+    head's tensors, unless it is None, and returns the gradient with
+    respect to the features when `want_input` is set. Same arithmetic
+    as the tape's VJPs."""
     features, a, s, h = cache
-    w1, _, w2, _ = params.tensors
+    w1, _, w2, _ = head
     if grads is not None:
-        np.add.reduce(g, 0, out=grads.tensors[3])
-        np.matmul(h.T, g, out=grads.tensors[2])
+        np.add.reduce(g, 0, out=grads[3])
+        np.matmul(h.T, g, out=grads[2])
     g = (g @ w2.T) * s * (1.0 + a * (1.0 - s))  # through silu
     if grads is not None:
-        np.add.reduce(g, 0, out=grads.tensors[1])
-        np.matmul(features.T, g, out=grads.tensors[0])
+        np.add.reduce(g, 0, out=grads[1])
+        np.matmul(features.T, g, out=grads[0])
     return g @ w1.T if want_input else None
-
-
-def discriminate(head: ProjectionHead, features) -> np.ndarray:
-    """(B,) probabilities that each row of the (B, H) `features` came
-    from a real (stored) latent."""
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[1] != head.in_width:
-        raise ValueError(
-            f"features have shape {feats.shape}, head expects (B, {head.in_width})"
-        )
-    logit, _ = head_forward(head.params, feats)
-    return ad.stable_sigmoid(logit[:, 0])
 
 
 def _clip_prob(p):

@@ -15,15 +15,16 @@ import sys
 
 import numpy as np
 
+from .adversarial import head_of
 from .analysis import MetricsRecord, SWEEP_COLUMNS, endpoint_error, \
     kd_baseline_distill, mismatch_sweep, shifted_dataset, useless_frequency, \
     w1_distance
 from .atomic import atomic_open
 from .config import load_config
 from .distill import distill, METRIC_COLUMNS
-from .errors import ConfigError, FlowDistillError
+from .errors import ConfigError, FlowDistillError, NumericsError
 from .flow import TimeGrid, denoise_batch, sample_model, train_teacher
-from .nn import load_model, save_model, save_paramset
+from .nn import ParamSet, load_model, save_model, save_paramset
 from .seeds import derive_seed
 from .trajstore import check_teacher, generate_store, load_store, save_store, validate_store
 
@@ -91,11 +92,11 @@ def cmd_distill(args) -> int:
                      checkpoint_path=os.path.join(cfg.out_dir, "distill_checkpoint.json"),
                      resume=args.resume)
     save_model(os.path.join(cfg.out_dir, "student.json"), result.student)
-    for head in result.heads:
-        name = (f"head_{head.index}.json" if dcfg.heads == "per_timestep"
-                else "head_shared.json")
-        save_paramset(os.path.join(cfg.out_dir, name), head.params,
-                      {"kind": "projection_head", "index": head.index})
+    for i in range(result.heads.shapes[0][0]):
+        name = f"head_{i}.json" if dcfg.heads == "per_timestep" else "head_shared.json"
+        save_paramset(os.path.join(cfg.out_dir, name),
+                      ParamSet(result.heads.names, head_of(result.heads, i)),
+                      {"kind": "projection_head", "index": i})
     write_csv(os.path.join(cfg.out_dir, "distill_metrics.csv"), METRIC_COLUMNS,
               result.metrics)
     return 0
@@ -109,7 +110,10 @@ def cmd_kd_baseline(args) -> int:
     p_d = shifted_dataset(cfg.dataset, args.mismatch)
     kd_cfg = dataclasses.replace(cfg.kd, seed=derive_seed(cfg.seed, "kd"))
     grid = TimeGrid.uniform(cfg.store["n"])
-    student, losses = kd_baseline_distill(teacher, p_d, cfg.kd_windows, kd_cfg, grid)
+    try:
+        student, losses = kd_baseline_distill(teacher, p_d, cfg.kd_windows, kd_cfg, grid)
+    except NumericsError as e:
+        raise NumericsError(f"--mismatch {args.mismatch} is too large to train on: {e}") from e
     save_model(os.path.join(cfg.out_dir, "kd_student.json"), student)
     write_csv(os.path.join(cfg.out_dir, "kd_loss.csv"), ("iteration", "loss"),
               [(i, float(l)) for i, l in enumerate(losses)])

@@ -144,7 +144,6 @@ def parse_config(raw: dict) -> RunConfig:
 
     distill_cfg = DistillConfig(
         m=field("m", int, True),
-        n=store["n"],
         lambda_adv=field("lambda_adv", float),
         student_lr=field("student_lr", float, True),
         adv_student_lr=field("adv_student_lr", float, True),
@@ -156,6 +155,9 @@ def parse_config(raw: dict) -> RunConfig:
         checkpoint_interval=field("checkpoint_interval", int),
     )
     distill_cfg.validate()
+    if store["n"] % distill_cfg.m != 0:
+        raise ConfigError(f"config field store.n={store['n']} must be divisible by "
+                          f"distill.m={distill_cfg.m}")
     kd = merged["kd"]
     kd_cfg = KDConfig(
         iterations=_require(kd, "kd", "iterations", int, True),

@@ -13,8 +13,10 @@ key interval. With the adversary on, the round also carries one batch
 of generated latents down the keys: fresh noise at k = m-1, advanced
 one student Euler step per key, and compared at each key against the
 stored latents of its paired trajectories through the frozen teacher's
-features and the head for k. The chain lives inside the round; both
-adversarial gradients of every key are applied together when it ends.
+features and the head for k. The chain lives inside the round; its
+adversarial gradients are summed over the keys and applied when it
+ends, the student's as the mean over the m keys and each head's as the
+mean over the keys it served.
 
 A run's state between rounds is one dataclass, which is also its
 checkpoint; a resume refuses the checkpoint of another teacher, store or
@@ -30,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .adversarial import ProjectionHead, build_projection_head, d_loss_grad, \
-    features_node, g_loss_grad, head_backward, head_forward
+from .adversarial import build_heads, d_loss_grad, features_node, g_loss_grad, \
+    head_backward, head_forward, head_of
 from .atomic import write_json
 from .errors import ConfigError, NumericsError
 from .flow import TimeGrid
@@ -81,10 +83,9 @@ class DistillConfig:
     loss against the stored latents of the trajectories the generated
     batch was paired with, a separate Adam state for the generator-side
     student step, and one update of the student and the heads at the
-    end of every round."""
+    end of every round. The key count m must divide the store's n."""
 
     m: int = 5
-    n: int = 50
     lambda_adv: float = 0.1
     student_lr: float = 1e-4
     adv_student_lr: float = 1e-5  # generator-side step; kept well below the
@@ -100,8 +101,6 @@ class DistillConfig:
     def validate(self):
         if self.m < 1:
             raise ConfigError("m must be positive")
-        if self.n % self.m != 0:
-            raise ConfigError(f"n={self.n} must be divisible by m={self.m}")
         if self.lambda_adv < 0:
             raise ConfigError("lambda_adv must be non-negative")
         if self.student_lr <= 0 or self.adv_student_lr <= 0 or self.head_lr <= 0:
@@ -119,7 +118,7 @@ class DistillConfig:
 @dataclass
 class DistillResult:
     student: VelocityModel
-    heads: list
+    heads: ParamSet  # stacked on a leading head axis; head i is head_of(heads, i)
     metrics: list  # rows matching METRIC_COLUMNS
 
 
@@ -141,26 +140,26 @@ class _DistillState:
     # mixing both losses in one EMA lets every adversarial step replay
     # the trajectory momentum
     opt_student_adv: OptimizerState
-    heads: list[ProjectionHead]
-    opt_heads: list[OptimizerState]
+    heads: ParamSet  # every head, stacked on a leading head axis
+    opt_heads: OptimizerState
     rng_batch: np.random.Generator
     rng_noise: np.random.Generator
     metrics: list[tuple[int, int, float, float, float, str]]  # rows of METRIC_COLUMNS
 
     def head_for(self, k: int) -> int:
-        return k if len(self.heads) > 1 else 0
+        return k if self.config.heads == "per_timestep" else 0
 
 
 def init_state(teacher: VelocityModel, store: TrajectoryStore,
                config: DistillConfig) -> _DistillState:
     """The state of a run on `store` before its first round."""
     student = teacher.params.copy()
-    heads = [build_projection_head(teacher.H, k, derive_seed(config.seed, f"head-{k}"))
-             for k in range(config.m if config.heads == "per_timestep" else 1)]
+    count = config.m if config.heads == "per_timestep" else 1
+    heads = build_heads(teacher.H, [derive_seed(config.seed, f"head-{k}") for k in range(count)])
     return _DistillState(
         config, teacher.fingerprint(), store.fingerprint(), 0, student,
         init_optimizer(student, config.student_lr), init_optimizer(student, config.adv_student_lr),
-        heads, [init_optimizer(h.params, config.head_lr) for h in heads],
+        heads, init_optimizer(heads, config.head_lr),
         np.random.default_rng(derive_seed(config.seed, "trajectory-batches")),
         # the label predates the chain; renaming it would change every draw
         np.random.default_rng(derive_seed(config.seed, "queue-noise")), [])
@@ -175,17 +174,19 @@ def load_checkpoint(path, teacher: VelocityModel, store: TrajectoryStore,
     """The state saved in `path`, which must be a run of `teacher` on
     `store` under `config` up to the fields in RESUMABLE: a defect in the
     file is a StoreFormatError, another run a ConfigError, each naming it."""
-    payload = read_json(path, "flowdistill-checkpoint", ())
+    payload = read_json(path, "flowdistill-checkpoint", ("config", "teacher", "store"))
     fresh = init_state(teacher, store, config)
-    state = from_payload(_DistillState, payload, path, like=fresh)
-    identity = [(f.name, getattr(state.config, f.name), getattr(config, f.name))
+    # the identity first: another run's heads, say, are another run, not a defect
+    saved = from_payload(DistillConfig, payload["config"], path, "config")
+    identity = [(f.name, getattr(saved, f.name), getattr(config, f.name))
                 for f in dataclasses.fields(config) if f.name not in RESUMABLE]
-    identity += [(name, getattr(state, name), getattr(fresh, name))
+    identity += [(name, from_payload(str, payload[name], path, name), getattr(fresh, name))
                  for name in ("teacher", "store")]
     for name, was, now in identity:
         if was != now:
             raise ConfigError(f"{path}: checkpoint was written for {name}={was!r}, "
                               f"this run has {name}={now!r}")
+    state = from_payload(_DistillState, payload, path, like=fresh)
     return dataclasses.replace(state, config=config)
 
 
@@ -201,11 +202,11 @@ def _adv_gradients(teacher, key_grid, config, state, k, l_prev, real):
     gradient, the discriminator and the next key.
 
     Returns (d_loss, g_loss, generated latents, student gradient, head
-    gradient).
+    gradient), the last laid out like one head.
     """
     t_hi, t_lo = key_grid.times[k + 1], key_grid.times[k]
     dt = t_lo - t_hi
-    head = state.heads[state.head_for(k)].params
+    head = head_of(state.heads, state.head_for(k))
     student = state.student
 
     v, step_cache = mlp_forward(student, l_prev, t_hi, teacher.R, want_cache=True)
@@ -227,40 +228,14 @@ def _adv_gradients(teacher, key_grid, config, state, k, l_prev, real):
         head, features_node(teacher, real, t_lo))
     d_scaled, g_real, g_fake = d_loss_grad(logit_real, logit_fake, config.lambda_adv)
     check_loss(d_scaled)
-    h_real, h_fake = zeros_like(head), zeros_like(head)
+    h_real, h_fake = [np.zeros_like(t) for t in head], [np.zeros_like(t) for t in head]
     head_backward(head, head_real, g_real, h_real)
     head_backward(head, head_fake, g_fake, h_fake)
-    h_grads = head.like(h_real.flat + h_fake.flat)
+    h_grads = ParamSet(state.heads.names, [r + f for r, f in zip(h_real, h_fake)])
     check_grads(h_grads)
 
     return (d_scaled / config.lambda_adv, g_scaled / config.lambda_adv, l_gen,
             s_grads, h_grads)
-
-
-def _mean_grad(params, grads):
-    """Mean of `grads`, summed in order onto zeros shaped like `params`."""
-    acc = np.zeros(params.size)
-    for g in grads:
-        acc = acc + g.flat
-    return params.like(acc / len(grads))
-
-
-def _apply_adv_updates(state, student_grads, head_grads):
-    """Step the student, and each head, on the mean of the adversarial
-    gradients one round collected for it (`head_grads[i]` for head i);
-    a part with none is left alone."""
-    if student_grads:
-        state.student, state.opt_student_adv = optimizer_step(
-            state.student, _mean_grad(state.student, student_grads),
-            state.opt_student_adv,
-        )
-    for i, grads in enumerate(head_grads):
-        if grads:
-            head = state.heads[i]
-            new_params, state.opt_heads[i] = optimizer_step(
-                head.params, _mean_grad(head.params, grads), state.opt_heads[i]
-            )
-            state.heads[i] = head.with_params(new_params)
 
 
 def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfig,
@@ -275,8 +250,8 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
     continues an interrupted run bit-for-bit from a checkpoint there.
     """
     config.validate()
-    if store.grid.n != config.n:
-        raise ConfigError(f"store has n={store.grid.n}, config expects n={config.n}")
+    if store.grid.n % config.m != 0:
+        raise ConfigError(f"store has n={store.grid.n}, which m={config.m} does not divide")
     if store.d != teacher.d:
         raise ConfigError("store dimension does not match the teacher")
     check_teacher(store, teacher)
@@ -292,8 +267,8 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
 
     while state.round < config.iterations:
         rnd = state.round
-        # adversarial gradients of this round, applied when it ends
-        student_grads, head_grads = [], [[] for _ in state.heads]
+        # adversarial gradient sums of this round, applied when it ends
+        student_sum, head_sum = zeros_like(state.student), zeros_like(state.heads)
         for k in range(m - 1, -1, -1):
             idx = state.rng_batch.integers(0, N, size=B)
             keys_b = keys_all[idx]
@@ -324,15 +299,21 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
                     raise NumericsError(
                         f"distillation diverged (adv phase, k={k}, round={rnd}): {e}"
                     ) from e
-                student_grads.append(s_grads)
-                head_grads[state.head_for(k)].append(h_grads)
+                student_sum.flat += s_grads.flat
+                for acc, g in zip(head_of(head_sum, state.head_for(k)), h_grads.tensors):
+                    acc += g
                 in_flight[k] = 1
 
             state.metrics.append(
                 (rnd, k, loss, d_loss_val, g_loss_val, "|".join(map(str, in_flight)))
             )
         state.round += 1
-        _apply_adv_updates(state, student_grads, head_grads)
+        if config.lambda_adv > 0.0:
+            served = 1 if config.heads == "per_timestep" else m  # keys per head
+            state.student, state.opt_student_adv = optimizer_step(
+                state.student, student_sum.like(student_sum.flat / m), state.opt_student_adv)
+            state.heads, state.opt_heads = optimizer_step(
+                state.heads, head_sum.like(head_sum.flat / served), state.opt_heads)
         if (checkpoint_path and config.checkpoint_interval
                 and state.round % config.checkpoint_interval == 0):
             save_checkpoint(checkpoint_path, state)
@@ -340,5 +321,5 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
     if teacher.fingerprint() != state.teacher:
         raise NumericsError("teacher parameters changed during distillation")
     student = teacher.with_params(state.student)
-    return DistillResult(student=student, heads=list(state.heads), metrics=state.metrics)
+    return DistillResult(student=student, heads=state.heads, metrics=state.metrics)
 

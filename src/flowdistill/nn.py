@@ -81,12 +81,6 @@ class ParamSet:
         # pickling the views one by one would detach them from `flat`
         return ParamSet, (self.names, self.tensors)
 
-    def __len__(self):
-        return len(self.tensors)
-
-    def __iter__(self):
-        return iter(self.tensors)
-
     @property
     def size(self) -> int:
         return self.flat.size
@@ -404,7 +398,9 @@ def init_optimizer(params: ParamSet, lr: float) -> OptimizerState:
 def optimizer_step(params: ParamSet, grads: ParamSet, state: OptimizerState):
     """One Adam step, run once on the flat vectors.
 
-    Returns new (params, state); inputs are left untouched.
+    Returns new (params, state); inputs are left untouched. A non-finite
+    second moment, from a non-finite or overflowing gradient, is a
+    NumericsError.
     """
     params._check_congruent(grads)
     params._check_congruent(state.m)
@@ -413,10 +409,13 @@ def optimizer_step(params: ParamSet, grads: ParamSet, state: OptimizerState):
     bias1 = 1.0 - b1**step
     bias2 = 1.0 - b2**step
     g = grads.flat
-    m = b1 * state.m.flat + (1.0 - b1) * g
-    v = b2 * state.v.flat + (1.0 - b2) * (g * g)
-    update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
-    p = params.flat - state.lr * update
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
+        m = b1 * state.m.flat + (1.0 - b1) * g
+        v = b2 * state.v.flat + (1.0 - b2) * (g * g)
+        update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+        p = params.flat - state.lr * update
+    if not np.isfinite(v.max()):
+        raise NumericsError("Adam step produced a non-finite second moment")
     new_state = dataclasses.replace(state, m=params.like(m), v=params.like(v), step=step)
     return params.like(p), new_state
 

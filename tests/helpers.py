@@ -15,6 +15,15 @@ def rand_model(d=1, H=12, R=2, seed=0, scale=0.4):
     return model.with_params(model.params.map(lambda t: t + rng.normal(0, scale, t.shape)))
 
 
+def constant_model(c):
+    """Model rigged to output the constant c: zero hidden influence via
+    the output layer, constant via the output bias."""
+    model = fd.build_velocity_model(1, 8, 1, seed=0)
+    tensors = list(model.params.tensors)
+    tensors[-1] = np.array([c])
+    return model.with_params(fd.ParamSet(model.params.names, tuple(tensors)))
+
+
 def parallel_map(fn, args):
     """[fn(a) for a in args], spread over up to two worker processes when
     this process may run on two CPUs. `fn` must be a module-level
@@ -50,26 +59,29 @@ def kd_and_score(args):
     return fd.w1_distance(samples[:, 0], support[:, 0])
 
 
-def rand_head(width, index=0, seed=0, scale=0.3):
-    """Projection head with every tensor randomized (the output layer
-    starts at zero, which would zero every gradient through it)."""
+def rand_head(width, seed=0, scale=0.3):
+    """One projection head, as a ParamSet of its four tensors, with every
+    tensor randomized (the output layer starts at zero, which would zero
+    every gradient through it)."""
     rng = np.random.default_rng(seed + 2000)
-    head = fd.build_projection_head(width, index, seed)
-    return head.with_params(head.params.map(lambda t: t + rng.normal(0, scale, t.shape)))
+    head = fd.build_heads(width, [seed])
+    return fd.ParamSet(head.names, [t + rng.normal(0, scale, t.shape)
+                                    for t in fd.head_of(head, 0)])
 
 
 def adv_step(teacher, student_params, head, l_prev, real_keys, k, key_grid,
              scale=1.0, heads="per_timestep"):
     """One adversarial step through the training loop's explicit path
     (`distill._adv_gradients`) on a fresh state holding `student_params`
-    and, for key k, `head`. Returns (d_loss, g_loss, generated latents,
-    student gradient, head gradient)."""
+    and, as the head for key k, the ParamSet `head`. Returns (d_loss,
+    g_loss, generated latents, student gradient, head gradient)."""
     from flowdistill.distill import _adv_gradients, init_state
 
-    config = fd.DistillConfig(m=key_grid.n, n=key_grid.n, lambda_adv=scale, heads=heads)
+    config = fd.DistillConfig(m=key_grid.n, lambda_adv=scale, heads=heads)
     # the store only names the run; a one-step, one-path one is enough
     state = init_state(teacher, fd.generate_store(teacher, 1, fd.TimeGrid.uniform(1), 0),
                        config)
     state.student = student_params
-    state.heads[state.head_for(k)] = head
+    for view, t in zip(fd.head_of(state.heads, state.head_for(k)), head.tensors):
+        view[...] = t
     return _adv_gradients(teacher, key_grid, config, state, k, l_prev, real_keys[:, k])

@@ -25,7 +25,8 @@ from flowdistill.nn import velocity_mse
 from flowdistill.seeds import derive_seed
 from flowdistill.trajstore import RECURRENCE_TOL
 
-from helpers import adv_step, distill_and_score, kd_and_score, parallel_map, rand_model
+from helpers import adv_step, constant_model, distill_and_score, kd_and_score, parallel_map, \
+    rand_model
 from oracles import max_grad_rel_error, mismatch_bruteforce
 
 TEACHER_ITERS = 10000
@@ -38,7 +39,7 @@ EVAL_COUNT = 4096
 SEEDS = (0, 1, 2, 3, 4)
 M_SWEEP = (0.0, 1.0, 2.0, 4.0)
 
-DISTILL_BASE = fd.DistillConfig(m=M_KEYS, n=GRID_N, iterations=3000, batch_size=128)
+DISTILL_BASE = fd.DistillConfig(m=M_KEYS, iterations=3000, batch_size=128)
 KD_BASE = KDConfig()
 KD_WINDOWS = 5
 
@@ -138,9 +139,9 @@ def test_criterion_2_gradient_correctness(teacher):
         # the generator loss through one student step from t'_2 = 0.4 to
         # t'_1 = 0.2, the frozen teacher's features and the head
         student = rand_model(seed=seed + 200, H=teacher.H, R=teacher.R)
-        head = fd.build_projection_head(teacher.H, 0, seed + 300)
-        head = head.with_params(head.params.map(
-            lambda t: t + rng.normal(0, 0.3, t.shape)))
+        heads = fd.build_heads(teacher.H, [seed + 300])
+        head = fd.ParamSet(heads.names, [t + rng.normal(0, 0.3, t.shape)
+                                         for t in fd.head_of(heads, 0)])
         l_prev = rng.standard_normal((1, 1))
         real_keys = np.zeros((1, 6, 1))
 
@@ -158,10 +159,7 @@ def test_criterion_2_gradient_correctness(teacher):
 
 def test_criterion_3_solver_exactness(teacher, store):
     # constant field: rig the output bias
-    model = fd.build_velocity_model(1, 8, 1, seed=0)
-    tensors = list(model.params.tensors)
-    tensors[-1] = np.array([2.0])
-    model = model.with_params(fd.ParamSet(model.params.names, tuple(tensors)))
+    model = constant_model(2.0)
     out = fd.integrate(model, np.array([[0.0]]), (1.0, 0.5))[-1]
     assert abs(out[0, 0] - (-1.0)) <= 1e-12
 

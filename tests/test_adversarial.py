@@ -4,11 +4,11 @@ import pytest
 import flowdistill as fd
 import flowdistill.autodiff as ad
 from flowdistill.adversarial import PROB_EPS, d_loss_grad, features_node, g_loss_grad, \
-    g_loss_node, head_logit_node
+    g_loss_node, head_forward, head_logit_node
 from flowdistill.nn import forward_velocity
 
 from helpers import rand_model
-from oracles import central_diff
+from oracles import adam_reference, max_grad_rel_error
 
 
 class TestFeatureExtraction:
@@ -24,7 +24,7 @@ class TestFeatureExtraction:
     def test_features_stable_across_student_updates(self, quick_teacher, quick_store):
         X, t = np.array([[0.3]]), 0.5
         before = features_node(quick_teacher, X, t)
-        cfg = fd.DistillConfig(m=5, n=10, iterations=2, batch_size=4, seed=3)
+        cfg = fd.DistillConfig(m=5, iterations=2, batch_size=4, seed=3)
         fd.distill(quick_teacher, quick_store, cfg)
         after = features_node(quick_teacher, X, t)
         assert np.array_equal(before, after)
@@ -50,37 +50,35 @@ class TestFeatureExtraction:
             assert np.array_equal(features_node(quick_teacher, X, t), hidden[block].data)
 
 
+def _real_prob(head, feats):
+    """(B,) probabilities the head gives each row of (B, H) features of
+    coming from a real (stored) latent."""
+    return ad.stable_sigmoid(head_forward(head, feats)[0][:, 0])
+
+
 class TestDiscriminate:
     def test_fresh_head_outputs_exactly_half(self):
-        head = fd.build_projection_head(16, index=0, seed=4)
+        heads = fd.build_heads(16, [4, 5, 6])
         feats = np.random.default_rng(0).standard_normal((5, 16))
-        assert np.all(fd.discriminate(head, feats) == 0.5)
+        for i in range(3):
+            assert np.all(_real_prob(fd.head_of(heads, i), feats) == 0.5)
 
     def test_probability_monotone_in_logit(self):
-        head = fd.build_projection_head(8, index=0, seed=5)
+        head = list(fd.head_of(fd.build_heads(8, [5]), 0))
         feats = np.random.default_rng(1).standard_normal((1, 8))
         probs = []
         for bias in (-2.0, -0.5, 0.0, 0.5, 2.0):
-            tensors = list(head.params.tensors)
-            tensors[3] = np.array([bias])
-            bumped = head.with_params(fd.ParamSet(head.params.names, tuple(tensors)))
-            probs.append(fd.discriminate(bumped, feats)[0])
+            head[3] = np.array([bias])
+            probs.append(_real_prob(head, feats)[0])
         assert all(a < b for a, b in zip(probs, probs[1:]))
-
-    def test_feature_width_mismatch_rejected(self):
-        head = fd.build_projection_head(8, index=0, seed=6)
-        with pytest.raises(ValueError):
-            fd.discriminate(head, np.zeros((1, 5)))
-        with pytest.raises(ValueError):
-            fd.discriminate(head, np.zeros(8))
 
     def test_trains_to_separate_clusters(self):
         rng = np.random.default_rng(7)
         width = 12
         real = rng.normal(1.5, 0.5, size=(256, width))
         fake = rng.normal(-1.5, 0.5, size=(256, width))
-        head = fd.build_projection_head(width, index=0, seed=8)
-        params = head.params
+        heads = fd.build_heads(width, [8])
+        params = fd.ParamSet(heads.names, fd.head_of(heads, 0))
         opt = fd.init_optimizer(params, lr=5e-3)
         for step in range(300):
             i = rng.integers(0, 256, 32)
@@ -95,12 +93,27 @@ class TestDiscriminate:
 
             _, grads = fd.value_and_grad(loss, params)
             params, opt = fd.optimizer_step(params, grads, opt)
-        trained = head.with_params(params)
         held_real = rng.normal(1.5, 0.5, size=(128, width))
         held_fake = rng.normal(-1.5, 0.5, size=(128, width))
-        acc_real = np.mean(fd.discriminate(trained, held_real) > 0.5)
-        acc_fake = np.mean(fd.discriminate(trained, held_fake) < 0.5)
+        acc_real = np.mean(_real_prob(params.tensors, held_real) > 0.5)
+        acc_fake = np.mean(_real_prob(params.tensors, held_fake) < 0.5)
         assert (acc_real + acc_fake) / 2 > 0.9
+
+
+class TestStackedHeads:
+    def test_one_adam_step_equals_the_reference_head_by_head(self):
+        # all heads share one Adam state: each must step as it would alone
+        rng = np.random.default_rng(11)
+        heads = fd.build_heads(8, [1, 2, 3])
+        opt = fd.init_optimizer(heads, lr=1e-2)
+        ref = [[fd.head_of(ps, i) for ps in (heads, opt.m, opt.v)] for i in range(3)]
+        for step in (1, 2, 3):
+            grads = heads.like(rng.standard_normal(heads.size))
+            heads, opt = fd.optimizer_step(heads, grads, opt)
+            for i in range(3):
+                ref[i] = adam_reference(ref[i][0], fd.head_of(grads, i), *ref[i][1:], step, 1e-2)
+                for got, want in zip((heads, opt.m, opt.v), ref[i]):
+                    assert all(np.array_equal(a, b) for a, b in zip(fd.head_of(got, i), want))
 
 
 def _adv_losses(logit_real, logit_fake):
@@ -138,9 +151,9 @@ class TestAdvLosses:
         # d(g_loss)/d(student params) through: euler step -> frozen
         # teacher features -> head -> logistic -> -log p
         student = rand_model(seed=41, H=quick_teacher.H, R=quick_teacher.R)
-        head = fd.build_projection_head(quick_teacher.H, index=0, seed=42)
-        head = head.with_params(head.params.map(
-            lambda t: t + np.random.default_rng(43).normal(0, 0.3, t.shape)))
+        heads = fd.build_heads(quick_teacher.H, [42])
+        head = [t + np.random.default_rng(43).normal(0, 0.3, t.shape)
+                for t in fd.head_of(heads, 0)]
         l_prev = np.array([[0.7]])
         t_hi, t_lo = 0.4, 0.2
 
@@ -148,21 +161,13 @@ class TestAdvLosses:
             v = forward_velocity(ps, l_prev, t_hi, student.R)
             l_gen = ad.add(l_prev, ad.mul(v, t_lo - t_hi))
             feats = features_node(quick_teacher, l_gen, t_lo)
-            p_fake = ad.sigmoid(head_logit_node(head.params, feats))
+            p_fake = ad.sigmoid(head_logit_node(head, feats))
             return g_loss_node(p_fake)
 
-        loss, grads = fd.value_and_grad(g_loss_fn, student.params)
-        rng = np.random.default_rng(44)
-        worst = 0.0
-        for i in rng.integers(0, student.params.size, 32):
-            ref = central_diff(
-                lambda ps: float(g_loss_fn_on(ps, quick_teacher, head, l_prev,
-                                              t_hi, t_lo, student.R)),
-                student.params, int(i),
-            )
-            got = grads.get_flat(int(i))
-            worst = max(worst, abs(got - ref) / max(abs(ref), 1e-6))
-        assert worst < 1e-4
+        _, grads = fd.value_and_grad(g_loss_fn, student.params)
+        coords = np.random.default_rng(44).integers(0, student.params.size, 32)
+        assert max_grad_rel_error(lambda ps: float(g_loss_fn(ps).data), student.params,
+                                  grads, coords, floor=1e-6) < 1e-4
 
     def test_generator_loss_is_negative_log_p(self):
         # raising the fake logit lowers the loss: d/dl -log sigmoid(l) = -(1 - p)
@@ -171,11 +176,3 @@ class TestAdvLosses:
         assert g[0, 0] == pytest.approx(-0.7)
         assert float(g_loss_node(ad.Tensor(np.array([[0.3]]))).data) == \
             pytest.approx(-np.log(0.3))
-
-
-def g_loss_fn_on(ps, teacher, head, l_prev, t_hi, t_lo, R):
-    v = forward_velocity(ps, l_prev, t_hi, R)
-    l_gen = ad.add(l_prev, ad.mul(v, t_lo - t_hi))
-    feats = features_node(teacher, l_gen, t_lo)
-    p_fake = ad.sigmoid(head_logit_node(head.params, feats))
-    return g_loss_node(p_fake).data

@@ -38,7 +38,7 @@ def _paramset(path, monkeypatch, fail):
 
 
 def _checkpoint(path, monkeypatch, fail):
-    cfg = fd.DistillConfig(m=5, n=10, iterations=1, batch_size=4)
+    cfg = fd.DistillConfig(m=5, iterations=1, batch_size=4)
     model = rand_model(seed=2)
     state = init_state(model, fd.generate_store(model, 2, fd.TimeGrid.uniform(4), seed=0), cfg)
     if fail:

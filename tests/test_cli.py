@@ -247,10 +247,10 @@ class TestCheckpointFormat:
                 open(f"{ref_out}/{name}", "rb").read(), name
 
     @pytest.mark.parametrize("where,field", [
-        ((), "round"), (("opt_student",), "lr"), (("heads", 0), "index"),
+        ((), "round"), (("opt_student",), "lr"), (("opt_heads",), "step"),
         # a run's identity: without it a resume could mix runs
         ((), "config"), ((), "teacher"), ((), "store"),
-    ], ids=["round", "optimizer-lr", "head-index", "config", "teacher", "store"])
+    ], ids=["round", "optimizer-lr", "head-optimizer-step", "config", "teacher", "store"])
     def test_missing_field_is_named(self, halfway, capsys, where, field):
         args, _, out = halfway
 
@@ -272,12 +272,13 @@ class TestCheckpointFormat:
         ("metrics", lambda p: p.update(metrics=5)),
         ("heads", lambda p: p.update(heads=7)),
         ("opt_student.step", lambda p: p["opt_student"].update(step="3")),
-        ("heads[2].index", lambda p: p["heads"][2].update(index="2")),
+        ("heads", lambda p: [rec.update(shape=[4, *rec["shape"][1:]], data=rec["data"][:4])
+                             for rec in p["heads"]]),
         # shape and data agree with each other, not with the student
         ("student", lambda p: p["student"][1].update(shape=[3], data=[0.0] * 3)),
     ], ids=["rng-batch-not-pcg64", "rng-noise-not-a-state", "round-as-string",
             "metrics-not-a-list", "heads-not-a-list", "optimizer-step-as-string",
-            "head-index-as-string", "consistent-wrong-shape"])
+            "heads-of-another-count", "consistent-wrong-shape"])
     def test_bad_value_is_named(self, halfway, capsys, field, edit):
         args, _, out = halfway
         path = self._rewrite(out, edit)
@@ -360,6 +361,24 @@ class TestCheckpointFormat:
         self._assert_same_outputs(out, ref_out)
         assert open(path, "rb").read() == before
 
+    def test_per_head_records_are_refused(self, halfway, capsys):
+        # the earlier layout: one {index, params} record and one Adam state per head
+        args, _, out = halfway
+
+        def head(records, i):
+            return [dict(r, shape=r["shape"][1:], data=r["data"][i]) for r in records]
+
+        def per_head(p):
+            heads, opt = p["heads"], p["opt_heads"]
+            p["heads"] = [{"index": i, "params": head(heads, i)} for i in range(5)]
+            p["opt_heads"] = [dict(opt, m=head(opt["m"], i), v=head(opt["v"], i))
+                              for i in range(5)]
+
+        path = self._rewrite(out, per_head)
+        assert run_cli("distill", *args, "--out", out, "--resume") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: tensor record 0: missing field 'name'"), err
+
     def test_tensor_off_its_shape_is_named(self, halfway, capsys):
         args, _, out = halfway
 
@@ -390,6 +409,15 @@ class TestKdBaseline:
                        "--teacher", str(tmp_path / "none.json"), "--mismatch", mismatch) == 1
         assert capsys.readouterr().err.startswith("error: --mismatch must be finite")
         assert not out.exists()
+
+    @pytest.mark.parametrize("mismatch", ["1e308", "1e150"])
+    def test_overflowing_mismatch_is_named(self, tiny_config, tmp_path, capsys, trained_dir,
+                                           mismatch):
+        # 1e308 overflows the teacher rollouts of the pool, 1e150 Adam's second moment
+        assert run_cli("kd-baseline", "--config", tiny_config, "--out", str(tmp_path / "kd"),
+                       "--teacher", f"{trained_dir}/teacher.json",
+                       "--mismatch", mismatch) == 1
+        assert capsys.readouterr().err.startswith(f"error: --mismatch {float(mismatch)} ")
 
 
 def _drop(obj, key):

@@ -111,8 +111,8 @@ def test_strict_fields_name_the_field(patch, field):
 
 
 def test_distill_section_holds_the_config_fields():
-    # n comes from the store section and seed from the root seed
-    assert set(DEFAULT_CONFIG["distill"]) | {"n", "seed"} == \
+    # seed comes from the root seed
+    assert set(DEFAULT_CONFIG["distill"]) | {"seed"} == \
         {f.name for f in dataclasses.fields(DistillConfig)}
 
 

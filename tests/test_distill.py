@@ -1,14 +1,15 @@
+import importlib
+
 import numpy as np
 import pytest
 
 import flowdistill as fd
-from flowdistill.distill import traj_loss_node, _adv_gradients, _apply_adv_updates, \
-    _traj_regression, init_state
+from flowdistill.distill import traj_loss_node, _adv_gradients, _traj_regression, init_state
 from flowdistill.errors import ConfigError
 from flowdistill.nn import init_optimizer, optimizer_step, value_and_grad, velocity_mse
 from flowdistill.seeds import derive_seed
 
-from helpers import rand_model
+from helpers import constant_model, rand_model
 from oracles import max_grad_rel_error
 
 
@@ -24,7 +25,7 @@ class TestTrajLoss:
         for k in range(key_grid.n):
             target = (keys[0, k] - keys[0, k + 1]) / (
                 key_grid.times[k] - key_grid.times[k + 1])
-            rigged = _constant_model(float(target[0]))
+            rigged = constant_model(float(target[0]))
             assert traj_mse(rigged, keys, key_grid, k) == pytest.approx(0.0, abs=1e-24)
 
     def test_direct_value_with_zero_student(self):
@@ -77,7 +78,7 @@ class TestTrajLoss:
 
 class TestDistill:
     def test_lambda_zero_equals_pure_regression(self, quick_teacher, quick_store):
-        cfg = fd.DistillConfig(m=5, n=10, lambda_adv=0.0, iterations=4,
+        cfg = fd.DistillConfig(m=5, lambda_adv=0.0, iterations=4,
                                batch_size=8, seed=21)
         result = fd.distill(quick_teacher, quick_store, cfg)
 
@@ -100,7 +101,7 @@ class TestDistill:
 
     def test_teacher_frozen_through_distillation(self, quick_teacher, quick_store):
         before = quick_teacher.fingerprint()
-        cfg = fd.DistillConfig(m=5, n=10, iterations=3, batch_size=4, seed=2)
+        cfg = fd.DistillConfig(m=5, iterations=3, batch_size=4, seed=2)
         fd.distill(quick_teacher, quick_store, cfg)
         assert quick_teacher.fingerprint() == before
 
@@ -114,7 +115,7 @@ class TestDistill:
             assert loss > 0.0
 
     def test_first_metric_row_matches_recomputed_loss(self, quick_teacher, quick_store):
-        cfg = fd.DistillConfig(m=5, n=10, lambda_adv=0.0, iterations=1,
+        cfg = fd.DistillConfig(m=5, lambda_adv=0.0, iterations=1,
                                batch_size=8, seed=5)
         result = fd.distill(quick_teacher, quick_store, cfg)
         rnd, k, loss, d_loss, g_loss, sizes = result.metrics[0]
@@ -129,27 +130,26 @@ class TestDistill:
         assert np.isnan(d_loss) and np.isnan(g_loss)
 
     def test_determinism_across_runs(self, quick_teacher, quick_store):
-        cfg = fd.DistillConfig(m=5, n=10, iterations=3, batch_size=4, seed=7)
+        cfg = fd.DistillConfig(m=5, iterations=3, batch_size=4, seed=7)
         a = fd.distill(quick_teacher, quick_store, cfg)
         b = fd.distill(quick_teacher, quick_store, cfg)
         assert a.student.params.equal(b.student.params)
         assert a.metrics == b.metrics
-        for ha, hb in zip(a.heads, b.heads):
-            assert ha.params.equal(hb.params)
+        assert a.heads.equal(b.heads)
 
     def test_single_head_mode_uses_one_head(self, quick_teacher, quick_store):
-        cfg = fd.DistillConfig(m=5, n=10, iterations=2, batch_size=4, seed=8,
+        cfg = fd.DistillConfig(m=5, iterations=2, batch_size=4, seed=8,
                                heads="single")
         result = fd.distill(quick_teacher, quick_store, cfg)
-        assert len(result.heads) == 1
+        assert result.heads.shapes[0][0] == 1
 
     def test_grid_mismatch_rejected(self, quick_teacher, quick_store):
-        cfg = fd.DistillConfig(m=5, n=50, iterations=1, batch_size=4)
-        with pytest.raises(ConfigError):
+        cfg = fd.DistillConfig(m=3, iterations=1, batch_size=4)  # the store has n=10
+        with pytest.raises(ConfigError, match="n=10, which m=3 does not divide"):
             fd.distill(quick_teacher, quick_store, cfg)
 
     def test_metrics_have_row_per_iteration_and_k(self, quick_teacher, quick_store):
-        cfg = fd.DistillConfig(m=5, n=10, iterations=3, batch_size=4, seed=9)
+        cfg = fd.DistillConfig(m=5, iterations=3, batch_size=4, seed=9)
         result = fd.distill(quick_teacher, quick_store, cfg)
         assert len(result.metrics) == 3 * 5
         assert [(r[0], r[1]) for r in result.metrics[:5]] == [
@@ -158,7 +158,7 @@ class TestDistill:
 
     def test_adversarial_round_has_finite_losses_after_warmup(self, quick_teacher,
                                                               quick_store):
-        cfg = fd.DistillConfig(m=5, n=10, iterations=2, batch_size=4, seed=10)
+        cfg = fd.DistillConfig(m=5, iterations=2, batch_size=4, seed=10)
         result = fd.distill(quick_teacher, quick_store, cfg)
         d_losses = [r[3] for r in result.metrics]
         assert any(np.isfinite(v) for v in d_losses)
@@ -168,7 +168,7 @@ class TestDistill:
                                                  lambda_adv):
         # after step k the round's generated batch sits at key k; without
         # the adversary nothing is in flight
-        cfg = fd.DistillConfig(m=5, n=10, iterations=3, batch_size=4, seed=13,
+        cfg = fd.DistillConfig(m=5, iterations=3, batch_size=4, seed=13,
                                lambda_adv=lambda_adv)
         result = fd.distill(quick_teacher, quick_store, cfg)
         for _, k, *_, sizes in result.metrics:
@@ -180,7 +180,7 @@ class TestDistill:
     def test_resume_reproduces_uninterrupted_run(self, quick_teacher, quick_store,
                                                  tmp_path):
         ckpt = tmp_path / "ckpt.json"
-        cfg = fd.DistillConfig(m=5, n=10, iterations=8, batch_size=4, seed=11,
+        cfg = fd.DistillConfig(m=5, iterations=8, batch_size=4, seed=11,
                                checkpoint_interval=3)
         full = fd.distill(quick_teacher, quick_store, cfg, checkpoint_path=ckpt)
         # the file on disk is the round-6 snapshot; resuming replays 6..8
@@ -188,8 +188,7 @@ class TestDistill:
                              resume=True)
         assert resumed.student.params.equal(full.student.params)
         assert resumed.metrics == full.metrics
-        for ha, hb in zip(resumed.heads, full.heads):
-            assert ha.params.equal(hb.params)
+        assert resumed.heads.equal(full.heads)
 
 
 class TestPassCount:
@@ -210,7 +209,7 @@ class TestPassCount:
         for name, module in list(sys.modules.items()):
             if name.startswith("flowdistill") and getattr(module, "mlp_forward", None) is forward:
                 monkeypatch.setattr(module, "mlp_forward", counted)
-        cfg = fd.DistillConfig(m=5, n=10, iterations=1, batch_size=4, seed=14)
+        cfg = fd.DistillConfig(m=5, iterations=1, batch_size=4, seed=14)
         fd.distill(quick_teacher, quick_store, cfg)
         R = quick_teacher.R
         teacher_stops = [stop for frozen, stop in calls if frozen]
@@ -221,22 +220,31 @@ class TestPassCount:
 
 class TestHeadIsolation:
     def test_update_for_one_k_leaves_other_heads_identical(self, quick_teacher,
-                                                           quick_store):
-        cfg = fd.DistillConfig(m=5, n=10, iterations=1, batch_size=4, seed=12)
+                                                           quick_store, monkeypatch):
+        cfg = fd.DistillConfig(m=5, iterations=1, batch_size=4, seed=12)
         key_grid = fd.TimeGrid.uniform(5)
         state = init_state(quick_teacher, quick_store, cfg)
-        before = [h.params.copy() for h in state.heads]
-        student_before = state.student.copy()
+        before, student_before = state.heads.copy(), state.student.copy()
         keys = fd.key_points(quick_store, key_grid)[:1]
-        *_, s_grads, h_grads = _adv_gradients(quick_teacher, key_grid, cfg, state,
-                                              2, np.array([[0.3]]), keys[:, 2])
+        _adv_gradients(quick_teacher, key_grid, cfg, state, 2, np.array([[0.3]]), keys[:, 2])
         # computing the gradients moves nothing; the round-end update does
         assert state.student.equal(student_before)
-        assert all(h.params.equal(b) for h, b in zip(state.heads, before))
-        _apply_adv_updates(state, [s_grads], [[], [], [h_grads], [], []])
-        assert not state.heads[2].params.equal(before[2])
-        for k in (0, 1, 3, 4):
-            assert state.heads[k].params.equal(before[k])
+        assert state.heads.equal(before)
+
+        # a round whose only nonzero head gradient is key 2's moves head 2 alone:
+        # Adam leaves a parameter with zero gradient and zero moments where it is
+        def only_key_2(*args):
+            *rest, h_grads = _adv_gradients(*args)
+            k = args[4]
+            return (*rest, h_grads if k == 2 else h_grads.like(np.zeros(h_grads.size)))
+
+        monkeypatch.setattr(importlib.import_module("flowdistill.distill"), "_adv_gradients",
+                            only_key_2)
+        after = fd.distill(quick_teacher, quick_store, cfg).heads
+        for k in range(5):
+            same = all(np.array_equal(a, b)
+                       for a, b in zip(fd.head_of(after, k), fd.head_of(before, k)))
+            assert same == (k != 2), k
 
 
 class TestSampling:
@@ -249,7 +257,7 @@ class TestSampling:
         assert quick_teacher.eval_count - before == 5
 
     def test_single_step_constant_field(self):
-        model = _constant_model(2.5)
+        model = constant_model(2.5)
         x = fd.denoise_batch(model, np.array([[1.0]]), fd.TimeGrid.uniform(1))[0]
         assert model.eval_count == 1
         assert x[0, 0] == pytest.approx(1.0 - 2.5, abs=1e-12)
@@ -275,10 +283,3 @@ class TestSampling:
         student_evals = quick_teacher.eval_count - start
         assert teacher_evals == 50 and student_evals == 5
         assert teacher_evals // student_evals == 10
-
-
-def _constant_model(c):
-    model = fd.build_velocity_model(1, 8, 1, seed=0)
-    tensors = list(model.params.tensors)
-    tensors[-1] = np.array([c])
-    return model.with_params(fd.ParamSet(model.params.names, tuple(tensors)))

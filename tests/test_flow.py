@@ -7,7 +7,7 @@ from flowdistill.errors import ConfigError, NumericsError
 from flowdistill.flow import _fm_regression, fm_loss_node
 from flowdistill.nn import velocity_mse
 
-from helpers import rand_model
+from helpers import constant_model, rand_model
 from oracles import euler_reference, max_grad_rel_error
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
@@ -114,7 +114,7 @@ def euler_step(model, X, t_from, t_to):
 
 class TestEulerStep:
     def test_constant_field(self):
-        model = _constant_field_model(2.0)
+        model = constant_model(2.0)
         out = euler_step(model, np.array([[0.0]]), 1.0, 0.5)
         assert out[0, 0] == pytest.approx(-1.0, abs=1e-12)
 
@@ -145,7 +145,7 @@ class TestDenoise:
         assert np.array_equal(states[0], direct)
 
     def test_constant_field_telescopes(self):
-        model = _constant_field_model(1.5)
+        model = constant_model(1.5)
         Z = np.array([[2.0]])
         for n in (1, 4, 10):
             states = fd.denoise_batch(model, Z, fd.TimeGrid.uniform(n))
@@ -244,12 +244,3 @@ class TestTrainTeacher:
         Z = rng.standard_normal((256, 1))
         landed = Z + (0.0 - 1.0) * fd.eval_velocity(teacher, Z, 1.0)
         assert np.mean(np.abs(landed - 2.0)) < 0.25
-
-
-def _constant_field_model(c: float):
-    """Model rigged to output the constant c: zero hidden influence via
-    the output layer, constant via the output bias."""
-    model = fd.build_velocity_model(1, 8, 1, seed=0)
-    tensors = list(model.params.tensors)
-    tensors[-1] = np.array([c])
-    return model.with_params(fd.ParamSet(model.params.names, tuple(tensors)))

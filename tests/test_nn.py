@@ -35,7 +35,7 @@ class TestBuild:
 
     def test_tensor_sizes_match_shapes(self):
         model = fd.build_velocity_model(3, 10, 2, seed=1)
-        for t in model.params:
+        for t in model.params.tensors:
             assert t.size == int(np.prod(t.shape))
 
 
@@ -194,6 +194,13 @@ class TestOptimizer:
         tail = losses[10:]
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
         assert tail[-1] < losses[0] * 0.1
+
+    def test_overflowing_gradient_is_refused(self):
+        # g * g overflows: the second moment would be inf and the step a silent 0
+        params = fd.ParamSet(("p",), (np.zeros(3),))
+        grads = fd.ParamSet(("p",), (np.array([0.0, 1e200, 0.0]),))
+        with pytest.raises(NumericsError, match="non-finite"):
+            fd.optimizer_step(params, grads, fd.init_optimizer(params, lr=1e-3))
 
     def test_flat_step_equals_per_tensor_reference(self):
         model = rand_model(seed=20)

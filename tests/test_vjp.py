@@ -81,12 +81,12 @@ def test_adversarial_step_matches_tape(loss, taps, batch, heads):
     key_grid = fd.TimeGrid.uniform(5)
     rng = np.random.default_rng(batch)
     for k in range(key_grid.n):
-        head = rand_head(H, index=k, seed=10 + k)
+        head = rand_head(H, seed=10 + k)
         l_prev = rng.standard_normal((batch, 1))
         real_keys = rng.standard_normal((batch, 6, 1))
         explicit = adv_step(teacher, student, head, l_prev, real_keys, k, key_grid,
                             scale=0.1, heads=heads)
-        tape = adv_step_tape(teacher, student, head.params, l_prev, real_keys[:, k, :],
+        tape = adv_step_tape(teacher, student, head, l_prev, real_keys[:, k, :],
                              key_grid.times[k + 1], key_grid.times[k], 0.1)
         assert explicit[:2] == tape[:2], k
         for got, want in zip(explicit[2:], tape[2:]):
