@@ -16,7 +16,7 @@ from .distill import DistillConfig, distill
 from .errors import ConfigError, NumericsError
 from .flow import TimeGrid, ToyDataset, denoise_batch, integrate, interpolate
 from .nn import VelocityModel, build_velocity_model, init_optimizer, optimizer_step, \
-    velocity_mse
+    velocity_mse, zeros_like
 from .seeds import derive_seed
 from .trajstore import TrajectoryStore
 
@@ -169,14 +169,14 @@ def kd_baseline_distill(teacher: VelocityModel, p_d: ToyDataset, windows: int,
     student = build_velocity_model(teacher.d, teacher.H, teacher.R,
                                    derive_seed(config.seed, "kd-init"))
     params = student.params
-    opt = init_optimizer(params, config.lr)
+    opt, grads = init_optimizer(params, config.lr), zeros_like(params)
     rng_train = np.random.default_rng(derive_seed(config.seed, "kd-batches"))
     losses = np.empty(config.iterations)
     for i in range(config.iterations):
         idx = rng_train.integers(0, pool_x.shape[0], size=config.batch_size)
         try:
             loss, grads = velocity_mse(params, pool_x[idx], pool_t[idx], pool_v[idx],
-                                       student.R)
+                                       student.R, grads)
         except NumericsError as e:
             raise NumericsError(f"KD training diverged at iteration {i}: {e}") from e
         params, opt = optimizer_step(params, grads, opt)

@@ -37,8 +37,8 @@ from .adversarial import build_heads, d_loss_grad, features_node, g_loss_grad, \
 from .atomic import write_json
 from .errors import ConfigError, NumericsError
 from .flow import TimeGrid
-from .nn import OptimizerState, ParamSet, VelocityModel, check_grads, check_loss, \
-    forward_velocity, from_payload, init_optimizer, mlp_backward, mlp_forward, \
+from .nn import FILE_VERSION, OptimizerState, ParamSet, VelocityModel, check_grads, \
+    check_loss, forward_velocity, from_payload, init_optimizer, mlp_backward, mlp_forward, \
     optimizer_step, read_json, to_payload, velocity_mse, zeros_like
 from .seeds import derive_seed
 from .trajstore import TrajectoryStore, check_teacher, key_points
@@ -166,7 +166,8 @@ def init_state(teacher: VelocityModel, store: TrajectoryStore,
 
 
 def save_checkpoint(path, state: _DistillState):
-    write_json(path, {"format": "flowdistill-checkpoint", "version": 1, **to_payload(state)})
+    write_json(path, {"format": "flowdistill-checkpoint", "version": FILE_VERSION,
+                      **to_payload(state)})
 
 
 def load_checkpoint(path, teacher: VelocityModel, store: TrajectoryStore,
@@ -174,7 +175,8 @@ def load_checkpoint(path, teacher: VelocityModel, store: TrajectoryStore,
     """The state saved in `path`, which must be a run of `teacher` on
     `store` under `config` up to the fields in RESUMABLE: a defect in the
     file is a StoreFormatError, another run a ConfigError, each naming it."""
-    payload = read_json(path, "flowdistill-checkpoint", ("config", "teacher", "store"))
+    payload = read_json(path, "flowdistill-checkpoint", ("config", "teacher", "store"),
+                        "re-run distill without --resume")
     fresh = init_state(teacher, store, config)
     # the identity first: another run's heads, say, are another run, not a defect
     saved = from_payload(DistillConfig, payload["config"], path, "config")
@@ -190,7 +192,8 @@ def load_checkpoint(path, teacher: VelocityModel, store: TrajectoryStore,
     return dataclasses.replace(state, config=config)
 
 
-def _adv_gradients(teacher, key_grid, config, state, k, l_prev, real):
+def _adv_gradients(teacher, key_grid, config, state, k, l_prev, real, s_grads, h_grads,
+                   h_fake):
     """Adversarial gradients at key k, at the current student and the
     head for k; nothing in `state` changes.
 
@@ -201,13 +204,13 @@ def _adv_gradients(teacher, key_grid, config, state, k, l_prev, real):
     generated latents are computed once and serve the generator
     gradient, the discriminator and the next key.
 
-    Returns (d_loss, g_loss, generated latents, student gradient, head
-    gradient), the last laid out like one head.
+    Writes the student gradient into `s_grads` and the head gradient
+    into `h_grads`, laid out like one head (`h_fake` holds its fake
+    branch on the way), and returns (d_loss, g_loss, generated latents).
     """
     t_hi, t_lo = key_grid.times[k + 1], key_grid.times[k]
     dt = t_lo - t_hi
-    head = head_of(state.heads, state.head_for(k))
-    student = state.student
+    head, student = head_of(state.heads, state.head_for(k)), state.student
 
     v, step_cache = mlp_forward(student, l_prev, t_hi, teacher.R, want_cache=True)
     l_gen = l_prev + v * dt
@@ -219,7 +222,6 @@ def _adv_gradients(teacher, key_grid, config, state, k, l_prev, real):
     check_loss(g_scaled)
     g_feats = head_backward(head, head_fake, g_logit, want_input=True)
     g_lgen = mlp_backward(teacher.params, tap_cache, g_feats, want_input=True)
-    s_grads = zeros_like(student)
     mlp_backward(student, step_cache, g_lgen * dt, s_grads)
     check_grads(s_grads)
 
@@ -228,14 +230,12 @@ def _adv_gradients(teacher, key_grid, config, state, k, l_prev, real):
         head, features_node(teacher, real, t_lo))
     d_scaled, g_real, g_fake = d_loss_grad(logit_real, logit_fake, config.lambda_adv)
     check_loss(d_scaled)
-    h_real, h_fake = [np.zeros_like(t) for t in head], [np.zeros_like(t) for t in head]
-    head_backward(head, head_real, g_real, h_real)
-    head_backward(head, head_fake, g_fake, h_fake)
-    h_grads = ParamSet(state.heads.names, [r + f for r, f in zip(h_real, h_fake)])
+    head_backward(head, head_real, g_real, h_grads.tensors)
+    head_backward(head, head_fake, g_fake, h_fake.tensors)
+    h_grads.flat += h_fake.flat
     check_grads(h_grads)
 
-    return (d_scaled / config.lambda_adv, g_scaled / config.lambda_adv, l_gen,
-            s_grads, h_grads)
+    return d_scaled / config.lambda_adv, g_scaled / config.lambda_adv, l_gen
 
 
 def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfig,
@@ -265,16 +265,22 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
     else:
         state = init_state(teacher, store, config)
 
+    # the run's gradient buffers; every pass that fills one writes all of it
+    grads, s_grads = zeros_like(state.student), zeros_like(state.student)
+    one_head = ParamSet(state.heads.names, head_of(state.heads, 0))
+    h_grads, h_fake = zeros_like(one_head), zeros_like(one_head)
+    # adversarial gradient sums of a round, applied when it ends
+    student_sum, head_sum = zeros_like(state.student), zeros_like(state.heads)
     while state.round < config.iterations:
         rnd = state.round
-        # adversarial gradient sums of this round, applied when it ends
-        student_sum, head_sum = zeros_like(state.student), zeros_like(state.heads)
+        student_sum.flat[:] = head_sum.flat[:] = 0.0
         for k in range(m - 1, -1, -1):
             idx = state.rng_batch.integers(0, N, size=B)
             keys_b = keys_all[idx]
             try:
                 loss, grads = velocity_mse(state.student,
-                                           *_traj_regression(keys_b, key_grid, k), teacher.R)
+                                           *_traj_regression(keys_b, key_grid, k), teacher.R,
+                                           grads)
             except NumericsError as e:
                 raise NumericsError(
                     f"distillation diverged (traj phase, k={k}, round={rnd}): {e}"
@@ -292,9 +298,9 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
                     latent = state.rng_noise.standard_normal((nb, store.d))
                     real_keys = keys_b[:nb]
                 try:
-                    d_loss_val, g_loss_val, latent, s_grads, h_grads = _adv_gradients(
+                    d_loss_val, g_loss_val, latent = _adv_gradients(
                         teacher, key_grid, config, state, k, latent,
-                        real_keys[:, k])
+                        real_keys[:, k], s_grads, h_grads, h_fake)
                 except NumericsError as e:
                     raise NumericsError(
                         f"distillation diverged (adv phase, k={k}, round={rnd}): {e}"
@@ -309,11 +315,12 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
             )
         state.round += 1
         if config.lambda_adv > 0.0:
-            served = 1 if config.heads == "per_timestep" else m  # keys per head
+            student_sum.flat /= m
+            head_sum.flat /= 1 if config.heads == "per_timestep" else m  # keys per head
             state.student, state.opt_student_adv = optimizer_step(
-                state.student, student_sum.like(student_sum.flat / m), state.opt_student_adv)
+                state.student, student_sum, state.opt_student_adv)
             state.heads, state.opt_heads = optimizer_step(
-                state.heads, head_sum.like(head_sum.flat / served), state.opt_heads)
+                state.heads, head_sum, state.opt_heads)
         if (checkpoint_path and config.checkpoint_interval
                 and state.round % config.checkpoint_interval == 0):
             save_checkpoint(checkpoint_path, state)

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, NumericsError
 from .nn import VelocityModel, build_velocity_model, eval_velocity, forward_velocity, \
-    init_optimizer, optimizer_step, velocity_mse
+    init_optimizer, optimizer_step, velocity_mse, zeros_like
 from .seeds import derive_seed
 
 @dataclass(frozen=True)
@@ -125,14 +125,14 @@ def train_teacher(data: ToyDataset, iterations: int, batch_size: int, lr: float,
     model = build_velocity_model(data.d, H, R, derive_seed(seed, "teacher-init"))
     rng = np.random.default_rng(derive_seed(seed, "teacher-batches"))
     params = model.params
-    opt = init_optimizer(params, lr)
+    opt, grads = init_optimizer(params, lr), zeros_like(params)
     losses = np.empty(iterations)
     for i in range(iterations):
         x0 = data.sample(batch_size, rng)
         x1 = rng.standard_normal((batch_size, data.d))
         t = rng.random(batch_size)
         try:
-            loss, grads = velocity_mse(params, *_fm_regression(x0, x1, t), R)
+            loss, grads = velocity_mse(params, *_fm_regression(x0, x1, t), R, grads)
         except NumericsError as e:
             raise NumericsError(f"teacher training diverged at iteration {i}: {e}") from e
         params, opt = optimizer_step(params, grads, opt)

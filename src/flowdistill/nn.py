@@ -5,8 +5,8 @@ A velocity model maps a state vector and a scalar time to a velocity
 vector of the same dimension as the state. The architecture is an input
 projection (d+1 -> H), R residual blocks (linear, silu, linear, skip),
 and a zero-initialized output projection (H -> d), all in float64.
-Models and ParamSets are treated as immutable values: training steps
-return new objects rather than mutating in place.
+A training loop owns its ParamSets: `optimizer_step` updates them in
+place, and `velocity_mse` fills a gradient buffer the loop allocates once.
 
 Training differentiates the model with explicit layer VJPs
 (`mlp_forward`, `mlp_backward`). The autodiff-tape forms
@@ -16,9 +16,11 @@ the reference the explicit gradients are tested against.
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import hashlib
 import json
+import math
 import typing
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -33,6 +35,7 @@ from .errors import ConfigError, NumericsError, StoreFormatError
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+FILE_VERSION = 2  # of model and checkpoint files; version 1 held decimal tensors
 
 
 class ParamSet:
@@ -287,16 +290,18 @@ def check_grads(grads: ParamSet):
         raise NumericsError(f"non-finite gradient in tensor {name!r}")
 
 
-def velocity_mse(params: ParamSet, X, t, target, R: int):
+def velocity_mse(params: ParamSet, X, t, target, R: int, grads: ParamSet | None = None):
     """Mean squared error of the velocity at (X, t) against `target`,
     averaged over batch and dimensions, and its gradient with respect
     to params: the loss of teacher training, trajectory regression and
-    the KD baseline."""
+    the KD baseline. The gradient fills `grads` if given (a loop's own
+    buffer: `mlp_backward` writes all of it), else a new ParamSet."""
     pred, cache = mlp_forward(params, X, t, R, want_cache=True)
     diff = pred - target
     loss = float(np.mean(diff * diff))
     check_loss(loss)
-    grads = zeros_like(params)
+    if grads is None:
+        grads = zeros_like(params)
     # the tape's mean and square VJPs, in their order
     mlp_backward(params, cache, 2.0 * diff * (1.0 / diff.size), grads)
     check_grads(grads)
@@ -396,36 +401,36 @@ def init_optimizer(params: ParamSet, lr: float) -> OptimizerState:
 
 
 def optimizer_step(params: ParamSet, grads: ParamSet, state: OptimizerState):
-    """One Adam step, run once on the flat vectors.
-
-    Returns new (params, state); inputs are left untouched. A non-finite
-    second moment, from a non-finite or overflowing gradient, is a
-    NumericsError.
-    """
+    """One Adam step, run once on the flat vectors of `params` and the
+    moments `state.m` and `state.v`, in place; returns (params, the state
+    with its step counted). A non-finite second moment, from a
+    non-finite or overflowing gradient, is a NumericsError, after which
+    params are unchanged and the moments undefined."""
     params._check_congruent(grads)
     params._check_congruent(state.m)
     step = state.step + 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1**step
     bias2 = 1.0 - b2**step
-    g = grads.flat
+    g, m, v = grads.flat, state.m.flat, state.v.flat
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
-        m = b1 * state.m.flat + (1.0 - b1) * g
-        v = b2 * state.v.flat + (1.0 - b2) * (g * g)
-        update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
-        p = params.flat - state.lr * update
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
     if not np.isfinite(v.max()):
         raise NumericsError("Adam step produced a non-finite second moment")
-    new_state = dataclasses.replace(state, m=params.like(m), v=params.like(v), step=step)
-    return params.like(p), new_state
+    params.flat -= state.lr * ((m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS))
+    return params, dataclasses.replace(state, step=step)
 
 
 def to_payload(value):
-    """The JSON form of a ParamSet, a PCG64 generator, a dataclass whose
-    fields are such values, or a list or tuple of them; any other value
-    is taken to be JSON already. `from_payload` reads it back."""
+    """The JSON form of a ParamSet (base64 float64 tensors), a PCG64
+    generator, a dataclass whose fields are such values, or a list or
+    tuple of them; any other value is taken to be JSON already."""
     if isinstance(value, ParamSet):
-        return [{"name": n, "shape": list(t.shape), "data": t.tolist()}
+        return [{"name": n, "shape": list(t.shape), "data": base64.b64encode(
+                    np.ascontiguousarray(t, dtype="<f8").tobytes()).decode("ascii")}
                 for n, t in zip(value.names, value.tensors)]
     if isinstance(value, np.random.Generator):
         return value.bit_generator.state
@@ -447,10 +452,11 @@ def require_fields(obj, fields, where):
     return obj
 
 
-def read_json(path, fmt: str, fields) -> dict:
+def read_json(path, fmt: str, fields, rerun: str) -> dict:
     """The JSON object in the artifact `path`, checked to carry the
-    format tag `fmt` and each of `fields`; a defect is a
-    StoreFormatError naming the file."""
+    format tag `fmt`, version FILE_VERSION and each of `fields`; a
+    defect is a StoreFormatError naming the file, and another version
+    one that also says what to `rerun`."""
     try:
         with open(path, encoding="utf-8") as f:
             payload = json.load(f)
@@ -458,7 +464,28 @@ def read_json(path, fmt: str, fields) -> dict:
         raise StoreFormatError(f"{path}: not a valid {fmt} file ({e})") from e
     if not isinstance(payload, dict) or payload.get("format") != fmt:
         raise StoreFormatError(f"{path}: not a {fmt} file")
+    version = require_fields(payload, ("version",), path)["version"]
+    if type(version) is not int or version != FILE_VERSION:
+        raise StoreFormatError(f"{path}: version {version!r} is not {FILE_VERSION}; {rerun}")
     return require_fields(payload, fields, path)
+
+
+def _decode_tensor(rec: dict, where: str) -> np.ndarray:
+    """The array of a tensor record, whose `data` must be the strict
+    base64 of exactly its shape's count of float64 values."""
+    shape, data = rec["shape"], rec["data"]
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise StoreFormatError(f"{where}: shape {shape!r} is not a list of non-negative ints")
+    if not isinstance(data, str):
+        raise StoreFormatError(f"{where}: data is not a string")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as e:  # outside the alphabet, badly padded, or not ASCII
+        raise StoreFormatError(f"{where}: data is not strict base64 ({e})") from e
+    if len(raw) != 8 * math.prod(shape):
+        raise StoreFormatError(f"{where}: data holds {len(raw)} bytes, shape {shape} "
+                               f"needs {8 * math.prod(shape)}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
 def from_payload(kind, value, source, field: str = "", like=None):
@@ -467,28 +494,21 @@ def from_payload(kind, value, source, field: str = "", like=None):
     fixed-length `tuple[X, Y]`, float, str or non-negative int. A
     ParamSet must have the layout of its counterpart in `like`, if
     given. A defect is a StoreFormatError naming the file and the dotted
-    field, e.g. `opt_heads[2].step`."""
-    where = f"{source}: field {field!r}"
+    field, e.g. `opt_heads.step`, or the file alone for no field."""
+    where = f"{source}: field {field!r}" if field else str(source)
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if dataclasses.is_dataclass(kind):
         hints = typing.get_type_hints(kind)
-        require_fields(value, hints, where if field else source)
+        require_fields(value, hints, where)
         return kind(**{n: from_payload(h, value[n], source, f"{field}.{n}".lstrip("."),
                                        getattr(like, n, None)) for n, h in hints.items()})
     if kind is ParamSet:
         if not isinstance(value, list):
-            raise StoreFormatError(f"{where} is not a list of tensor records")
+            raise StoreFormatError(f"{where}: not a list of tensor records")
         tensors = []
         for i, rec in enumerate(value):
-            require_fields(rec, ("name", "shape", "data"), f"{source}: tensor record {i}")
-            try:
-                tensors.append(np.asarray(rec["data"], dtype=np.float64))
-            except (TypeError, ValueError) as e:
-                raise StoreFormatError(
-                    f"{source}: tensor {rec['name']!r} is not a numeric array ({e})") from e
-            if list(tensors[-1].shape) != rec["shape"]:
-                raise StoreFormatError(f"{source}: tensor {rec['name']!r} has shape "
-                                       f"{list(tensors[-1].shape)}, header says {rec['shape']}")
+            require_fields(rec, ("name", "shape", "data"), f"{where}: tensor record {i}")
+            tensors.append(_decode_tensor(rec, f"{where}: tensor {rec['name']!r}"))
         params = ParamSet([r["name"] for r in value], tensors)
         if like is not None and (params.names, params.shapes) != (like.names, like.shapes):
             raise StoreFormatError(f"{where} holds tensors {params.names} of shapes "
@@ -520,7 +540,7 @@ def save_paramset(path, params: ParamSet, meta: dict):
     """Write a ParamSet with metadata as JSON; float64 round-trips exactly."""
     payload = {
         "format": "flowdistill-paramset",
-        "version": 1,
+        "version": FILE_VERSION,
         "meta": meta,
         "tensors": to_payload(params),
     }
@@ -529,8 +549,10 @@ def save_paramset(path, params: ParamSet, meta: dict):
 
 def load_paramset(path):
     """Read back (ParamSet, meta); shape/size mismatches are format errors."""
-    payload = read_json(path, "flowdistill-paramset", ("meta", "tensors"))
-    return from_payload(ParamSet, payload["tensors"], path, "tensors"), payload["meta"]
+    payload = read_json(path, "flowdistill-paramset", ("meta", "tensors"),
+                        "re-run the train-teacher, distill or kd-baseline command that "
+                        "wrote it")
+    return from_payload(ParamSet, payload["tensors"], path), payload["meta"]
 
 
 def save_model(path, model: VelocityModel):
@@ -543,13 +565,13 @@ def load_model(path) -> VelocityModel:
     if not isinstance(meta, dict) or meta.get("kind") != "velocity_model":
         raise StoreFormatError(f"{path}: not a velocity-model file")
     require_fields(meta, ("d", "H", "R", "activation"), f"{path}: meta")
-    if not all(type(meta[key]) is int for key in ("d", "H", "R")):
-        raise StoreFormatError(f"{path}: meta fields d, H and R must be integers")
+    if not all(type(meta[key]) is int and meta[key] >= 1 for key in ("d", "H", "R")):
+        raise StoreFormatError(f"{path}: meta fields d, H and R must be positive integers")
     if meta["activation"] != "silu":
         raise StoreFormatError(f"{path}: meta.activation is {meta['activation']!r}, "
                                "but the model only implements 'silu'")
     model = VelocityModel(meta["d"], meta["H"], meta["R"], params)
-    expected = [name for name, _ in _param_layout(model.d, model.H, model.R)]
-    if list(params.names) != expected:
-        raise StoreFormatError(f"{path}: parameter names do not match architecture")
+    if list(zip(params.names, params.shapes)) != _param_layout(model.d, model.H, model.R):
+        raise StoreFormatError(f"{path}: tensors {params.names} of shapes {params.shapes} "
+                               f"do not match the architecture of meta {model.arch}")
     return model

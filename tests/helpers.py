@@ -1,3 +1,4 @@
+import base64
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -13,6 +14,17 @@ def rand_model(d=1, H=12, R=2, seed=0, scale=0.4):
     rng = np.random.default_rng(seed + 1000)
     model = fd.build_velocity_model(d, H, R, seed)
     return model.with_params(model.params.map(lambda t: t + rng.normal(0, scale, t.shape)))
+
+
+def tensor_data(array) -> str:
+    """The `data` of a tensor record holding `array`: the padded base64
+    of its little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(array, dtype="<f8").tobytes()).decode("ascii")
+
+
+def record_array(rec) -> np.ndarray:
+    """The array a tensor record of a model or checkpoint file holds."""
+    return np.frombuffer(base64.b64decode(rec["data"]), dtype="<f8").reshape(rec["shape"])
 
 
 def constant_model(c):
@@ -74,7 +86,10 @@ def adv_step(teacher, student_params, head, l_prev, real_keys, k, key_grid,
     """One adversarial step through the training loop's explicit path
     (`distill._adv_gradients`) on a fresh state holding `student_params`
     and, as the head for key k, the ParamSet `head`. Returns (d_loss,
-    g_loss, generated latents, student gradient, head gradient)."""
+    g_loss, generated latents, student gradient, head gradient).
+
+    The gradient buffers start as NaN, as a run's reused buffers hold
+    the last key's values: the step must overwrite every element."""
     from flowdistill.distill import _adv_gradients, init_state
 
     config = fd.DistillConfig(m=key_grid.n, lambda_adv=scale, heads=heads)
@@ -84,4 +99,7 @@ def adv_step(teacher, student_params, head, l_prev, real_keys, k, key_grid,
     state.student = student_params
     for view, t in zip(fd.head_of(state.heads, state.head_for(k)), head.tensors):
         view[...] = t
-    return _adv_gradients(teacher, key_grid, config, state, k, l_prev, real_keys[:, k])
+    s_grads, h_grads, h_fake = (ps.like(np.full(ps.size, np.nan))
+                                for ps in (student_params, head, head))
+    return (*_adv_gradients(teacher, key_grid, config, state, k, l_prev, real_keys[:, k],
+                            s_grads, h_grads, h_fake), s_grads, h_grads)

@@ -106,7 +106,9 @@ class TestStackedHeads:
         rng = np.random.default_rng(11)
         heads = fd.build_heads(8, [1, 2, 3])
         opt = fd.init_optimizer(heads, lr=1e-2)
-        ref = [[fd.head_of(ps, i) for ps in (heads, opt.m, opt.v)] for i in range(3)]
+        # copies: the step updates heads and moments in place
+        ref = [[[t.copy() for t in fd.head_of(ps, i)] for ps in (heads, opt.m, opt.v)]
+               for i in range(3)]
         for step in (1, 2, 3):
             grads = heads.like(rng.standard_normal(heads.size))
             heads, opt = fd.optimizer_step(heads, grads, opt)

@@ -11,6 +11,8 @@ import pytest
 import flowdistill as fd
 from flowdistill.cli import _fmt, main
 
+from helpers import record_array, tensor_data
+
 
 def test_csv_formatter_normalizes_numpy_scalars():
     assert _fmt(np.float64(0.25)) == "0.25"
@@ -272,10 +274,11 @@ class TestCheckpointFormat:
         ("metrics", lambda p: p.update(metrics=5)),
         ("heads", lambda p: p.update(heads=7)),
         ("opt_student.step", lambda p: p["opt_student"].update(step="3")),
-        ("heads", lambda p: [rec.update(shape=[4, *rec["shape"][1:]], data=rec["data"][:4])
+        ("heads", lambda p: [rec.update(shape=[4, *rec["shape"][1:]],
+                                        data=tensor_data(record_array(rec)[:4]))
                              for rec in p["heads"]]),
         # shape and data agree with each other, not with the student
-        ("student", lambda p: p["student"][1].update(shape=[3], data=[0.0] * 3)),
+        ("student", lambda p: p["student"][1].update(shape=[3], data=tensor_data([0.0] * 3))),
     ], ids=["rng-batch-not-pcg64", "rng-noise-not-a-state", "round-as-string",
             "metrics-not-a-list", "heads-not-a-list", "optimizer-step-as-string",
             "heads-of-another-count", "consistent-wrong-shape"])
@@ -366,7 +369,8 @@ class TestCheckpointFormat:
         args, _, out = halfway
 
         def head(records, i):
-            return [dict(r, shape=r["shape"][1:], data=r["data"][i]) for r in records]
+            return [dict(r, shape=r["shape"][1:], data=tensor_data(record_array(r)[i]))
+                    for r in records]
 
         def per_head(p):
             heads, opt = p["heads"], p["opt_heads"]
@@ -377,18 +381,29 @@ class TestCheckpointFormat:
         path = self._rewrite(out, per_head)
         assert run_cli("distill", *args, "--out", out, "--resume") == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: tensor record 0: missing field 'name'"), err
+        assert err.startswith(
+            f"error: {path}: field 'heads': tensor record 0: missing field 'name'"), err
 
     def test_tensor_off_its_shape_is_named(self, halfway, capsys):
         args, _, out = halfway
 
         def damage(payload):
-            payload["opt_student"]["m"][1]["data"] = [0.0]
+            payload["opt_student"]["m"][1]["data"] = tensor_data([0.0])
 
         path = self._rewrite(out, damage)
         assert run_cli("distill", *args, "--out", out, "--resume") == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: tensor 'in.b'"), err
+        assert err.startswith(f"error: {path}: field 'opt_student.m': tensor 'in.b': "
+                              "data holds 8 bytes, shape [12] needs 96"), err
+
+    @pytest.mark.parametrize("version", [1, 3, "2", None])
+    def test_checkpoint_of_another_version_is_refused(self, halfway, capsys, version):
+        args, _, out = halfway
+        path = self._rewrite(out, lambda p: p.update(version=version))
+        assert run_cli("distill", *args, "--out", out, "--resume") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: version {version!r} is not 2; "
+                              "re-run distill without --resume"), err
 
 
 class TestKdBaseline:

@@ -226,7 +226,9 @@ class TestHeadIsolation:
         state = init_state(quick_teacher, quick_store, cfg)
         before, student_before = state.heads.copy(), state.student.copy()
         keys = fd.key_points(quick_store, key_grid)[:1]
-        _adv_gradients(quick_teacher, key_grid, cfg, state, 2, np.array([[0.3]]), keys[:, 2])
+        one_head = fd.ParamSet(state.heads.names, fd.head_of(state.heads, 2))
+        _adv_gradients(quick_teacher, key_grid, cfg, state, 2, np.array([[0.3]]), keys[:, 2],
+                       state.student.copy(), one_head.copy(), one_head.copy())
         # computing the gradients moves nothing; the round-end update does
         assert state.student.equal(student_before)
         assert state.heads.equal(before)
@@ -234,9 +236,11 @@ class TestHeadIsolation:
         # a round whose only nonzero head gradient is key 2's moves head 2 alone:
         # Adam leaves a parameter with zero gradient and zero moments where it is
         def only_key_2(*args):
-            *rest, h_grads = _adv_gradients(*args)
-            k = args[4]
-            return (*rest, h_grads if k == 2 else h_grads.like(np.zeros(h_grads.size)))
+            out = _adv_gradients(*args)
+            k, h_grads = args[4], args[-2]
+            if k != 2:
+                h_grads.flat.fill(0.0)
+            return out
 
         monkeypatch.setattr(importlib.import_module("flowdistill.distill"), "_adv_gradients",
                             only_key_2)

@@ -2,13 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import flowdistill as fd
 import flowdistill.autodiff as ad
 from flowdistill.errors import ConfigError, NumericsError, StoreFormatError
 from flowdistill.nn import forward_velocity
 
-from helpers import rand_model
+from helpers import rand_model, tensor_data
 from oracles import adam_reference, max_grad_rel_error
 
 
@@ -152,20 +154,32 @@ class TestGrad:
 
 
 class TestOptimizer:
+    """`optimizer_step` updates its params and moments in place, so each
+    test steps a copy and compares it with the original."""
+
     def test_zero_gradient_leaves_params_unchanged(self):
         model = rand_model(seed=11)
         state = fd.init_optimizer(model.params, lr=1e-3)
         zero = model.params.map(np.zeros_like)
-        new_params, new_state = fd.optimizer_step(model.params, zero, state)
+        new_params, new_state = fd.optimizer_step(model.params.copy(), zero, state)
         assert new_params.equal(model.params)
         assert new_state.step == 1
+
+    def test_steps_in_place(self):
+        params = fd.ParamSet(("p",), (np.zeros(3),))
+        state = fd.init_optimizer(params, lr=1e-3)
+        views = [ps.tensors[0] for ps in (params, state.m, state.v)]
+        new_params, new_state = fd.optimizer_step(
+            params, fd.ParamSet(("p",), (np.ones(3),)), state)
+        assert new_params is params and new_state.m is state.m and new_state.v is state.v
+        assert all(np.all(t != 0.0) for t in views)
 
     def test_first_step_direction_is_sign_of_gradient(self):
         model = rand_model(seed=13)
         rng = np.random.default_rng(0)
         grads = model.params.map(lambda t: rng.standard_normal(t.shape))
         state = fd.init_optimizer(model.params, lr=1e-3)
-        new_params, _ = fd.optimizer_step(model.params, grads, state)
+        new_params, _ = fd.optimizer_step(model.params.copy(), grads, state)
         for new, old, g in zip(new_params.tensors, model.params.tensors, grads.tensors):
             moved = new - old
             nz = np.abs(g) > 1e-12
@@ -207,7 +221,7 @@ class TestOptimizer:
         rng = np.random.default_rng(1)
         params = model.params
         state = fd.init_optimizer(params, lr=1e-2)
-        ref = (list(params.tensors), list(state.m.tensors), list(state.v.tensors))
+        ref = tuple([t.copy() for t in ps.tensors] for ps in (params, state.m, state.v))
         for step in (1, 2, 3):
             grads = params.map(lambda t: rng.standard_normal(t.shape))
             params, state = fd.optimizer_step(params, grads, state)
@@ -253,7 +267,10 @@ class TestSerialization:
         with pytest.raises(StoreFormatError):
             fd.load_model(path)
 
-    @pytest.mark.parametrize("data", [[[0.5, 0.5]], [[0.5], [0.5, 0.5]], "x"])
+    # decimal lists (the version-1 encoding) are not a string; "x" is not
+    # strict base64; the last holds one float64 where the tensor has 24
+    @pytest.mark.parametrize("data", [[[0.5, 0.5]], [[0.5], [0.5, 0.5]], "x",
+                                      tensor_data([0.5])])
     def test_tensor_data_must_match_its_shape(self, tmp_path, data):
         model = rand_model(seed=20)
         path = tmp_path / "model.json"
@@ -262,7 +279,7 @@ class TestSerialization:
         name = payload["tensors"][0]["name"]
         payload["tensors"][0]["data"] = data
         path.write_text(json.dumps(payload))
-        with pytest.raises(StoreFormatError, match=f"{path}: tensor '{name}'"):
+        with pytest.raises(StoreFormatError, match=f"{path}: tensor '{name}': data "):
             fd.load_model(path)
 
     def test_paramset_roundtrip_preserves_order(self, tmp_path):
@@ -272,3 +289,80 @@ class TestSerialization:
         params, meta = fd.load_paramset(path)
         assert params.names == model.params.names
         assert meta == {"kind": "raw"}
+
+    @pytest.mark.parametrize("version", [1, 3, 2.0, "2", True, None])
+    def test_file_of_another_version_is_refused(self, tmp_path, version):
+        path = tmp_path / "model.json"
+        fd.save_model(path, rand_model(seed=21))
+        payload = json.loads(path.read_text())
+        payload["version"] = version
+        path.write_text(json.dumps(payload))
+        with pytest.raises(StoreFormatError, match=f"^{path}: version {version!r} is not 2; "
+                                                   "re-run the train-teacher, distill or "
+                                                   "kd-baseline command"):
+            fd.load_model(path)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("d", -1, "must be positive integers"), ("H", 0, "must be positive integers"),
+        ("d", 2, "do not match the architecture of meta {'d': 2, 'H': 12, 'R': 2}"),
+        ("H", 6, "do not match the architecture of meta {'d': 1, 'H': 6, 'R': 2}"),
+    ], ids=["d-negative", "H-zero", "d-off-the-shapes", "H-off-the-shapes"])
+    def test_meta_must_agree_with_the_tensors(self, tmp_path, field, value, message):
+        path = tmp_path / "model.json"
+        fd.save_model(path, rand_model(seed=22))
+        payload = json.loads(path.read_text())
+        payload["meta"][field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(StoreFormatError) as info:
+            fd.load_model(path)
+        assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
+
+
+# raw float64 bit patterns, with the edge cases drawn often: signalling and
+# quiet NaNs with payloads and either sign, ±0.0, ±inf, the extreme subnormals
+EDGE_BITS = [0x7FF0000000000001, 0x7FF8000000000000, 0xFFF8DEADBEEF0001, 0x7FFFFFFFFFFFFFFF,
+             0x0000000000000000, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+             0x0000000000000001, 0x800FFFFFFFFFFFFF]
+float64_bits = st.one_of(st.sampled_from(EDGE_BITS), st.integers(0, 2**64 - 1))
+
+
+@pytest.fixture(scope="module")
+def tiny_run():
+    """A teacher, a one-path store and a distill config to checkpoint."""
+    from flowdistill.distill import init_state
+
+    model = fd.build_velocity_model(1, 4, 1, seed=0)
+    store = fd.generate_store(model, 1, fd.TimeGrid.uniform(5), seed=0)
+    config = fd.DistillConfig(m=5, iterations=1)
+    return model, store, config, init_state(model, store, config)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(arrays(np.uint64, array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                               max_side=4), elements=float64_bits),
+                min_size=1, max_size=3),
+       st.data())
+def test_any_float64_survives_files_bit_for_bit(tmp_path, tiny_run, bits, data):
+    """Model files and checkpoints keep every float64 bit pattern, and two
+    saves of one value give the same bytes."""
+    from flowdistill.distill import load_checkpoint, save_checkpoint
+
+    params = fd.ParamSet([f"t{i}" for i in range(len(bits))],
+                         [b.view(np.float64) for b in bits])
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    fd.save_paramset(first, params, {"kind": "raw"})
+    loaded, _ = fd.load_paramset(first)
+    assert loaded.shapes == params.shapes and loaded.flat.tobytes() == params.flat.tobytes()
+    fd.save_paramset(second, loaded, {"kind": "raw"})
+    assert second.read_bytes() == first.read_bytes()
+
+    model, store, config, state = tiny_run
+    state.student.flat[:] = np.array(data.draw(st.lists(
+        float64_bits, min_size=state.student.size, max_size=state.student.size)),
+        dtype=np.uint64).view(np.float64)
+    save_checkpoint(first, state)
+    resumed = load_checkpoint(first, model, store, config)
+    assert resumed.student.flat.tobytes() == state.student.flat.tobytes()
+    save_checkpoint(second, resumed)
+    assert second.read_bytes() == first.read_bytes()
