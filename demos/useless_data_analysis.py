@@ -31,8 +31,8 @@ for M in (0.0, 1.0, 2.0, 4.0):
     )
 
     kd_student, _ = fd.kd_baseline_distill(
-        teacher, p_d, windows=5,
-        config=KDConfig(iterations=3000, batch_size=128, pool_size=8192, seed=6),
+        teacher, p_d,
+        config=KDConfig(windows=5, iterations=3000, batch_size=128, pool_size=8192, seed=6),
         grid=grid,
     )
     kd_samples = fd.sample_model(kd_student, count=2048, steps=5, seed=7)

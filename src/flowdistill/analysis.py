@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distill import DistillConfig, distill
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, NumericsError, check_numbers
 from .flow import TimeGrid, ToyDataset, denoise_batch, integrate, interpolate
 from .nn import VelocityModel, build_velocity_model, init_optimizer, optimizer_step, \
     velocity_mse, zeros_like
@@ -57,7 +57,7 @@ def shifted_dataset(p: ToyDataset, shift: float) -> ToyDataset:
     support = p.support.copy()
     i = int(np.argmin(support[:, 0]))
     support[i, 0] -= shift
-    return ToyDataset(support, seed=p.seed)
+    return ToyDataset(support)
 
 
 def useless_frequency(teacher: VelocityModel, store: TrajectoryStore, p_d: ToyDataset,
@@ -110,6 +110,7 @@ def useless_frequency(teacher: VelocityModel, store: TrajectoryStore, p_d: ToyDa
 class KDConfig:
     """Settings for the window-based knowledge-distillation baseline."""
 
+    windows: int = 5  # the student samples with this many uniform Euler steps
     iterations: int = 4000
     batch_size: int = 256
     lr: float = 1e-3
@@ -117,14 +118,11 @@ class KDConfig:
     seed: int = 0
 
     def validate(self):
-        if self.iterations < 1 or self.batch_size < 1 or self.pool_size < 1:
-            raise ConfigError("KD iterations, batch size, and pool size must be positive")
-        if self.lr <= 0:
-            raise ConfigError("KD learning rate must be positive")
+        check_numbers(KDConfig, vars(self), "kd.", zero_ok=("seed",))
 
 
-def kd_baseline_distill(teacher: VelocityModel, p_d: ToyDataset, windows: int,
-                        config: KDConfig, grid: TimeGrid | None = None):
+def kd_baseline_distill(teacher: VelocityModel, p_d: ToyDataset, config: KDConfig,
+                        grid: TimeGrid | None = None):
     """Train a student to mimic the teacher across denoising windows.
 
     Training inputs are forward-diffused from p_d at grid times inside
@@ -134,12 +132,11 @@ def kd_baseline_distill(teacher: VelocityModel, p_d: ToyDataset, windows: int,
     trains from scratch on this pool alone: wherever mismatched inputs
     leave the state space uncovered, its field is unconstrained, which
     is exactly the failure this baseline diagnoses. Sampling from the
-    result takes `windows` uniform Euler steps.
+    result takes `config.windows` uniform Euler steps.
     """
-    if windows < 1:
-        raise ConfigError(f"window count must be positive, got {windows}")
     config.validate()
     grid = grid or TimeGrid.uniform(50)
+    windows = config.windows
     if grid.n % windows != 0:
         raise ConfigError(f"windows={windows} must divide the grid size n={grid.n}")
     span = grid.n // windows
@@ -239,7 +236,7 @@ class MetricsRecord:
 
 def mismatch_sweep(teacher: VelocityModel, store: TrajectoryStore, p: ToyDataset,
                    m_values, seeds, epsilon: float, mode: str, t_samples: int,
-                   kd_windows: int, kd_config: KDConfig,
+                   kd_config: KDConfig,
                    distill_config: DistillConfig, sample_count: int = 4096):
     """Rows for the mismatch sweep CSV (SWEEP_COLUMNS order).
 
@@ -270,11 +267,10 @@ def mismatch_sweep(teacher: VelocityModel, store: TrajectoryStore, p: ToyDataset
             )
             kd_cfg = dataclasses.replace(kd_config,
                                          seed=derive_seed(seed, f"sweep-kd-{M}"))
-            kd_student, _ = kd_baseline_distill(teacher, p_d, kd_windows, kd_cfg,
-                                                grid=store.grid)
+            kd_student, _ = kd_baseline_distill(teacher, p_d, kd_cfg, grid=store.grid)
             rng = np.random.default_rng(derive_seed(seed, f"sweep-kd-eval-{M}"))
             Z = rng.standard_normal((sample_count, teacher.d))
-            kd_samples = denoise_batch(kd_student, Z, TimeGrid.uniform(kd_windows))[0]
+            kd_samples = denoise_batch(kd_student, Z, TimeGrid.uniform(kd_config.windows))[0]
             kd_w1 = w1_distance(kd_samples[:, 0], p.support[:, 0])
             err = endpoint_error(kd_samples, p.support)
             rows.append((actual, seed, freq, kd_w1, distill_w1[seed], err))

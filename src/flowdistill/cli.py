@@ -48,18 +48,25 @@ def write_csv(path, header, rows):
 def _prepare(args):
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.out is not None:
-        cfg.out_dir = args.out
+        cfg = dataclasses.replace(cfg, out_dir=args.out)
     os.makedirs(cfg.out_dir, exist_ok=True)
     return cfg
+
+
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
+    return seed
 
 
 def cmd_train_teacher(args) -> int:
     cfg = _prepare(args)
     teacher, losses = train_teacher(
-        cfg.dataset, cfg.teacher["iterations"], cfg.teacher["batch_size"],
-        cfg.teacher["lr"], derive_seed(cfg.seed, "teacher"), H=cfg.H, R=cfg.R,
+        cfg.data, cfg.teacher["iterations"], cfg.teacher["batch_size"],
+        cfg.teacher["lr"], derive_seed(cfg.seed, "teacher"), **cfg.model,
     )
     save_model(os.path.join(cfg.out_dir, "teacher.json"), teacher)
     write_csv(os.path.join(cfg.out_dir, "teacher_loss.csv"), ("iteration", "loss"),
@@ -107,11 +114,11 @@ def cmd_kd_baseline(args) -> int:
         raise ConfigError(f"--mismatch must be finite, got {args.mismatch}")
     cfg = _prepare(args)
     teacher = load_model(args.teacher)
-    p_d = shifted_dataset(cfg.dataset, args.mismatch)
+    p_d = shifted_dataset(cfg.data, args.mismatch)
     kd_cfg = dataclasses.replace(cfg.kd, seed=derive_seed(cfg.seed, "kd"))
     grid = TimeGrid.uniform(cfg.store["n"])
     try:
-        student, losses = kd_baseline_distill(teacher, p_d, cfg.kd_windows, kd_cfg, grid)
+        student, losses = kd_baseline_distill(teacher, p_d, kd_cfg, grid)
     except NumericsError as e:
         raise NumericsError(f"--mismatch {args.mismatch} is too large to train on: {e}") from e
     save_model(os.path.join(cfg.out_dir, "kd_student.json"), student)
@@ -126,10 +133,9 @@ def cmd_analyze(args) -> int:
     store = load_store(args.store)
     a = cfg.analysis
     rows = mismatch_sweep(
-        teacher, store, cfg.dataset, a["m_sweep"],
+        teacher, store, cfg.data, a["m_sweep"],
         [derive_seed(cfg.seed, f"analysis-{s}") for s in a["seeds"]],
-        a["epsilon"], a["mode"], a["t_samples"], cfg.kd_windows, cfg.kd,
-        cfg.distill, a["sample_count"],
+        a["epsilon"], a["mode"], a["t_samples"], cfg.kd, cfg.distill, a["sample_count"],
     )
     # report the config's readable seed labels rather than the derived ints
     labels = [s for _ in a["m_sweep"] for s in a["seeds"]]
@@ -159,21 +165,21 @@ def cmd_eval(args) -> int:
     rng = np.random.default_rng(derive_seed(cfg.seed, "eval"))
     Z = rng.standard_normal((count, teacher.d))
     teacher_samples = denoise_batch(teacher, Z, TimeGrid.uniform(n))[0]
-    support = cfg.dataset.support[:, 0]
+    data = cfg.data
     freq = float("nan")
     if args.store:
         store = load_store(args.store)
         check_teacher(store, teacher)
         freq = useless_frequency(
-            teacher, store, cfg.dataset, cfg.analysis["t_samples"],
+            teacher, store, data, cfg.analysis["t_samples"],
             cfg.analysis["epsilon"], cfg.analysis["mode"],
             seed=derive_seed(cfg.seed, "eval-useless"),
-            teacher_support=cfg.dataset if cfg.analysis["mode"] == "endpoint" else None,
+            teacher_support=data if cfg.analysis["mode"] == "endpoint" else None,
         )
     records = [MetricsRecord(
         label=f"teacher-{n}step",
-        w1=w1_distance(teacher_samples[:, 0], support),
-        endpoint_error=endpoint_error(teacher_samples, cfg.dataset.support),
+        w1=w1_distance(teacher_samples[:, 0], data.support[:, 0]),
+        endpoint_error=endpoint_error(teacher_samples, data.support),
         useless_frequency=freq, seed=cfg.seed,
     )]
     if args.student:
@@ -183,7 +189,7 @@ def cmd_eval(args) -> int:
         records.append(MetricsRecord(
             label=f"student-{m}step",
             w1=w1_distance(s_samples[:, 0], teacher_samples[:, 0]),
-            endpoint_error=endpoint_error(s_samples, cfg.dataset.support),
+            endpoint_error=endpoint_error(s_samples, data.support),
             useless_frequency=freq, seed=cfg.seed,
         ))
     write_csv(os.path.join(cfg.out_dir, "eval.csv"),
@@ -203,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, needs_config=True):
         if needs_config:
             p.add_argument("--config", required=True, help="run config JSON")
-        p.add_argument("--seed", type=int, default=None, help="override root seed")
+        p.add_argument("--seed", type=_seed, default=None, help="override root seed")
         p.add_argument("--out", default=None, help="override output directory")
 
     p = sub.add_parser("train-teacher", help="train the velocity-field teacher")

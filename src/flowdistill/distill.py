@@ -35,7 +35,7 @@ from . import autodiff as ad
 from .adversarial import build_heads, d_loss_grad, features_node, g_loss_grad, \
     head_backward, head_forward, head_of
 from .atomic import write_json
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, NumericsError, check_fields, check_numbers
 from .flow import TimeGrid
 from .nn import FILE_VERSION, OptimizerState, ParamSet, VelocityModel, check_grads, \
     check_loss, forward_velocity, from_payload, init_optimizer, mlp_backward, mlp_forward, \
@@ -96,23 +96,13 @@ class DistillConfig:
     seed: int = 0
     heads: str = "per_timestep"  # or "single"
     adv_batch: int = 32  # generated latents per round (the adversarial minibatch)
-    checkpoint_interval: int = 0  # rounds between checkpoints; 0 disables
+    checkpoint_interval: int = 200  # rounds between checkpoints; 0 disables
 
     def validate(self):
-        if self.m < 1:
-            raise ConfigError("m must be positive")
-        if self.lambda_adv < 0:
-            raise ConfigError("lambda_adv must be non-negative")
-        if self.student_lr <= 0 or self.adv_student_lr <= 0 or self.head_lr <= 0:
-            raise ConfigError("learning rates must be positive")
-        if self.iterations < 1 or self.batch_size < 1:
-            raise ConfigError("iterations and batch size must be positive")
-        if self.heads not in ("per_timestep", "single"):
-            raise ConfigError(f"unknown heads mode {self.heads!r}")
-        if self.adv_batch < 1:
-            raise ConfigError("adv_batch must be positive")
-        if self.checkpoint_interval < 0:
-            raise ConfigError("checkpoint_interval must be non-negative")
+        check_numbers(DistillConfig, vars(self), "distill.",
+                      zero_ok=("lambda_adv", "seed", "checkpoint_interval"))
+        check_fields([("heads", self.heads in ("per_timestep", "single"),
+                       "'per_timestep' or 'single'")], "distill.")
 
 
 @dataclass

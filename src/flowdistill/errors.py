@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and config range checks."""
+
+import math
+import typing
 
 
 class FlowDistillError(Exception):
@@ -20,3 +23,19 @@ class StoreFormatError(FlowDistillError):
 class StoreIntegrityError(FlowDistillError):
     """A trajectory store does not match its generating model."""
 
+
+def check_fields(checks, prefix: str = ""):
+    """Raise a ConfigError naming the first field whose check fails;
+    `checks` holds (field, whether it holds, what the field must be)."""
+    for field, holds, want in checks:
+        if not holds:
+            raise ConfigError(f"config field {prefix}{field} must be {want}")
+
+
+def check_numbers(kind, values, prefix: str, zero_ok=()):
+    """Check that each int or float field of the section type `kind` has
+    a positive, finite value in `values`, or zero if it is in `zero_ok`."""
+    check_fields([(name, (0 <= v if name in zero_ok else 0 < v) and v < math.inf,
+                   ("non-negative" if name in zero_ok else "positive") + " and finite")
+                  for name, hint in typing.get_type_hints(kind).items() if hint in (int, float)
+                  for v in [values[name]]], prefix)

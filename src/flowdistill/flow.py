@@ -25,7 +25,6 @@ class ToyDataset:
     `support`, an array of shape (k, d)."""
 
     support: np.ndarray
-    seed: int = 0
 
     def __post_init__(self):
         support = np.asarray(self.support, dtype=np.float64)
@@ -39,9 +38,7 @@ class ToyDataset:
     def d(self) -> int:
         return self.support.shape[1]
 
-    def sample(self, count: int, rng=None) -> np.ndarray:
-        if rng is None:
-            rng = np.random.default_rng(self.seed)
+    def sample(self, count: int, rng) -> np.ndarray:
         idx = rng.integers(0, self.support.shape[0], size=count)
         return self.support[idx]
 

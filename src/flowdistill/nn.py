@@ -21,9 +21,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 import typing
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, TypedDict
 
 import numpy as np
 
@@ -470,8 +471,18 @@ def read_json(path, fmt: str, fields, rerun: str) -> dict:
     return require_fields(payload, fields, path)
 
 
+def b64decode_exact(data: bytes) -> bytes:
+    """The bytes whose padded base64 is exactly `data`; the bits after the
+    last byte must be zero, so no two inputs decode alike."""
+    raw = base64.b64decode(data, validate=True)
+    tail = len(raw) % 3
+    if tail and base64.b64encode(raw[-tail:]) != data[-4:]:
+        raise ValueError("non-zero bits after the last byte")
+    return raw
+
+
 def _decode_tensor(rec: dict, where: str) -> np.ndarray:
-    """The array of a tensor record, whose `data` must be the strict
+    """The array of a tensor record, whose `data` must be the canonical
     base64 of exactly its shape's count of float64 values."""
     shape, data = rec["shape"], rec["data"]
     if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
@@ -479,8 +490,8 @@ def _decode_tensor(rec: dict, where: str) -> np.ndarray:
     if not isinstance(data, str):
         raise StoreFormatError(f"{where}: data is not a string")
     try:
-        raw = base64.b64decode(data, validate=True)
-    except ValueError as e:  # outside the alphabet, badly padded, or not ASCII
+        raw = b64decode_exact(data.encode())
+    except ValueError as e:  # outside the alphabet, badly padded, not ASCII or not canonical
         raise StoreFormatError(f"{where}: data is not strict base64 ({e})") from e
     if len(raw) != 8 * math.prod(shape):
         raise StoreFormatError(f"{where}: data holds {len(raw)} bytes, shape {shape} "
@@ -488,16 +499,22 @@ def _decode_tensor(rec: dict, where: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
+# the payload of a Generator: its PCG64 `bit_generator.state`
+_PCG64State = TypedDict("_PCG64State", {
+    "bit_generator": str, "state": TypedDict("_PCG64Counter", {"state": int, "inc": int}),
+    "has_uint32": int, "uinteger": int})
+
+
 def from_payload(kind, value, source, field: str = "", like=None):
     """The `kind` value whose `to_payload` form is `value`, read from the
-    file `source`: a dataclass, ParamSet, Generator, `list[X]`,
-    fixed-length `tuple[X, Y]`, float, str or non-negative int. A
-    ParamSet must have the layout of its counterpart in `like`, if
-    given. A defect is a StoreFormatError naming the file and the dotted
-    field, e.g. `opt_heads.step`, or the file alone for no field."""
+    file `source`: a dataclass, TypedDict (as a dict), ParamSet,
+    Generator, `list[X]`, fixed-length `tuple[X, Y]`, float, str, list or
+    non-negative int. A ParamSet must have the layout of its counterpart
+    in `like`, if given. A defect is a StoreFormatError naming the file
+    and the dotted field, e.g. `opt_heads.step`, or the file alone."""
     where = f"{source}: field {field!r}" if field else str(source)
     origin, args = typing.get_origin(kind), typing.get_args(kind)
-    if dataclasses.is_dataclass(kind):
+    if dataclasses.is_dataclass(kind) or typing.is_typeddict(kind):
         hints = typing.get_type_hints(kind)
         require_fields(value, hints, where)
         return kind(**{n: from_payload(h, value[n], source, f"{field}.{n}".lstrip("."),
@@ -514,13 +531,6 @@ def from_payload(kind, value, source, field: str = "", like=None):
             raise StoreFormatError(f"{where} holds tensors {params.names} of shapes "
                                    f"{params.shapes}, the run has {like.shapes}")
         return params
-    if kind is np.random.Generator:
-        rng = np.random.Generator(np.random.PCG64(0))
-        try:
-            rng.bit_generator.state = value
-        except (TypeError, ValueError, KeyError) as e:
-            raise StoreFormatError(f"{where} is not a PCG64 state ({e!r})") from e
-        return rng
     if origin in (list, tuple):
         if not isinstance(value, list) or origin is tuple and len(value) != len(args):
             raise StoreFormatError(f"{where} is not a list"
@@ -529,9 +539,25 @@ def from_payload(kind, value, source, field: str = "", like=None):
         return origin(from_payload(k, v, source, f"{field}[{i}]",
                                    like[i] if like and i < len(like) else None)
                       for i, (k, v) in enumerate(zip(kinds, value)))
-    if type(value) is kind or kind is float and type(value) is int:
+    if type(value) is kind or (kind is float and type(value) is int
+                               and abs(value) <= sys.float_info.max):
         if kind is not int or value >= 0:
             return kind(value)
+    if kind is np.random.Generator:  # after the scalars: a config needs no numpy.random
+        state = from_payload(_PCG64State, value, source, field)
+        for name, n, bound in (("state.state", state["state"]["state"], 2**128),
+                               ("state.inc", state["state"]["inc"], 2**128),
+                               ("has_uint32", state["has_uint32"], 2),
+                               ("uinteger", state["uinteger"], 2**32)):
+            if n >= bound:
+                sub = f"{field}.{name}".lstrip(".")
+                raise StoreFormatError(f"{source}: field {sub!r} is not below {bound}")
+        rng = np.random.Generator(np.random.PCG64(0))
+        try:
+            rng.bit_generator.state = state
+        except ValueError as e:  # another bit generator
+            raise StoreFormatError(f"{where} is not a PCG64 state ({e!r})") from e
+        return rng
     what = "non-negative int" if kind is int else kind.__name__
     raise StoreFormatError(f"{where} is not a {what}")
 

@@ -25,13 +25,14 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
+from typing import TypedDict
 
 import numpy as np
 
 from .atomic import atomic_open
 from .errors import ConfigError, StoreFormatError, StoreIntegrityError
 from .flow import TimeGrid, denoise_batch
-from .nn import VelocityModel, eval_velocity, require_fields
+from .nn import VelocityModel, b64decode_exact, eval_velocity, from_payload, require_fields
 from .seeds import derive_seed
 
 STORE_VERSION = 3
@@ -39,6 +40,9 @@ RECURRENCE_TOL = 1e-9
 # rows per model evaluation when generating or re-checking paths, so the
 # memory beyond the states does not grow with N
 ROW_BLOCK = 1024
+
+_Header = TypedDict("_Header", {"version": int, "N": int, "n": int, "d": int,
+                                "teacher_fingerprint": str, "seed": int, "grid": list[float]})
 
 
 def _path_seeds(seed: int, paths: range) -> list[int]:
@@ -131,7 +135,7 @@ def save_store(store: TrajectoryStore, path):
 
 
 def load_store(path, teacher: VelocityModel | None = None) -> TrajectoryStore:
-    """Read a store back from its file, one line at a time.
+    """Read a store back from its file, one line at a time; every state must be finite.
 
     Validation is opt-in: when `teacher` is given, the fingerprint must
     match, every trajectory must satisfy the Euler recurrence against it
@@ -142,28 +146,22 @@ def load_store(path, teacher: VelocityModel | None = None) -> TrajectoryStore:
         first = f.readline()
         if not first:
             raise StoreFormatError(f"{path}: empty store file")
+        where = f"{path}: line 1"
         try:
             header = json.loads(first)
         except ValueError as e:  # not JSON, or not UTF-8
-            raise StoreFormatError(f"{path}: line 1: {e}") from e
-        header = require_fields(header, ("version", "N", "n", "d", "teacher_fingerprint",
-                                         "seed", "grid"), f"{path}: line 1")
-        if header["version"] != STORE_VERSION:
-            raise StoreFormatError(f"{path}: line 1: version {header['version']!r} is not "
+            raise StoreFormatError(f"{where}: {e}") from e
+        if require_fields(header, ("version",), where)["version"] != STORE_VERSION:
+            raise StoreFormatError(f"{where}: version {header['version']!r} is not "
                                    f"{STORE_VERSION}; re-run synth to rebuild the store")
+        header = from_payload(_Header, header, where)
         try:
-            grid = TimeGrid(np.asarray(header["grid"], dtype=np.float64))
-        except (TypeError, ValueError, ConfigError) as e:
-            raise StoreFormatError(f"{path}: line 1: grid is not a time grid ({e})") from e
-        if grid.n != header["n"]:
-            raise StoreFormatError(f"{path}: line 1: grid length disagrees with n")
+            grid = TimeGrid(header["grid"])
+        except ConfigError as e:
+            raise StoreFormatError(f"{where}: grid is not a time grid ({e})") from e
         N, d = header["N"], header["d"]
-        for key, valid in (
-                ("seed", type(header["seed"]) is int),
-                ("N", type(N) is int and N >= 1), ("d", type(d) is int and d >= 1),
-                ("teacher_fingerprint", isinstance(header["teacher_fingerprint"], str))):
-            if not valid:
-                raise StoreFormatError(f"{path}: line 1: {key} {header[key]!r} is not valid")
+        if grid.n != header["n"] or N < 1 or d < 1:
+            raise StoreFormatError(f"{where}: N and d must be positive and n the grid's length")
         row_bytes = (grid.n + 1) * d * 8
         record = 4 * -(-row_bytes // 3) + 3  # '"', the base64 of a row, '"\n'
         size = os.fstat(f.fileno()).st_size - len(first)
@@ -180,15 +178,19 @@ def load_store(path, teacher: VelocityModel | None = None) -> TrajectoryStore:
             try:
                 if line[:1] != b'"' or line[-2:] != b'"\n':
                     raise ValueError("not a JSON string")
-                raw = base64.b64decode(line[1:-2], validate=True)
+                raw = b64decode_exact(line[1:-2])
                 states[count - 1] = np.frombuffer(raw, dtype="<f8").reshape(grid.n + 1, d)
-            except ValueError as e:  # not a string, not strict base64, or not a row
+            except ValueError as e:  # not a string, not canonical base64, or not a row
                 raise StoreFormatError(f"{where}: record is not the base64 of {row_bytes} "
                                        f"bytes ({e})") from e
     if states is None:  # every line is a record's length, so the count is wrong
         raise StoreFormatError(f"{path}: line {N + 2 if count > N else 1}: expected {N} "
                                f"trajectory records, found {count} ({N * record} bytes "
                                f"expected after the header, {size} found)")
+    finite = np.isfinite(states).all(axis=(1, 2))
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise StoreFormatError(f"{path}: line {i + 2}: trajectory {i} holds a non-finite state")
     store = TrajectoryStore(grid, header["seed"], header["teacher_fingerprint"], states)
     if teacher is not None:
         validate_store(store, teacher)

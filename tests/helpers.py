@@ -64,10 +64,10 @@ def distill_and_score(args):
 
 def kd_and_score(args):
     """One KD-baseline cell: train on the shifted dataset p_d, sample in
-    `windows` steps and measure W1 to the unshifted support."""
-    teacher, p_d, windows, config, grid, count, sample_seed, support = args
-    student, _ = fd.kd_baseline_distill(teacher, p_d, windows, config, grid=grid)
-    samples = fd.sample_model(student, count, windows, sample_seed)
+    `config.windows` steps and measure W1 to the unshifted support."""
+    teacher, p_d, config, grid, count, sample_seed, support = args
+    student, _ = fd.kd_baseline_distill(teacher, p_d, config, grid=grid)
+    samples = fd.sample_model(student, count, config.windows, sample_seed)
     return fd.w1_distance(samples[:, 0], support[:, 0])
 
 

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 import flowdistill as fd
-from flowdistill.analysis import KDConfig
 from flowdistill.cli import main as cli_main
 from flowdistill.distill import _traj_regression
 from flowdistill.flow import _fm_regression
@@ -40,8 +39,7 @@ SEEDS = (0, 1, 2, 3, 4)
 M_SWEEP = (0.0, 1.0, 2.0, 4.0)
 
 DISTILL_BASE = fd.DistillConfig(m=M_KEYS, iterations=3000, batch_size=128)
-KD_BASE = KDConfig()
-KD_WINDOWS = 5
+KD_BASE = fd.KDConfig()
 
 
 @pytest.fixture(scope="session")
@@ -212,7 +210,7 @@ def test_criterion_5_useless_frequency_trend(teacher, store, data):
 def test_criterion_6_kd_degrades_distillation_does_not(teacher, store, data,
                                                        ablation):
     tasks = [
-        (teacher, fd.shifted_dataset(data, M), KD_WINDOWS,
+        (teacher, fd.shifted_dataset(data, M),
          dataclasses.replace(KD_BASE, seed=derive_seed(seed, f"kd-{M}")), store.grid,
          EVAL_COUNT, derive_seed(seed, f"kd-eval-{M}"), data.support)
         for M in M_SWEEP for seed in SEEDS

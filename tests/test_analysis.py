@@ -214,23 +214,23 @@ class TestMetricsRecord:
 class TestKDBaseline:
     def test_windows_must_divide_grid(self, quick_teacher, two_point_data):
         with pytest.raises(fd.ConfigError):
-            fd.kd_baseline_distill(quick_teacher, two_point_data, windows=3,
-                                   config=KDConfig(iterations=5, pool_size=32),
+            fd.kd_baseline_distill(quick_teacher, two_point_data,
+                                   config=KDConfig(windows=3, iterations=5, pool_size=32),
                                    grid=fd.TimeGrid.uniform(10))
 
     def test_returns_student_with_teacher_architecture(self, quick_teacher,
                                                        two_point_data):
         student, losses = fd.kd_baseline_distill(
-            quick_teacher, two_point_data, windows=2,
-            config=KDConfig(iterations=20, batch_size=16, pool_size=64, seed=1),
+            quick_teacher, two_point_data,
+            config=KDConfig(windows=2, iterations=20, batch_size=16, pool_size=64, seed=1),
             grid=fd.TimeGrid.uniform(10),
         )
         assert student.arch == quick_teacher.arch
         assert losses.shape == (20,)
 
     def test_deterministic_given_seed(self, quick_teacher, two_point_data):
-        kwargs = dict(windows=2, config=KDConfig(iterations=10, batch_size=8,
-                                                 pool_size=32, seed=2),
+        kwargs = dict(config=KDConfig(windows=2, iterations=10, batch_size=8,
+                                      pool_size=32, seed=2),
                       grid=fd.TimeGrid.uniform(10))
         a, _ = fd.kd_baseline_distill(quick_teacher, two_point_data, **kwargs)
         b, _ = fd.kd_baseline_distill(quick_teacher, two_point_data, **kwargs)
@@ -240,8 +240,8 @@ class TestKDBaseline:
                                                       two_point_data):
         # windows = n: every window spans exactly one grid step
         student, _ = fd.kd_baseline_distill(
-            quick_teacher, two_point_data, windows=10,
-            config=KDConfig(iterations=5, batch_size=8, pool_size=40, seed=3),
+            quick_teacher, two_point_data,
+            config=KDConfig(windows=10, iterations=5, batch_size=8, pool_size=40, seed=3),
             grid=fd.TimeGrid.uniform(10),
         )
         assert student.arch == quick_teacher.arch

@@ -40,13 +40,27 @@ TINY = {
 
 @pytest.fixture
 def tiny_config(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(TINY))
-    return str(path)
+    return tiny_variant(tmp_path, "config")
 
 
 def run_cli(*args):
     return main(list(args))
+
+
+def inputs(run_dir):
+    """The --teacher and --store arguments naming the files in `run_dir`."""
+    return ["--teacher", f"{run_dir}/teacher.json", "--store", f"{run_dir}/store.jsonl"]
+
+
+def same_bytes(a, b) -> bool:
+    return open(a, "rb").read() == open(b, "rb").read()
+
+
+def tiny_variant(tmp_path, name, **distill):
+    """The path of a TINY config with the `distill` fields changed."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(dict(TINY, distill=dict(TINY["distill"], **distill))))
+    return str(path)
 
 
 @pytest.fixture
@@ -72,7 +86,7 @@ class TestTrainTeacher:
         run_cli("train-teacher", "--config", tiny_config, "--out", out1)
         run_cli("train-teacher", "--config", tiny_config, "--out", out2)
         for name in ("teacher.json", "teacher_loss.csv"):
-            assert open(f"{out1}/{name}", "rb").read() == open(f"{out2}/{name}", "rb").read()
+            assert same_bytes(f"{out1}/{name}", f"{out2}/{name}")
 
     def test_malformed_config_nonzero_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -118,8 +132,7 @@ class TestSynth:
 class TestDistill:
     def test_outputs_written(self, tiny_config, trained_dir):
         assert run_cli("distill", "--config", tiny_config, "--out", trained_dir,
-                       "--teacher", f"{trained_dir}/teacher.json",
-                       "--store", f"{trained_dir}/store.jsonl") == 0
+                       *inputs(trained_dir)) == 0
         assert os.path.exists(f"{trained_dir}/student.json")
         for k in range(TINY["distill"]["m"]):
             assert os.path.exists(f"{trained_dir}/head_{k}.json")
@@ -130,24 +143,16 @@ class TestDistill:
     def test_no_adv_equals_lambda_zero_config(self, tiny_config, tmp_path, trained_dir):
         flag_out = str(tmp_path / "flag")
         assert run_cli("distill", "--config", tiny_config, "--out", flag_out,
-                       "--teacher", f"{trained_dir}/teacher.json",
-                       "--store", f"{trained_dir}/store.jsonl", "--no-adv") == 0
-        zero = dict(TINY)
-        zero["distill"] = dict(TINY["distill"], lambda_adv=0.0)
-        zero_cfg = tmp_path / "zero.json"
-        zero_cfg.write_text(json.dumps(zero))
+                       *inputs(trained_dir), "--no-adv") == 0
         zero_out = str(tmp_path / "zero")
-        assert run_cli("distill", "--config", str(zero_cfg), "--out", zero_out,
-                       "--teacher", f"{trained_dir}/teacher.json",
-                       "--store", f"{trained_dir}/store.jsonl") == 0
-        assert open(f"{flag_out}/student.json", "rb").read() == \
-            open(f"{zero_out}/student.json", "rb").read()
+        assert run_cli("distill", "--config", tiny_variant(tmp_path, "zero", lambda_adv=0.0),
+                       "--out", zero_out, *inputs(trained_dir)) == 0
+        assert same_bytes(f"{flag_out}/student.json", f"{zero_out}/student.json")
 
     def test_single_head_writes_shared_head(self, tiny_config, tmp_path, trained_dir):
         out = str(tmp_path / "sh")
         assert run_cli("distill", "--config", tiny_config, "--out", out,
-                       "--teacher", f"{trained_dir}/teacher.json",
-                       "--store", f"{trained_dir}/store.jsonl", "--single-head") == 0
+                       *inputs(trained_dir), "--single-head") == 0
         assert os.path.exists(f"{out}/head_shared.json")
 
     @pytest.mark.parametrize("command", ["distill", "analyze-mismatch", "eval"])
@@ -167,23 +172,16 @@ class TestDistill:
         outs = [str(tmp_path / x) for x in ("r1", "r2")]
         for out in outs:
             assert run_cli("distill", "--config", tiny_config, "--out", out,
-                           "--teacher", f"{trained_dir}/teacher.json",
-                           "--store", f"{trained_dir}/store.jsonl") == 0
+                           *inputs(trained_dir)) == 0
         for name in ("student.json", "distill_metrics.csv", "head_0.json"):
-            assert open(f"{outs[0]}/{name}", "rb").read() == \
-                open(f"{outs[1]}/{name}", "rb").read()
+            assert same_bytes(f"{outs[0]}/{name}", f"{outs[1]}/{name}")
 
 
 class TestKillResume:
     def test_killed_run_resumes_to_identical_output(self, tmp_path, trained_dir):
-        cfg = dict(TINY)
-        cfg["distill"] = dict(TINY["distill"], iterations=60, checkpoint_interval=2)
-        cfg_path = tmp_path / "resume.json"
-        cfg_path.write_text(json.dumps(cfg))
-
         ref_out = str(tmp_path / "reference")
-        args = ["--config", str(cfg_path), "--teacher", f"{trained_dir}/teacher.json",
-                "--store", f"{trained_dir}/store.jsonl"]
+        args = ["--config", tiny_variant(tmp_path, "resume", iterations=60,
+                                         checkpoint_interval=2), *inputs(trained_dir)]
         assert run_cli("distill", *args, "--out", ref_out) == 0
 
         kill_out = str(tmp_path / "killed")
@@ -205,8 +203,7 @@ class TestKillResume:
         assert os.path.exists(checkpoint), "no checkpoint was written before the kill"
         assert run_cli("distill", *args, "--out", kill_out, "--resume") == 0
         for name in ("student.json", "distill_metrics.csv"):
-            assert open(f"{kill_out}/{name}", "rb").read() == \
-                open(f"{ref_out}/{name}", "rb").read()
+            assert same_bytes(f"{kill_out}/{name}", f"{ref_out}/{name}")
 
 
 class TestCheckpointFormat:
@@ -217,18 +214,15 @@ class TestCheckpointFormat:
     def halfway(self, tmp_path, trained_dir):
         """(distill args, reference output dir, output dir holding only the
         round-2 checkpoint of the same run)."""
-        args = ["--teacher", f"{trained_dir}/teacher.json",
-                "--store", f"{trained_dir}/store.jsonl"]
-        full, short = tmp_path / "full.json", tmp_path / "short.json"
-        full.write_text(json.dumps(TINY))
-        short.write_text(json.dumps(dict(TINY, distill=dict(TINY["distill"], iterations=2))))
+        full = ["--config", tiny_variant(tmp_path, "full"), *inputs(trained_dir)]
+        short = tiny_variant(tmp_path, "short", iterations=2)
         ref_out, out = str(tmp_path / "reference"), str(tmp_path / "resumed")
-        assert run_cli("distill", "--config", str(full), *args, "--out", ref_out) == 0
-        assert run_cli("distill", "--config", str(short), *args, "--out", out) == 0
+        assert run_cli("distill", *full, "--out", ref_out) == 0
+        assert run_cli("distill", *full, "--config", short, "--out", out) == 0
         for name in os.listdir(out):
             if name != "distill_checkpoint.json":
                 os.remove(f"{out}/{name}")
-        return ["--config", str(full), *args], ref_out, out
+        return full, ref_out, out
 
     @staticmethod
     def _rewrite(out, edit):
@@ -245,8 +239,7 @@ class TestCheckpointFormat:
         names = ["student.json", "distill_metrics.csv"] + [
             f"head_{k}.json" for k in range(TINY["distill"]["m"])]
         for name in names:
-            assert open(f"{out}/{name}", "rb").read() == \
-                open(f"{ref_out}/{name}", "rb").read(), name
+            assert same_bytes(f"{out}/{name}", f"{ref_out}/{name}"), name
 
     @pytest.mark.parametrize("where,field", [
         ((), "round"), (("opt_student",), "lr"), (("opt_heads",), "step"),
@@ -279,9 +272,23 @@ class TestCheckpointFormat:
                              for rec in p["heads"]]),
         # shape and data agree with each other, not with the student
         ("student", lambda p: p["student"][1].update(shape=[3], data=tensor_data([0.0] * 3))),
+        # PCG64: 128-bit unsigned counters, a 32-bit buffered draw behind a 0/1 flag
+        ("rng_batch.uinteger", lambda p: p["rng_batch"].update(uinteger=-1)),
+        ("rng_batch.uinteger", lambda p: p["rng_batch"].update(uinteger=1.5)),
+        ("rng_batch.uinteger", lambda p: p["rng_batch"].update(uinteger=True)),
+        ("rng_batch.uinteger", lambda p: p["rng_batch"].update(uinteger=2**32)),
+        ("rng_batch.state.state", lambda p: p["rng_batch"]["state"].update(state=-1)),
+        ("rng_batch.state.state", lambda p: p["rng_batch"]["state"].update(state=1.5)),
+        ("rng_noise.state.inc", lambda p: p["rng_noise"]["state"].update(inc=2**128)),
+        ("rng_noise.has_uint32", lambda p: p["rng_noise"].update(has_uint32=-1)),
+        ("rng_noise.has_uint32", lambda p: p["rng_noise"].update(has_uint32=1.5)),
+        ("rng_noise.has_uint32", lambda p: p["rng_noise"].update(has_uint32=2)),
     ], ids=["rng-batch-not-pcg64", "rng-noise-not-a-state", "round-as-string",
             "metrics-not-a-list", "heads-not-a-list", "optimizer-step-as-string",
-            "heads-of-another-count", "consistent-wrong-shape"])
+            "heads-of-another-count", "consistent-wrong-shape", "uinteger-negative",
+            "uinteger-fractional", "uinteger-bool", "uinteger-33-bit", "state-negative",
+            "state-fractional", "inc-129-bit", "has-uint32-negative", "has-uint32-fractional",
+            "has-uint32-2"])
     def test_bad_value_is_named(self, halfway, capsys, field, edit):
         args, _, out = halfway
         path = self._rewrite(out, edit)
@@ -294,9 +301,7 @@ class TestCheckpointFormat:
         """Arguments that, put after a run's own, change `field` of the run
         (argparse keeps the last of a repeated option)."""
         if field == "batch_size":
-            path = tmp_path / "batch.json"
-            path.write_text(json.dumps(dict(TINY, distill=dict(TINY["distill"], batch_size=4))))
-            return ["--config", str(path)]
+            return ["--config", tiny_variant(tmp_path, "batch", batch_size=4)]
         if field == "teacher":
             # another teacher, with its own store so the store check passes
             other = str(tmp_path / "other")
@@ -331,16 +336,12 @@ class TestCheckpointFormat:
             assert json.load(f)["config"]["iterations"] == 2
         assert run_cli("distill", *args, "--out", out, "--resume") == 0
         self._assert_same_outputs(out, ref_out)
-        assert open(f"{out}/distill_checkpoint.json", "rb").read() == \
-            open(f"{ref_out}/distill_checkpoint.json", "rb").read()
+        assert same_bytes(f"{out}/distill_checkpoint.json", f"{ref_out}/distill_checkpoint.json")
 
     @staticmethod
     def _interval_0(tmp_path):
         """Arguments that, put after a run's own, turn its checkpoints off."""
-        path = tmp_path / "interval0.json"
-        path.write_text(json.dumps(dict(
-            TINY, distill=dict(TINY["distill"], checkpoint_interval=0))))
-        return ["--config", str(path)]
+        return ["--config", tiny_variant(tmp_path, "interval0", checkpoint_interval=0)]
 
     def test_truncated_checkpoint_is_an_error_line(self, halfway, tmp_path, capsys):
         args, _, out = halfway
@@ -483,19 +484,15 @@ class TestSample:
         for out in outs:
             run_cli("sample", "--model", f"{trained_dir}/teacher.json",
                     "--count", "8", "--steps", "10", "--seed", "3", "--out", out)
-        assert open(f"{outs[0]}/samples.csv", "rb").read() == \
-            open(f"{outs[1]}/samples.csv", "rb").read()
+        assert same_bytes(f"{outs[0]}/samples.csv", f"{outs[1]}/samples.csv")
 
 
 class TestEval:
     def test_teacher_and_student_rows(self, tiny_config, trained_dir):
         assert run_cli("distill", "--config", tiny_config, "--out", trained_dir,
-                       "--teacher", f"{trained_dir}/teacher.json",
-                       "--store", f"{trained_dir}/store.jsonl") == 0
+                       *inputs(trained_dir)) == 0
         assert run_cli("eval", "--config", tiny_config, "--out", trained_dir,
-                       "--teacher", f"{trained_dir}/teacher.json",
-                       "--student", f"{trained_dir}/student.json",
-                       "--store", f"{trained_dir}/store.jsonl") == 0
+                       *inputs(trained_dir), "--student", f"{trained_dir}/student.json") == 0
         lines = open(f"{trained_dir}/eval.csv").read().splitlines()
         assert lines[0] == "label,w1,endpoint_error,useless_frequency,seed"
         assert lines[1].startswith("teacher-10step,")
@@ -506,8 +503,7 @@ class TestAnalyze:
     def test_sweep_has_row_per_m_and_seed(self, tiny_config, tmp_path, trained_dir):
         out = str(tmp_path / "an")
         assert run_cli("analyze-mismatch", "--config", tiny_config, "--out", out,
-                       "--teacher", f"{trained_dir}/teacher.json",
-                       "--store", f"{trained_dir}/store.jsonl") == 0
+                       *inputs(trained_dir)) == 0
         lines = open(f"{out}/mismatch_sweep.csv").read().splitlines()
         assert lines[0] == "M,seed,useless_frequency,kd_w1,traj_distill_w1,endpoint_error"
         assert len(lines) == 1 + 2 * 2  # m_sweep x seeds

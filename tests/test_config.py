@@ -1,8 +1,11 @@
 import dataclasses
 import json
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from flowdistill.analysis import KDConfig
 from flowdistill.config import DEFAULT_CONFIG, load_config, parse_config, \
     write_default_config
 from flowdistill.distill import DistillConfig
@@ -12,9 +15,9 @@ from flowdistill.errors import ConfigError
 def test_default_config_parses():
     cfg = parse_config(DEFAULT_CONFIG)
     assert cfg.seed == 0
-    assert cfg.dataset.support.shape == (2, 1)
+    assert cfg.data.support.shape == (2, 1)
     assert cfg.distill.m == 5
-    assert cfg.kd_windows == 5
+    assert cfg.kd.windows == 5
 
 
 def test_written_default_round_trips(tmp_path):
@@ -64,6 +67,12 @@ def test_wrong_version_rejected():
     ({"dataset": {"support": []}}, "dataset.support"),
     ({"analysis": {"mode": "nearest"}}, "analysis.mode"),
     ({"analysis": {"seeds": []}}, "analysis.seeds"),
+    ({"teacher": {"lr": float("nan")}}, "teacher.lr"),  # non-finite values used to pass
+    ({"distill": {"head_lr": float("nan")}}, "distill.head_lr"),
+    ({"kd": {"lr": float("nan")}}, "kd.lr"),
+    ({"analysis": {"epsilon": float("nan")}}, "analysis.epsilon"),
+    ({"distill": {"lambda_adv": float("inf")}}, "distill.lambda_adv"),
+    ({"analysis": {"m_sweep": [float("nan")]}}, "analysis.m_sweep"),
 ])
 def test_invalid_fields_name_the_field(patch, field):
     raw = {"config_version": 1, **patch}
@@ -104,16 +113,53 @@ def test_invalid_fields_name_the_field(patch, field):
     ({"dataset": {"support": [[1.0, 2.0], [3.0]]}}, "dataset.support"),
     ({"dataset": {"support": [1.0, float("nan")]}}, "dataset.support"),
     ({"out_dir": None}, "out_dir"),
+    ({"analysis": {"seeds": [[1.0]]}}, "analysis.seeds"),
+    ({"teacher": {"lr": True}}, "teacher.lr"),
+    ({"name": 5}, "name"),
+    ({"seed": -1}, "seed"),
+    ({"distill": {"seed": 3}}, "distill.seed"),  # derived from the root seed
 ])
 def test_strict_fields_name_the_field(patch, field):
     with pytest.raises(ConfigError, match=rf"\b{field.replace('.', '[.]')}\b"):
         parse_config({"config_version": 1, **patch})
 
 
+def _leaves(node, field="", path=()):
+    """(dotted field, key path) of every leaf under `node`, a list
+    element counting as a leaf of its list's field."""
+    if isinstance(node, dict):
+        return [leaf for key, value in node.items()
+                for leaf in _leaves(value, f"{field}.{key}".lstrip("."), path + (key,))]
+    if isinstance(node, list):
+        return [leaf for i, value in enumerate(node)
+                for leaf in _leaves(value, field, path + (i,))]
+    return [(field, path)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(leaf=st.sampled_from(_leaves(DEFAULT_CONFIG)),
+       value=st.sampled_from([float("nan"), float("inf"), -float("inf"), True, -1, 0, "x",
+                              [[1.0]]]))
+def test_any_bad_leaf_is_named_or_parses(leaf, value):
+    field, path = leaf
+    raw = json.loads(json.dumps(DEFAULT_CONFIG))
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    try:
+        parse_config(raw)
+    except ConfigError as e:
+        assert re.search(rf"\b{field.replace('.', '[.]')}\b", str(e)), (leaf, value, str(e))
+
+
 def test_distill_section_holds_the_config_fields():
     # seed comes from the root seed
     assert set(DEFAULT_CONFIG["distill"]) | {"seed"} == \
         {f.name for f in dataclasses.fields(DistillConfig)}
+    # and the defaults are the classes' own
+    cfg = parse_config({"config_version": 1})
+    assert (cfg.distill, cfg.kd) == (DistillConfig(), KDConfig())
 
 
 def test_removed_distill_fields_are_unknown():

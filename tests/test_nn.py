@@ -238,6 +238,16 @@ class TestOptimizer:
 
 
 class TestSerialization:
+    @staticmethod
+    def _saved_with(tmp_path, edit):
+        """The path of a model file whose payload was passed through `edit`."""
+        path = tmp_path / "model.json"
+        fd.save_model(path, rand_model(seed=20))
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        return path
+
     def test_round_trip_bit_exact(self, tmp_path):
         model = rand_model(seed=16)
         path = tmp_path / "model.json"
@@ -272,14 +282,16 @@ class TestSerialization:
     @pytest.mark.parametrize("data", [[[0.5, 0.5]], [[0.5], [0.5, 0.5]], "x",
                                       tensor_data([0.5])])
     def test_tensor_data_must_match_its_shape(self, tmp_path, data):
-        model = rand_model(seed=20)
-        path = tmp_path / "model.json"
-        fd.save_model(path, model)
-        payload = json.loads(path.read_text())
-        name = payload["tensors"][0]["name"]
-        payload["tensors"][0]["data"] = data
-        path.write_text(json.dumps(payload))
-        with pytest.raises(StoreFormatError, match=f"{path}: tensor '{name}': data "):
+        path = self._saved_with(tmp_path, lambda p: p["tensors"][0].update(data=data))
+        with pytest.raises(StoreFormatError, match=f"{path}: tensor 'in.w': data "):
+            fd.load_model(path)
+
+    def test_non_canonical_base64_is_refused(self, tmp_path):
+        # out.b, the last tensor, holds one float64: 8 bytes, so its base64
+        # ends in one "="; "B" sets a bit after the last byte
+        path = self._saved_with(tmp_path, lambda p: p["tensors"][-1].update(data="AAAAAAAAAAB="))
+        with pytest.raises(StoreFormatError,
+                           match=f"{path}: tensor 'out.b': data is not strict base64"):
             fd.load_model(path)
 
     def test_paramset_roundtrip_preserves_order(self, tmp_path):
@@ -292,11 +304,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("version", [1, 3, 2.0, "2", True, None])
     def test_file_of_another_version_is_refused(self, tmp_path, version):
-        path = tmp_path / "model.json"
-        fd.save_model(path, rand_model(seed=21))
-        payload = json.loads(path.read_text())
-        payload["version"] = version
-        path.write_text(json.dumps(payload))
+        path = self._saved_with(tmp_path, lambda p: p.update(version=version))
         with pytest.raises(StoreFormatError, match=f"^{path}: version {version!r} is not 2; "
                                                    "re-run the train-teacher, distill or "
                                                    "kd-baseline command"):
@@ -308,11 +316,7 @@ class TestSerialization:
         ("H", 6, "do not match the architecture of meta {'d': 1, 'H': 6, 'R': 2}"),
     ], ids=["d-negative", "H-zero", "d-off-the-shapes", "H-off-the-shapes"])
     def test_meta_must_agree_with_the_tensors(self, tmp_path, field, value, message):
-        path = tmp_path / "model.json"
-        fd.save_model(path, rand_model(seed=22))
-        payload = json.loads(path.read_text())
-        payload["meta"][field] = value
-        path.write_text(json.dumps(payload))
+        path = self._saved_with(tmp_path, lambda p: p["meta"].update({field: value}))
         with pytest.raises(StoreFormatError) as info:
             fd.load_model(path)
         assert str(info.value).startswith(f"{path}: ") and message in str(info.value)

@@ -8,11 +8,7 @@ import flowdistill as fd
 from flowdistill.errors import ConfigError, StoreFormatError, StoreIntegrityError
 from flowdistill.trajstore import RECURRENCE_TOL, ROW_BLOCK
 
-from helpers import rand_model
-
-
-def _encode(states):
-    return base64.b64encode(np.asarray(states, dtype="<f8").tobytes()).decode("ascii")
+from helpers import rand_model, tensor_data
 
 
 def _saved_with(store, tmp_path, edit=lambda lines: lines):
@@ -33,7 +29,7 @@ def _edit_header(edit):
 
 def _edit_row(edit):
     """A record edit that passes the record's decoded float64 row through `edit`."""
-    return lambda line: json.dumps(_encode(edit(
+    return lambda line: json.dumps(tensor_data(edit(
         np.frombuffer(base64.b64decode(json.loads(line)), "<f8").copy())))
 
 
@@ -48,6 +44,9 @@ GARBLES = {
     "wrong-length-states": (3, _edit_row(lambda row: row[:-1])),
     "non-base64-states": (3, lambda line: '"*' + line[2:]),
     "unpadded-states": (3, lambda line: line.replace("=", "")),
+    # an 88-byte row's base64 ends in A, Q, g or w and "==": B, R, h, x set a stray bit
+    "non-canonical-states": (3, lambda line: line[:-4] + chr(ord(line[-4]) + 1) + line[-3:]),
+    "nan-states": (3, _edit_row(lambda row: np.r_[row[:4], np.nan, row[5:]])),
     "non-string-states": (3, lambda line: json.dumps([0.0] * 11)),
     "non-numeric-grid": (1, _edit_header(lambda r: r["grid"].__setitem__(1, "x"))),
     "unknown-version": (1, _edit_header(lambda r: r.update(version=99))),
