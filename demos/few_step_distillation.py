@@ -39,7 +39,7 @@ nfe = result.student.eval_count - before
 print(f"\nstudent evaluations per batch: {nfe} vs teacher {grid.n}: "
       f"{grid.n // nfe}x fewer steps")
 
-w1 = fd.w1_distance(student_samples[:, 0], teacher_samples[:, 0])
+w1 = fd.w1_distance(student_samples, teacher_samples)
 print(f"W1(student 5-step, teacher 50-step) = {w1:.4f}")
 print(f"student endpoint error: {fd.endpoint_error(student_samples, data.support):.4f}")
 print(f"teacher endpoint error: {fd.endpoint_error(teacher_samples, data.support):.4f}")

@@ -48,9 +48,9 @@ for i in rng.integers(0, model.params.size, 6):
     got = grads.get_flat(i)
     print(f"{i:6d} {got:12.6f} {est:12.6f} {abs(got-est)/max(abs(est),1e-9):10.2e}")
 
-state = fd.init_optimizer(model.params, lr=1e-4)
+state = fd.init_optimizer(model.params)
 # the step updates its params in place, so it runs on a copy
-new_params, state = fd.optimizer_step(model.params.copy(), grads, state)
+new_params, state = fd.optimizer_step(model.params.copy(), grads, state, lr=1e-4)
 moved = new_params.flat - model.params.flat
 g = grads.flat
 agree = np.mean(np.sign(moved[g != 0]) == -np.sign(g[g != 0]))

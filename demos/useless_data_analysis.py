@@ -36,7 +36,7 @@ for M in (0.0, 1.0, 2.0, 4.0):
         grid=grid,
     )
     kd_samples = fd.sample_model(kd_student, count=2048, steps=5, seed=7)
-    kd_w1 = fd.w1_distance(kd_samples[:, 0], p.support[:, 0])
+    kd_w1 = fd.w1_distance(kd_samples, p.support)
     print(f"{M:4.1f} {freq:13.4f} {kd_w1:8.4f}")
 
 print("\nEven at M=0 the frequency stays positive: Gaussian-noise draws")

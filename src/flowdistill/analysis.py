@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distill import DistillConfig, distill
+from .distill import distill
 from .errors import ConfigError, NumericsError, check_numbers
 from .flow import TimeGrid, ToyDataset, denoise_batch, integrate, interpolate
 from .nn import VelocityModel, build_velocity_model, init_optimizer, optimizer_step, \
@@ -166,7 +166,7 @@ def kd_baseline_distill(teacher: VelocityModel, p_d: ToyDataset, config: KDConfi
     student = build_velocity_model(teacher.d, teacher.H, teacher.R,
                                    derive_seed(config.seed, "kd-init"))
     params = student.params
-    opt, grads = init_optimizer(params, config.lr), zeros_like(params)
+    opt, grads = init_optimizer(params), zeros_like(params)
     rng_train = np.random.default_rng(derive_seed(config.seed, "kd-batches"))
     losses = np.empty(config.iterations)
     for i in range(config.iterations):
@@ -176,40 +176,31 @@ def kd_baseline_distill(teacher: VelocityModel, p_d: ToyDataset, config: KDConfi
                                        student.R, grads)
         except NumericsError as e:
             raise NumericsError(f"KD training diverged at iteration {i}: {e}") from e
-        params, opt = optimizer_step(params, grads, opt)
+        params, opt = optimizer_step(params, grads, opt, config.lr)
         losses[i] = loss
     return student.with_params(params), losses
 
 
 def w1_distance(samples_a, samples_b) -> float:
-    """Empirical 1-Wasserstein distance between two 1-D samples.
+    """Empirical 1-Wasserstein distance between two sample sets, each
+    1-D or (B, d); a (B, d) set is compared on its first coordinate.
 
     Equal sizes: mean absolute difference of sorted pairs. Unequal
     sizes: exact integral of |Qa - Qb| over the merged quantile
-    breakpoints, walked with integer numerators so the segmentation is
-    exact.
+    breakpoints, in integer units of 1/(na*nb) so the segmentation is
+    exact, summed segment by segment in quantile order.
     """
-    a = np.sort(np.asarray(samples_a, dtype=np.float64).ravel())
-    b = np.sort(np.asarray(samples_b, dtype=np.float64).ravel())
+    a, b = (np.asarray(s, dtype=np.float64) for s in (samples_a, samples_b))
+    a, b = (np.sort(x[:, 0] if x.ndim == 2 else x.ravel()) for x in (a, b))
     if a.size == 0 or b.size == 0:
         raise ValueError("samples must be non-empty")
     na, nb = a.size, b.size
     if na == nb:
         return float(np.mean(np.abs(a - b)))
-    total = 0.0
-    prev = 0  # position in units of 1/(na*nb)
-    ia = ib = 0
-    while ia < na and ib < nb:
-        next_a = (ia + 1) * nb
-        next_b = (ib + 1) * na
-        nxt = min(next_a, next_b)
-        total += (nxt - prev) * abs(a[ia] - b[ib])
-        if next_a == nxt:
-            ia += 1
-        if next_b == nxt:
-            ib += 1
-        prev = nxt
-    return float(total / (na * nb))
+    ends = np.union1d(np.arange(1, na + 1) * nb, np.arange(1, nb + 1) * na)
+    starts = np.concatenate(([0], ends[:-1]))
+    terms = (ends - starts) * np.abs(a[starts // nb] - b[starts // na])
+    return float(np.cumsum(terms)[-1] / (na * nb))
 
 
 def endpoint_error(samples, support) -> float:
@@ -218,60 +209,41 @@ def endpoint_error(samples, support) -> float:
     return math.fsum(near) / near.size
 
 
-@dataclass(frozen=True)
-class MetricsRecord:
-    """One evaluation row: how far a run's samples sit from their
-    reference distribution and support."""
-
-    label: str
-    w1: float
-    endpoint_error: float
-    useless_frequency: float
-    seed: int
-
-    def __post_init__(self):
-        if min(self.w1, self.endpoint_error, self.useless_frequency) < 0:
-            raise ValueError("metrics must be non-negative")
-
-
-def mismatch_sweep(teacher: VelocityModel, store: TrajectoryStore, p: ToyDataset,
-                   m_values, seeds, epsilon: float, mode: str, t_samples: int,
-                   kd_config: KDConfig,
-                   distill_config: DistillConfig, sample_count: int = 4096):
-    """Rows for the mismatch sweep CSV (SWEEP_COLUMNS order).
+def mismatch_sweep(teacher: VelocityModel, store: TrajectoryStore, cfg):
+    """Rows for the mismatch sweep CSV (SWEEP_COLUMNS order) of the run
+    config `cfg`: one per M of `analysis.m_sweep` and seed label of
+    `analysis.seeds`, each label's seed derived from the root seed.
 
     The KD baseline is retrained per (M, seed) because its training
     inputs depend on the shifted dataset. Trajectory distillation never
     touches p_d, so one run per seed is shared across every M.
     """
+    a, p = cfg.analysis, cfg.data
+    seeds = [(label, derive_seed(cfg.seed, f"analysis-{label}")) for label in a["seeds"]]
+
+    def noise(seed):
+        return np.random.default_rng(seed).standard_normal((a["sample_count"], teacher.d))
+
     distill_w1 = {}
-    for seed in seeds:
-        run_cfg = dataclasses.replace(distill_config,
-                                      seed=derive_seed(seed, "sweep-distill"))
+    for label, seed in seeds:
+        run_cfg = dataclasses.replace(cfg.distill, seed=derive_seed(seed, "sweep-distill"))
         student = distill(teacher, store, run_cfg).student
-        rng = np.random.default_rng(derive_seed(seed, "sweep-eval"))
-        Z = rng.standard_normal((sample_count, teacher.d))
-        s_samples = denoise_batch(student, Z, TimeGrid.uniform(distill_config.m))[0]
-        teacher_s = denoise_batch(teacher, Z, store.grid)[0]
-        distill_w1[seed] = w1_distance(s_samples[:, 0], teacher_s[:, 0])
+        Z = noise(derive_seed(seed, "sweep-eval"))
+        distill_w1[label] = w1_distance(denoise_batch(student, Z, TimeGrid.uniform(run_cfg.m))[0],
+                                        denoise_batch(teacher, Z, store.grid)[0])
 
     rows = []
-    for M in m_values:
+    for M in a["m_sweep"]:
         p_d = shifted_dataset(p, M)
         actual = mismatch_degree(p_d, p)
-        for seed in seeds:
-            freq = useless_frequency(
-                teacher, store, p_d, t_samples, epsilon, mode,
-                seed=derive_seed(seed, f"sweep-useless-{M}"),
-                teacher_support=p if mode == "endpoint" else None,
-            )
-            kd_cfg = dataclasses.replace(kd_config,
-                                         seed=derive_seed(seed, f"sweep-kd-{M}"))
+        for label, seed in seeds:
+            freq = useless_frequency(teacher, store, p_d, a["t_samples"], a["epsilon"],
+                                     a["mode"], seed=derive_seed(seed, f"sweep-useless-{M}"),
+                                     teacher_support=p)
+            kd_cfg = dataclasses.replace(cfg.kd, seed=derive_seed(seed, f"sweep-kd-{M}"))
             kd_student, _ = kd_baseline_distill(teacher, p_d, kd_cfg, grid=store.grid)
-            rng = np.random.default_rng(derive_seed(seed, f"sweep-kd-eval-{M}"))
-            Z = rng.standard_normal((sample_count, teacher.d))
-            kd_samples = denoise_batch(kd_student, Z, TimeGrid.uniform(kd_config.windows))[0]
-            kd_w1 = w1_distance(kd_samples[:, 0], p.support[:, 0])
-            err = endpoint_error(kd_samples, p.support)
-            rows.append((actual, seed, freq, kd_w1, distill_w1[seed], err))
+            kd_samples = denoise_batch(kd_student, noise(derive_seed(seed, f"sweep-kd-eval-{M}")),
+                                       TimeGrid.uniform(kd_cfg.windows))[0]
+            rows.append((actual, label, freq, w1_distance(kd_samples, p.support),
+                         distill_w1[label], endpoint_error(kd_samples, p.support)))
     return rows

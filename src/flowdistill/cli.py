@@ -16,9 +16,8 @@ import sys
 import numpy as np
 
 from .adversarial import head_of
-from .analysis import MetricsRecord, SWEEP_COLUMNS, endpoint_error, \
-    kd_baseline_distill, mismatch_sweep, shifted_dataset, useless_frequency, \
-    w1_distance
+from .analysis import SWEEP_COLUMNS, endpoint_error, kd_baseline_distill, \
+    mismatch_sweep, shifted_dataset, useless_frequency, w1_distance
 from .atomic import atomic_open
 from .config import load_config
 from .distill import distill, METRIC_COLUMNS
@@ -130,16 +129,7 @@ def cmd_kd_baseline(args) -> int:
 def cmd_analyze(args) -> int:
     cfg = _prepare(args)
     teacher = load_model(args.teacher)
-    store = load_store(args.store)
-    a = cfg.analysis
-    rows = mismatch_sweep(
-        teacher, store, cfg.data, a["m_sweep"],
-        [derive_seed(cfg.seed, f"analysis-{s}") for s in a["seeds"]],
-        a["epsilon"], a["mode"], a["t_samples"], cfg.kd, cfg.distill, a["sample_count"],
-    )
-    # report the config's readable seed labels rather than the derived ints
-    labels = [s for _ in a["m_sweep"] for s in a["seeds"]]
-    rows = [(row[0], label, *row[2:]) for row, label in zip(rows, labels)]
+    rows = mismatch_sweep(teacher, load_store(args.store), cfg)
     write_csv(os.path.join(cfg.out_dir, "mismatch_sweep.csv"), SWEEP_COLUMNS, rows)
     return 0
 
@@ -160,42 +150,26 @@ def cmd_sample(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _prepare(args)
     teacher = load_model(args.teacher)
-    n = cfg.store["n"]
-    count = cfg.analysis["sample_count"]
+    n, a, data = cfg.store["n"], cfg.analysis, cfg.data
     rng = np.random.default_rng(derive_seed(cfg.seed, "eval"))
-    Z = rng.standard_normal((count, teacher.d))
+    Z = rng.standard_normal((a["sample_count"], teacher.d))
     teacher_samples = denoise_batch(teacher, Z, TimeGrid.uniform(n))[0]
-    data = cfg.data
     freq = float("nan")
     if args.store:
         store = load_store(args.store)
         check_teacher(store, teacher)
-        freq = useless_frequency(
-            teacher, store, data, cfg.analysis["t_samples"],
-            cfg.analysis["epsilon"], cfg.analysis["mode"],
-            seed=derive_seed(cfg.seed, "eval-useless"),
-            teacher_support=data if cfg.analysis["mode"] == "endpoint" else None,
-        )
-    records = [MetricsRecord(
-        label=f"teacher-{n}step",
-        w1=w1_distance(teacher_samples[:, 0], data.support[:, 0]),
-        endpoint_error=endpoint_error(teacher_samples, data.support),
-        useless_frequency=freq, seed=cfg.seed,
-    )]
+        freq = useless_frequency(teacher, store, data, a["t_samples"], a["epsilon"], a["mode"],
+                                 seed=derive_seed(cfg.seed, "eval-useless"), teacher_support=data)
+    # (label, samples, the reference its W1 is measured against)
+    scored = [(f"teacher-{n}step", teacher_samples, data.support)]
     if args.student:
-        student = load_model(args.student)
         m = cfg.distill.m
-        s_samples = denoise_batch(student, Z, TimeGrid.uniform(m))[0]
-        records.append(MetricsRecord(
-            label=f"student-{m}step",
-            w1=w1_distance(s_samples[:, 0], teacher_samples[:, 0]),
-            endpoint_error=endpoint_error(s_samples, data.support),
-            useless_frequency=freq, seed=cfg.seed,
-        ))
+        s_samples = denoise_batch(load_model(args.student), Z, TimeGrid.uniform(m))[0]
+        scored.append((f"student-{m}step", s_samples, teacher_samples))
     write_csv(os.path.join(cfg.out_dir, "eval.csv"),
               ("label", "w1", "endpoint_error", "useless_frequency", "seed"),
-              [(r.label, r.w1, r.endpoint_error, r.useless_frequency, r.seed)
-               for r in records])
+              [(label, w1_distance(samples, ref), endpoint_error(samples, data.support),
+                freq, cfg.seed) for label, samples, ref in scored])
     return 0
 
 

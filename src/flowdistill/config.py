@@ -71,6 +71,8 @@ class RunConfig:
              "a non-empty list of finite numbers, or of equal-length lists of them"),
             ("store.n", self.store["n"] % m == 0,
              f"divisible by distill.m={m}, not {self.store['n']}"),
+            ("kd.windows", self.store["n"] % self.kd.windows == 0,
+             f"a divisor of store.n={self.store['n']}, not {self.kd.windows}"),
             ("analysis.mode", a["mode"] in ("trajectory-proximity", "endpoint"),
              "'trajectory-proximity' or 'endpoint'"),
             ("analysis.m_sweep", a["m_sweep"] and all(map(_finite, a["m_sweep"])),
@@ -123,7 +125,10 @@ def parse_config(raw: dict, source="config") -> RunConfig:
         cfg = from_payload(RunConfig, merged, source)
     except StoreFormatError as e:
         raise ConfigError(str(e)) from e
-    cfg.validate()
+    try:
+        cfg.validate()
+    except ConfigError as e:
+        raise ConfigError(f"{source}: {e}") from e
     return cfg
 
 

@@ -148,8 +148,7 @@ def init_state(teacher: VelocityModel, store: TrajectoryStore,
     heads = build_heads(teacher.H, [derive_seed(config.seed, f"head-{k}") for k in range(count)])
     return _DistillState(
         config, teacher.fingerprint(), store.fingerprint(), 0, student,
-        init_optimizer(student, config.student_lr), init_optimizer(student, config.adv_student_lr),
-        heads, init_optimizer(heads, config.head_lr),
+        init_optimizer(student), init_optimizer(student), heads, init_optimizer(heads),
         np.random.default_rng(derive_seed(config.seed, "trajectory-batches")),
         # the label predates the chain; renaming it would change every draw
         np.random.default_rng(derive_seed(config.seed, "queue-noise")), [])
@@ -276,7 +275,7 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
                     f"distillation diverged (traj phase, k={k}, round={rnd}): {e}"
                 ) from e
             state.student, state.opt_student = optimizer_step(
-                state.student, grads, state.opt_student
+                state.student, grads, state.opt_student, config.student_lr
             )
 
             d_loss_val = g_loss_val = float("nan")
@@ -308,9 +307,9 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
             student_sum.flat /= m
             head_sum.flat /= 1 if config.heads == "per_timestep" else m  # keys per head
             state.student, state.opt_student_adv = optimizer_step(
-                state.student, student_sum, state.opt_student_adv)
+                state.student, student_sum, state.opt_student_adv, config.adv_student_lr)
             state.heads, state.opt_heads = optimizer_step(
-                state.heads, head_sum, state.opt_heads)
+                state.heads, head_sum, state.opt_heads, config.head_lr)
         if (checkpoint_path and config.checkpoint_interval
                 and state.round % config.checkpoint_interval == 0):
             save_checkpoint(checkpoint_path, state)

@@ -119,10 +119,12 @@ def train_teacher(data: ToyDataset, iterations: int, batch_size: int, lr: float,
         raise ConfigError(f"iterations must be positive, got {iterations}")
     if batch_size < 1:
         raise ConfigError(f"batch size must be positive, got {batch_size}")
+    if not lr > 0:
+        raise ConfigError(f"learning rate must be positive, got {lr}")
     model = build_velocity_model(data.d, H, R, derive_seed(seed, "teacher-init"))
     rng = np.random.default_rng(derive_seed(seed, "teacher-batches"))
     params = model.params
-    opt, grads = init_optimizer(params, lr), zeros_like(params)
+    opt, grads = init_optimizer(params), zeros_like(params)
     losses = np.empty(iterations)
     for i in range(iterations):
         x0 = data.sample(batch_size, rng)
@@ -132,7 +134,7 @@ def train_teacher(data: ToyDataset, iterations: int, batch_size: int, lr: float,
             loss, grads = velocity_mse(params, *_fm_regression(x0, x1, t), R, grads)
         except NumericsError as e:
             raise NumericsError(f"teacher training diverged at iteration {i}: {e}") from e
-        params, opt = optimizer_step(params, grads, opt)
+        params, opt = optimizer_step(params, grads, opt, lr)
         losses[i] = loss
     return model.with_params(params), losses
 

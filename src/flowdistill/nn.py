@@ -387,26 +387,25 @@ def value_and_grad(loss_fn, params: ParamSet):
 
 @dataclass(frozen=True)
 class OptimizerState:
-    """Adam state: first and second moments plus the step counter."""
+    """Adam state: first and second moments plus the step counter. The
+    learning rate is the caller's, from its config."""
 
     m: ParamSet
     v: ParamSet
     step: int
-    lr: float
 
 
-def init_optimizer(params: ParamSet, lr: float) -> OptimizerState:
-    if lr <= 0:
-        raise ConfigError(f"learning rate must be positive, got {lr}")
-    return OptimizerState(zeros_like(params), zeros_like(params), 0, lr)
+def init_optimizer(params: ParamSet) -> OptimizerState:
+    return OptimizerState(zeros_like(params), zeros_like(params), 0)
 
 
-def optimizer_step(params: ParamSet, grads: ParamSet, state: OptimizerState):
-    """One Adam step, run once on the flat vectors of `params` and the
-    moments `state.m` and `state.v`, in place; returns (params, the state
-    with its step counted). A non-finite second moment, from a
-    non-finite or overflowing gradient, is a NumericsError, after which
-    params are unchanged and the moments undefined."""
+def optimizer_step(params: ParamSet, grads: ParamSet, state: OptimizerState, lr: float):
+    """One Adam step at learning rate `lr`, run once on the flat vectors
+    of `params` and the moments `state.m` and `state.v`, in place;
+    returns (params, the state with its step counted). A non-finite
+    second moment, from a non-finite or overflowing gradient, is a
+    NumericsError, after which params are unchanged and the moments
+    undefined."""
     params._check_congruent(grads)
     params._check_congruent(state.m)
     step = state.step + 1
@@ -421,7 +420,7 @@ def optimizer_step(params: ParamSet, grads: ParamSet, state: OptimizerState):
         v += (1.0 - b2) * (g * g)
     if not np.isfinite(v.max()):
         raise NumericsError("Adam step produced a non-finite second moment")
-    params.flat -= state.lr * ((m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS))
+    params.flat -= lr * ((m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS))
     return params, dataclasses.replace(state, step=step)
 
 
@@ -508,10 +507,11 @@ _PCG64State = TypedDict("_PCG64State", {
 def from_payload(kind, value, source, field: str = "", like=None):
     """The `kind` value whose `to_payload` form is `value`, read from the
     file `source`: a dataclass, TypedDict (as a dict), ParamSet,
-    Generator, `list[X]`, fixed-length `tuple[X, Y]`, float, str, list or
-    non-negative int. A ParamSet must have the layout of its counterpart
-    in `like`, if given. A defect is a StoreFormatError naming the file
-    and the dotted field, e.g. `opt_heads.step`, or the file alone."""
+    Generator, `list[X]`, fixed-length `tuple[X, Y]`, float (or an int
+    that is exactly one), str, list or non-negative int. A ParamSet must
+    have the layout of its counterpart in `like`, if given. A defect is
+    a StoreFormatError naming the file and the dotted field, e.g.
+    `opt_heads.step`, or the file alone."""
     where = f"{source}: field {field!r}" if field else str(source)
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if dataclasses.is_dataclass(kind) or typing.is_typeddict(kind):
@@ -540,7 +540,7 @@ def from_payload(kind, value, source, field: str = "", like=None):
                                    like[i] if like and i < len(like) else None)
                       for i, (k, v) in enumerate(zip(kinds, value)))
     if type(value) is kind or (kind is float and type(value) is int
-                               and abs(value) <= sys.float_info.max):
+                               and abs(value) <= sys.float_info.max and float(value) == value):
         if kind is not int or value >= 0:
             return kind(value)
     if kind is np.random.Generator:  # after the scalars: a config needs no numpy.random
@@ -597,7 +597,9 @@ def load_model(path) -> VelocityModel:
         raise StoreFormatError(f"{path}: meta.activation is {meta['activation']!r}, "
                                "but the model only implements 'silu'")
     model = VelocityModel(meta["d"], meta["H"], meta["R"], params)
-    if list(zip(params.names, params.shapes)) != _param_layout(model.d, model.H, model.R):
+    # the layout has 4R + 4 tensors: count them before building it
+    if len(params.names) != 4 * model.R + 4 or \
+            list(zip(params.names, params.shapes)) != _param_layout(model.d, model.H, model.R):
         raise StoreFormatError(f"{path}: tensors {params.names} of shapes {params.shapes} "
                                f"do not match the architecture of meta {model.arch}")
     return model

@@ -1,4 +1,5 @@
 import base64
+import json
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -58,7 +59,7 @@ def distill_and_score(args):
     student = fd.distill(teacher, store, config).student
     before = student.eval_count
     samples = fd.denoise_batch(student, Z, fd.TimeGrid.uniform(config.m))[0]
-    w1 = fd.w1_distance(samples[:, 0], teacher_samples[:, 0])
+    w1 = fd.w1_distance(samples, teacher_samples)
     return {"student": student, "w1": w1, "nfe": student.eval_count - before}
 
 
@@ -68,7 +69,7 @@ def kd_and_score(args):
     teacher, p_d, config, grid, count, sample_seed, support = args
     student, _ = fd.kd_baseline_distill(teacher, p_d, config, grid=grid)
     samples = fd.sample_model(student, count, config.windows, sample_seed)
-    return fd.w1_distance(samples[:, 0], support[:, 0])
+    return fd.w1_distance(samples, support)
 
 
 def rand_head(width, seed=0, scale=0.3):
@@ -103,3 +104,26 @@ def adv_step(teacher, student_params, head, l_prev, real_keys, k, key_grid,
                                 for ps in (student_params, head, head))
     return (*_adv_gradients(teacher, key_grid, config, state, k, l_prev, real_keys[:, k],
                             s_grads, h_grads, h_fake), s_grads, h_grads)
+
+
+def json_leaves(node, field="", path=()):
+    """(dotted field, key path) of every leaf under the decoded JSON
+    `node`, a list element counting as a leaf of its list's field."""
+    if isinstance(node, dict):
+        return [leaf for key, value in node.items()
+                for leaf in json_leaves(value, f"{field}.{key}".lstrip("."), path + (key,))]
+    if isinstance(node, list):
+        return [leaf for i, value in enumerate(node)
+                for leaf in json_leaves(value, field, path + (i,))]
+    return [(field, path)]
+
+
+def with_leaf(node, path, value):
+    """A copy of the decoded JSON `node` whose leaf at the key path
+    `path` is `value`."""
+    node = json.loads(json.dumps(node))
+    parent = node
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return node

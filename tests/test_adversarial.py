@@ -79,7 +79,7 @@ class TestDiscriminate:
         fake = rng.normal(-1.5, 0.5, size=(256, width))
         heads = fd.build_heads(width, [8])
         params = fd.ParamSet(heads.names, fd.head_of(heads, 0))
-        opt = fd.init_optimizer(params, lr=5e-3)
+        opt = fd.init_optimizer(params)
         for step in range(300):
             i = rng.integers(0, 256, 32)
             fr, ff = real[i], fake[i]
@@ -92,7 +92,7 @@ class TestDiscriminate:
                                                             1 - PROB_EPS)))))
 
             _, grads = fd.value_and_grad(loss, params)
-            params, opt = fd.optimizer_step(params, grads, opt)
+            params, opt = fd.optimizer_step(params, grads, opt, 5e-3)
         held_real = rng.normal(1.5, 0.5, size=(128, width))
         held_fake = rng.normal(-1.5, 0.5, size=(128, width))
         acc_real = np.mean(_real_prob(params.tensors, held_real) > 0.5)
@@ -105,13 +105,13 @@ class TestStackedHeads:
         # all heads share one Adam state: each must step as it would alone
         rng = np.random.default_rng(11)
         heads = fd.build_heads(8, [1, 2, 3])
-        opt = fd.init_optimizer(heads, lr=1e-2)
+        opt = fd.init_optimizer(heads)
         # copies: the step updates heads and moments in place
         ref = [[[t.copy() for t in fd.head_of(ps, i)] for ps in (heads, opt.m, opt.v)]
                for i in range(3)]
         for step in (1, 2, 3):
             grads = heads.like(rng.standard_normal(heads.size))
-            heads, opt = fd.optimizer_step(heads, grads, opt)
+            heads, opt = fd.optimizer_step(heads, grads, opt, 1e-2)
             for i in range(3):
                 ref[i] = adam_reference(ref[i][0], fd.head_of(grads, i), *ref[i][1:], step, 1e-2)
                 for got, want in zip((heads, opt.m, opt.v), ref[i]):

@@ -6,7 +6,7 @@ import flowdistill as fd
 from flowdistill.analysis import KDConfig, nearest_distances
 
 from oracles import endpoint_error_bruteforce, mismatch_bruteforce, w1_cdf_area, \
-    w1_quantile_grid
+    w1_merge_walk, w1_quantile_grid
 
 samples_1d = st.lists(st.floats(-100, 100, allow_nan=False, allow_infinity=False),
                       min_size=1, max_size=40)
@@ -99,6 +99,30 @@ class TestW1Distance:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             fd.w1_distance([], [1.0])
+        with pytest.raises(ValueError):
+            fd.w1_distance(np.zeros((0, 2)), [1.0])
+
+    # few distinct values, so both samples are full of ties
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([-1.5, 0.0, 0.25, 3.0]), min_size=1, max_size=40),
+           st.lists(st.sampled_from([-1.5, 0.0, 0.5, 3.0]), min_size=1, max_size=40))
+    def test_equals_the_merge_walk_bit_for_bit(self, a, b):
+        if len(a) != len(b):
+            assert fd.w1_distance(a, b) == w1_merge_walk(a, b)
+
+    def test_equals_the_merge_walk_at_very_unequal_sizes(self):
+        rng = np.random.default_rng(17)
+        for na, nb in [(4096, 2), (3, 1000), (97, 89)]:
+            a, b = rng.normal(0, 3, na).round(1), rng.normal(1, 2, nb).round(1)
+            assert fd.w1_distance(a, b) == w1_merge_walk(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(samples_1d, samples_1d)
+    def test_sample_sets_score_their_first_coordinate(self, a, b):
+        want = fd.w1_distance(a, b)
+        col = np.asarray(a)[:, None]
+        assert fd.w1_distance(col, np.asarray(b)[:, None]) == want
+        assert fd.w1_distance(np.hstack([col, -col]), b) == want
 
 
 class TestEndpointError:
@@ -199,16 +223,6 @@ class TestUselessFrequency:
                                        t_samples=1024, epsilon=0.25,
                                        mode="trajectory-proximity", seed=5)
         assert abs(f_base - f_dense) <= 0.05
-
-
-class TestMetricsRecord:
-    def test_holds_non_negative_metrics(self):
-        rec = fd.MetricsRecord("teacher-50step", 0.03, 0.05, 0.001, 7)
-        assert rec.label == "teacher-50step"
-
-    def test_negative_metric_rejected(self):
-        with pytest.raises(ValueError):
-            fd.MetricsRecord("bad", -0.1, 0.0, 0.0, 0)
 
 
 class TestKDBaseline:

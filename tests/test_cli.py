@@ -95,6 +95,13 @@ class TestTrainTeacher:
         assert code != 0
         assert "teacher.iterations" in capsys.readouterr().err
 
+    def test_range_error_names_the_config_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"config_version": 1, "teacher": {"lr": float("nan")}}))
+        code = run_cli("train-teacher", "--config", str(bad), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: config field teacher.lr ")
+
     @pytest.mark.parametrize("distill,field", [
         ({"lamda_adv": 5.0}, "distill.lamda_adv"),
         ({"adv_accum": "2"}, "distill.adv_accum"),
@@ -242,10 +249,10 @@ class TestCheckpointFormat:
             assert same_bytes(f"{out}/{name}", f"{ref_out}/{name}"), name
 
     @pytest.mark.parametrize("where,field", [
-        ((), "round"), (("opt_student",), "lr"), (("opt_heads",), "step"),
+        ((), "round"), (("opt_student",), "step"), (("opt_heads",), "step"),
         # a run's identity: without it a resume could mix runs
         ((), "config"), ((), "teacher"), ((), "store"),
-    ], ids=["round", "optimizer-lr", "head-optimizer-step", "config", "teacher", "store"])
+    ], ids=["round", "optimizer-step", "head-optimizer-step", "config", "teacher", "store"])
     def test_missing_field_is_named(self, halfway, capsys, where, field):
         args, _, out = halfway
 
@@ -258,6 +265,13 @@ class TestCheckpointFormat:
         assert run_cli("distill", *args, "--out", out, "--resume") == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}") and f"missing field '{field}'" in err, err
+
+    def test_learning_rate_comes_from_the_config(self, halfway):
+        # checkpoints used to carry each optimizer's rate, and a resume used it
+        args, ref_out, out = halfway
+        self._rewrite(out, lambda p: p["opt_student"].update(lr=0.5))
+        assert run_cli("distill", *args, "--out", out, "--resume") == 0
+        self._assert_same_outputs(out, ref_out)
 
     @pytest.mark.parametrize("field,edit", [
         ("rng_batch", lambda p: p.update(rng_batch={"bit_generator": "MT19937",

@@ -11,6 +11,8 @@ from flowdistill.config import DEFAULT_CONFIG, load_config, parse_config, \
 from flowdistill.distill import DistillConfig
 from flowdistill.errors import ConfigError
 
+from helpers import json_leaves, with_leaf
+
 
 def test_default_config_parses():
     cfg = parse_config(DEFAULT_CONFIG)
@@ -73,6 +75,7 @@ def test_wrong_version_rejected():
     ({"analysis": {"epsilon": float("nan")}}, "analysis.epsilon"),
     ({"distill": {"lambda_adv": float("inf")}}, "distill.lambda_adv"),
     ({"analysis": {"m_sweep": [float("nan")]}}, "analysis.m_sweep"),
+    ({"kd": {"windows": 3}}, "kd.windows"),  # must divide store.n; used to fail only late
 ])
 def test_invalid_fields_name_the_field(patch, field):
     raw = {"config_version": 1, **patch}
@@ -124,29 +127,13 @@ def test_strict_fields_name_the_field(patch, field):
         parse_config({"config_version": 1, **patch})
 
 
-def _leaves(node, field="", path=()):
-    """(dotted field, key path) of every leaf under `node`, a list
-    element counting as a leaf of its list's field."""
-    if isinstance(node, dict):
-        return [leaf for key, value in node.items()
-                for leaf in _leaves(value, f"{field}.{key}".lstrip("."), path + (key,))]
-    if isinstance(node, list):
-        return [leaf for i, value in enumerate(node)
-                for leaf in _leaves(value, field, path + (i,))]
-    return [(field, path)]
-
-
 @settings(max_examples=300, deadline=None)
-@given(leaf=st.sampled_from(_leaves(DEFAULT_CONFIG)),
+@given(leaf=st.sampled_from(json_leaves(DEFAULT_CONFIG)),
        value=st.sampled_from([float("nan"), float("inf"), -float("inf"), True, -1, 0, "x",
                               [[1.0]]]))
 def test_any_bad_leaf_is_named_or_parses(leaf, value):
     field, path = leaf
-    raw = json.loads(json.dumps(DEFAULT_CONFIG))
-    parent = raw
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
+    raw = with_leaf(DEFAULT_CONFIG, path, value)
     try:
         parse_config(raw)
     except ConfigError as e:

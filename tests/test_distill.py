@@ -86,7 +86,7 @@ class TestDistill:
         key_grid = fd.TimeGrid.uniform(cfg.m)
         keys_all = fd.key_points(quick_store, key_grid)
         params = quick_teacher.params.copy()
-        opt = init_optimizer(params, cfg.student_lr)
+        opt = init_optimizer(params)
         rng = np.random.default_rng(derive_seed(cfg.seed, "trajectory-batches"))
         for _ in range(cfg.iterations):
             for k in range(cfg.m - 1, -1, -1):
@@ -96,7 +96,7 @@ class TestDistill:
                                               quick_teacher.R),
                     params,
                 )
-                params, opt = optimizer_step(params, grads, opt)
+                params, opt = optimizer_step(params, grads, opt, cfg.student_lr)
         assert result.student.params.equal(params)
 
     def test_teacher_frozen_through_distillation(self, quick_teacher, quick_store):

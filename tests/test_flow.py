@@ -215,6 +215,11 @@ class TestTrainTeacher:
         with pytest.raises(ConfigError):
             fd.train_teacher(two_point_data, iterations=0, batch_size=8, lr=1e-3, seed=0)
 
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan")])
+    def test_nonpositive_learning_rate_rejected(self, two_point_data, lr):
+        with pytest.raises(ConfigError, match="learning rate"):
+            fd.train_teacher(two_point_data, iterations=1, batch_size=8, lr=lr, seed=0)
+
     def test_equal_seeds_identical_params(self, two_point_data):
         a, la = fd.train_teacher(two_point_data, 20, 16, 1e-3, seed=9, H=8, R=1)
         b, lb = fd.train_teacher(two_point_data, 20, 16, 1e-3, seed=9, H=8, R=1)

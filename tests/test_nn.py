@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +14,10 @@ import flowdistill.autodiff as ad
 from flowdistill.errors import ConfigError, NumericsError, StoreFormatError
 from flowdistill.nn import forward_velocity
 
-from helpers import rand_model, tensor_data
+from helpers import json_leaves, rand_model, tensor_data, with_leaf
 from oracles import adam_reference, max_grad_rel_error
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestBuild:
@@ -159,18 +165,18 @@ class TestOptimizer:
 
     def test_zero_gradient_leaves_params_unchanged(self):
         model = rand_model(seed=11)
-        state = fd.init_optimizer(model.params, lr=1e-3)
+        state = fd.init_optimizer(model.params)
         zero = model.params.map(np.zeros_like)
-        new_params, new_state = fd.optimizer_step(model.params.copy(), zero, state)
+        new_params, new_state = fd.optimizer_step(model.params.copy(), zero, state, 1e-3)
         assert new_params.equal(model.params)
         assert new_state.step == 1
 
     def test_steps_in_place(self):
         params = fd.ParamSet(("p",), (np.zeros(3),))
-        state = fd.init_optimizer(params, lr=1e-3)
+        state = fd.init_optimizer(params)
         views = [ps.tensors[0] for ps in (params, state.m, state.v)]
         new_params, new_state = fd.optimizer_step(
-            params, fd.ParamSet(("p",), (np.ones(3),)), state)
+            params, fd.ParamSet(("p",), (np.ones(3),)), state, 1e-3)
         assert new_params is params and new_state.m is state.m and new_state.v is state.v
         assert all(np.all(t != 0.0) for t in views)
 
@@ -178,8 +184,8 @@ class TestOptimizer:
         model = rand_model(seed=13)
         rng = np.random.default_rng(0)
         grads = model.params.map(lambda t: rng.standard_normal(t.shape))
-        state = fd.init_optimizer(model.params, lr=1e-3)
-        new_params, _ = fd.optimizer_step(model.params.copy(), grads, state)
+        state = fd.init_optimizer(model.params)
+        new_params, _ = fd.optimizer_step(model.params.copy(), grads, state, 1e-3)
         for new, old, g in zip(new_params.tensors, model.params.tensors, grads.tensors):
             moved = new - old
             nz = np.abs(g) > 1e-12
@@ -187,24 +193,24 @@ class TestOptimizer:
 
     def test_step_counter_strictly_increases(self):
         model = rand_model(seed=14)
-        state = fd.init_optimizer(model.params, lr=1e-3)
+        state = fd.init_optimizer(model.params)
         params = model.params
         for expected in (1, 2, 3):
             params, state = fd.optimizer_step(
-                params, params.map(np.ones_like), state
+                params, params.map(np.ones_like), state, 1e-3
             )
             assert state.step == expected
 
     def test_quadratic_descent_monotone_after_burn_in(self):
         target = np.array([1.5, -2.0, 0.5])
         params = fd.ParamSet(("p",), (np.zeros(3),))
-        state = fd.init_optimizer(params, lr=0.05)
+        state = fd.init_optimizer(params)
         losses = []
         for _ in range(100):
             diff = params.tensors[0] - target
             losses.append(float(np.sum(diff * diff)))
             grads = fd.ParamSet(("p",), (2.0 * diff,))
-            params, state = fd.optimizer_step(params, grads, state)
+            params, state = fd.optimizer_step(params, grads, state, 0.05)
         tail = losses[10:]
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
         assert tail[-1] < losses[0] * 0.1
@@ -214,17 +220,17 @@ class TestOptimizer:
         params = fd.ParamSet(("p",), (np.zeros(3),))
         grads = fd.ParamSet(("p",), (np.array([0.0, 1e200, 0.0]),))
         with pytest.raises(NumericsError, match="non-finite"):
-            fd.optimizer_step(params, grads, fd.init_optimizer(params, lr=1e-3))
+            fd.optimizer_step(params, grads, fd.init_optimizer(params), 1e-3)
 
     def test_flat_step_equals_per_tensor_reference(self):
         model = rand_model(seed=20)
         rng = np.random.default_rng(1)
         params = model.params
-        state = fd.init_optimizer(params, lr=1e-2)
+        state = fd.init_optimizer(params)
         ref = tuple([t.copy() for t in ps.tensors] for ps in (params, state.m, state.v))
         for step in (1, 2, 3):
             grads = params.map(lambda t: rng.standard_normal(t.shape))
-            params, state = fd.optimizer_step(params, grads, state)
+            params, state = fd.optimizer_step(params, grads, state, 1e-2)
             ref = adam_reference(*ref[:1], grads.tensors, *ref[1:], step, 1e-2)
             for got, want in zip((params, state.m, state.v), ref):
                 assert all(np.array_equal(a, b) for a, b in zip(got.tensors, want))
@@ -232,9 +238,9 @@ class TestOptimizer:
     def test_shape_mismatch_rejected(self):
         model = rand_model(seed=15)
         other = fd.build_velocity_model(1, 6, 1, seed=0)
-        state = fd.init_optimizer(model.params, lr=1e-3)
+        state = fd.init_optimizer(model.params)
         with pytest.raises(ValueError):
-            fd.optimizer_step(model.params, other.params, state)
+            fd.optimizer_step(model.params, other.params, state, 1e-3)
 
 
 class TestSerialization:
@@ -321,6 +327,21 @@ class TestSerialization:
             fd.load_model(path)
         assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
 
+    def test_huge_R_is_refused_in_bounded_time(self, tmp_path):
+        # the layout of R blocks has 4R + 4 tensors; building it for this R
+        # would fill the memory, so the load runs in a child capped in
+        # address space and time, where a regression fails instead
+        path = self._saved_with(tmp_path, lambda p: p["meta"].update(R=10**40))
+        probe = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                 "import flowdistill as fd\n"
+                 "try:\n    fd.load_model(sys.argv[1])\n"
+                 "except fd.StoreFormatError as e:\n    print(e)\n")
+        res = subprocess.run([sys.executable, "-c", probe, str(path)], capture_output=True,
+                             text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert res.stdout.startswith(f"{path}: tensors "), res.stderr[-400:]
+        assert "do not match the architecture" in res.stdout
+
 
 # raw float64 bit patterns, with the edge cases drawn often: signalling and
 # quiet NaNs with payloads and either sign, ±0.0, ±inf, the extreme subnormals
@@ -370,3 +391,62 @@ def test_any_float64_survives_files_bit_for_bit(tmp_path, tiny_run, bits, data):
     assert resumed.student.flat.tobytes() == state.student.flat.tobytes()
     save_checkpoint(second, resumed)
     assert second.read_bytes() == first.read_bytes()
+
+
+def _same_json(a, b) -> bool:
+    """Whether two decoded JSON values are one value: numbers compare by
+    value, NaN equals NaN, and true and false equal only themselves."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same_json(a[k], b[k]) for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    return a == b or (a != a and b != b)
+
+
+@pytest.fixture(scope="module")
+def saved_files(tmp_path_factory, tiny_run):
+    """A model file and a one-round checkpoint with metrics rows, their
+    decoded payloads, and how to load and save back each kind."""
+    from flowdistill.distill import load_checkpoint, save_checkpoint
+
+    model, store, _, _ = tiny_run
+    config = fd.DistillConfig(m=5, iterations=1, batch_size=4, adv_batch=2,
+                              checkpoint_interval=1)
+    base = tmp_path_factory.mktemp("files")
+    fd.save_model(base / "model.json", model)
+    fd.distill(model, store, config, checkpoint_path=base / "checkpoint.json")
+    round_trip = {
+        "model.json": lambda src, dst: fd.save_model(dst, fd.load_model(src)),
+        "checkpoint.json": lambda src, dst: save_checkpoint(
+            dst, load_checkpoint(src, model, store, config)),
+    }
+    return {name: (json.loads((base / name).read_text()), fn)
+            for name, fn in round_trip.items()}
+
+
+@settings(max_examples=1000, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data(), st.sampled_from([float("nan"), float("inf"), -float("inf"), True, -1, 0, 1.5,
+                                   "x", [[1.0]], None, {}, 10**40]))
+def test_any_single_field_edit_is_refused_or_kept(tmp_path, saved_files, data, value):
+    """Replacing one leaf of a model file or a checkpoint gives a file that
+    is refused, naming it, or that loads and saves back to the same JSON
+    value. A resume takes `iterations` and `checkpoint_interval` from its
+    own config (distill.RESUMABLE), so those are not the file's to keep."""
+    from flowdistill.distill import RESUMABLE
+
+    name = data.draw(st.sampled_from(sorted(saved_files)))
+    payload, round_trip = saved_files[name]
+    path = data.draw(st.sampled_from([path for _, path in json_leaves(payload) if path not in
+                                      [("config", field) for field in RESUMABLE]]))
+    edited = with_leaf(payload, path, value)
+    src, dst = tmp_path / name, tmp_path / f"saved-{name}"
+    src.write_text(json.dumps(edited))
+    try:
+        round_trip(src, dst)
+    except fd.FlowDistillError as e:
+        assert str(e).startswith(str(src)), (path, value, str(e))
+    else:
+        assert _same_json(json.loads(dst.read_text()), edited), (path, value)
