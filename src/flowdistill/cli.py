@@ -21,11 +21,11 @@ from .analysis import SWEEP_COLUMNS, endpoint_error, kd_baseline_distill, \
 from .atomic import atomic_open
 from .config import load_config
 from .distill import distill, METRIC_COLUMNS
-from .errors import ConfigError, FlowDistillError, NumericsError
+from .errors import ConfigError, FlowDistillError, NumericsError, StoreIntegrityError
 from .flow import TimeGrid, denoise_batch, sample_model, train_teacher
 from .nn import ParamSet, load_model, save_model, save_paramset
 from .seeds import derive_seed
-from .trajstore import check_teacher, generate_store, load_store, save_store, validate_store
+from .trajstore import check_teacher, generate_store, load_store, save_store
 
 
 def _fmt(value) -> str:
@@ -54,6 +54,16 @@ def _prepare(args):
     return cfg
 
 
+def _load_for_data(path, cfg):
+    """The model at `path`, refused unless its d is the dimension of the
+    config's data points."""
+    model = load_model(path)
+    if model.d != cfg.data.d:
+        raise ConfigError(f"{path}: model has d={model.d}, but config field dataset.support "
+                          f"holds points of dimension {cfg.data.d}")
+    return model
+
+
 def _seed(text: str) -> int:
     seed = int(text)
     if seed < 0:
@@ -74,13 +84,25 @@ def cmd_train_teacher(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    """Generate the store, save it, and check that the file reloads as
+    the generated store bit for bit: seed, teacher fingerprint, grid and
+    every state.
+
+    A bit-exact reload passes `validate_store` without re-running the
+    teacher: the stored states are the generation's own Euler steps,
+    evaluated at the same batch shape a validated load uses, and their
+    start states are the `path_noise` draws. A store from elsewhere is
+    checked by `load_store(path, teacher)`.
+    """
     cfg = _prepare(args)
     teacher = load_model(args.teacher)
     grid = TimeGrid.uniform(cfg.store["n"])
     store = generate_store(teacher, cfg.store["N"], grid, derive_seed(cfg.seed, "store"))
     path = os.path.join(cfg.out_dir, "store.jsonl")
     save_store(store, path)
-    validate_store(load_store(path), teacher)
+    if not load_store(path).equal(store):
+        raise StoreIntegrityError(f"{path}: the saved store does not reload as the "
+                                  "store that was generated")
     return 0
 
 
@@ -112,7 +134,7 @@ def cmd_kd_baseline(args) -> int:
     if not np.isfinite(args.mismatch):
         raise ConfigError(f"--mismatch must be finite, got {args.mismatch}")
     cfg = _prepare(args)
-    teacher = load_model(args.teacher)
+    teacher = _load_for_data(args.teacher, cfg)
     p_d = shifted_dataset(cfg.data, args.mismatch)
     kd_cfg = dataclasses.replace(cfg.kd, seed=derive_seed(cfg.seed, "kd"))
     grid = TimeGrid.uniform(cfg.store["n"])
@@ -128,7 +150,7 @@ def cmd_kd_baseline(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = _prepare(args)
-    teacher = load_model(args.teacher)
+    teacher = _load_for_data(args.teacher, cfg)
     rows = mismatch_sweep(teacher, load_store(args.store), cfg)
     write_csv(os.path.join(cfg.out_dir, "mismatch_sweep.csv"), SWEEP_COLUMNS, rows)
     return 0
@@ -149,7 +171,7 @@ def cmd_sample(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _prepare(args)
-    teacher = load_model(args.teacher)
+    teacher = _load_for_data(args.teacher, cfg)
     n, a, data = cfg.store["n"], cfg.analysis, cfg.data
     rng = np.random.default_rng(derive_seed(cfg.seed, "eval"))
     Z = rng.standard_normal((a["sample_count"], teacher.d))
@@ -164,7 +186,7 @@ def cmd_eval(args) -> int:
     scored = [(f"teacher-{n}step", teacher_samples, data.support)]
     if args.student:
         m = cfg.distill.m
-        s_samples = denoise_batch(load_model(args.student), Z, TimeGrid.uniform(m))[0]
+        s_samples = denoise_batch(_load_for_data(args.student, cfg), Z, TimeGrid.uniform(m))[0]
         scored.append((f"student-{m}step", s_samples, teacher_samples))
     write_csv(os.path.join(cfg.out_dir, "eval.csv"),
               ("label", "w1", "endpoint_error", "useless_frequency", "seed"),

@@ -20,7 +20,7 @@ from typing import TypedDict
 
 from .analysis import KDConfig
 from .distill import DistillConfig
-from .errors import ConfigError, StoreFormatError, check_fields, check_numbers
+from .errors import ConfigError, StoreFormatError, check_fields, check_numbers, type_hints
 from .flow import ToyDataset
 from .nn import from_payload
 
@@ -60,7 +60,7 @@ class RunConfig:
     def validate(self):
         self.distill.validate()
         self.kd.validate()
-        for name, kind in typing.get_type_hints(RunConfig).items():
+        for name, kind in type_hints(RunConfig).items():
             if typing.is_typeddict(kind):
                 check_numbers(kind, getattr(self, name), f"{name}.")
         support, m, a = self.dataset["support"], self.distill.m, self.analysis
@@ -107,13 +107,13 @@ def parse_config(raw: dict, source="config") -> RunConfig:
         raise ConfigError(
             f"config field config_version must be {CONFIG_VERSION}, got {version!r}"
         )
-    sections, merged = typing.get_type_hints(RunConfig), {}
+    sections, merged = type_hints(RunConfig), {}
     for key, value in {**DEFAULT_CONFIG, **raw}.items():
         if key not in sections and key != "config_version":
             raise ConfigError(f"config has unknown field {key}")
         if isinstance(value, dict) and isinstance(DEFAULT_CONFIG[key], dict):
             # a misspelt key must not pass silently; a stage derives its own seed
-            known = typing.get_type_hints(sections[key]).keys() - {"seed"}
+            known = type_hints(sections[key]).keys() - {"seed"}
             unknown = [field for field in value if field not in known]
             if unknown:
                 raise ConfigError(f"config has unknown field {key}.{unknown[0]}")

@@ -31,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from .atomic import write_json
 from .autodiff import Tensor
-from .errors import ConfigError, NumericsError, StoreFormatError
+from .errors import ConfigError, NumericsError, StoreFormatError, type_hints
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -515,7 +515,7 @@ def from_payload(kind, value, source, field: str = "", like=None):
     where = f"{source}: field {field!r}" if field else str(source)
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if dataclasses.is_dataclass(kind) or typing.is_typeddict(kind):
-        hints = typing.get_type_hints(kind)
+        hints = type_hints(kind)
         require_fields(value, hints, where)
         return kind(**{n: from_payload(h, value[n], source, f"{field}.{n}".lstrip("."),
                                        getattr(like, n, None)) for n, h in hints.items()})

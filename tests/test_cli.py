@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import signal
@@ -10,6 +11,7 @@ import pytest
 
 import flowdistill as fd
 from flowdistill.cli import _fmt, main
+from flowdistill.trajstore import ROW_BLOCK
 
 from helpers import record_array, tensor_data
 
@@ -122,6 +124,32 @@ class TestSynth:
         assert store.N == TINY["store"]["N"]
         teacher = fd.load_model(f"{trained_dir}/teacher.json")
         fd.validate_store(store, teacher)
+
+    def test_teacher_evaluated_once_per_step_and_block(self, tiny_config, tmp_path,
+                                                       trained_dir, monkeypatch):
+        # generation evaluates the teacher once per step and row block; the check adds none
+        loaded = []
+        monkeypatch.setattr("flowdistill.cli.load_model",
+                            lambda path: loaded.append(fd.load_model(path)) or loaded[-1])
+        assert run_cli("synth", "--config", tiny_config, "--out", str(tmp_path / "o"),
+                       "--teacher", f"{trained_dir}/teacher.json") == 0
+        N, n = TINY["store"]["N"], TINY["store"]["n"]
+        assert [model.eval_count for model in loaded] == [n * -(-N // ROW_BLOCK)]
+
+    def test_store_that_does_not_reload_is_refused(self, tiny_config, tmp_path, trained_dir,
+                                                   monkeypatch, capsys):
+        def save_flipped(store, path):
+            # one state one ulp off: still within the recurrence tolerance
+            states = store.states.copy()
+            states[3, 4, 0] = np.nextafter(states[3, 4, 0], np.inf)
+            fd.save_store(fd.TrajectoryStore(store.grid, store.seed,
+                                             store.teacher_fingerprint, states), path)
+
+        monkeypatch.setattr("flowdistill.cli.save_store", save_flipped)
+        out = tmp_path / "o"
+        assert run_cli("synth", "--config", tiny_config, "--out", str(out),
+                       "--teacher", f"{trained_dir}/teacher.json") == 1
+        assert capsys.readouterr().err.startswith(f"error: {out}/store.jsonl: ")
 
     def test_reload_equality(self, trained_dir, tmp_path):
         store = fd.load_store(f"{trained_dir}/store.jsonl")
@@ -521,3 +549,38 @@ class TestAnalyze:
         lines = open(f"{out}/mismatch_sweep.csv").read().splitlines()
         assert lines[0] == "M,seed,useless_frequency,kd_w1,traj_distill_w1,endpoint_error"
         assert len(lines) == 1 + 2 * 2  # m_sweep x seeds
+        # distillation never reads the shifted dataset: one student per seed serves every M
+        w1 = {}
+        for row in csv.DictReader(lines):
+            w1.setdefault(row["seed"], set()).add(row["traj_distill_w1"])
+        assert sorted(w1) == ["0", "1"]
+        assert all(len(values) == 1 for values in w1.values()), w1
+
+
+class TestDimensionMismatch:
+    """A model whose d is not the dimension of the config's data points is
+    refused, naming the model file and the config field."""
+
+    @pytest.mark.parametrize("command", ["kd-baseline", "eval", "analyze-mismatch"])
+    def test_support_of_another_dimension_is_refused(self, tmp_path, trained_dir, capsys,
+                                                     command):
+        config = tmp_path / "plane.json"
+        config.write_text(json.dumps(dict(TINY, dataset={"support": [[-3.0, 0.0],
+                                                                     [3.0, 0.0]]})))
+        teacher = f"{trained_dir}/teacher.json"
+        store = [] if command == "kd-baseline" else ["--store", f"{trained_dir}/store.jsonl"]
+        assert run_cli(command, "--config", str(config), "--out", str(tmp_path / "o"),
+                       "--teacher", teacher, *store) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {teacher}: model has d=1, but config field dataset.support holds "
+            "points of dimension 2")
+
+    def test_eval_student_of_another_dimension_is_refused(self, tiny_config, tmp_path,
+                                                         trained_dir, capsys):
+        student = str(tmp_path / "student.json")
+        fd.save_model(student, fd.build_velocity_model(2, 12, 2, seed=0))
+        assert run_cli("eval", "--config", tiny_config, "--out", str(tmp_path / "o"),
+                       "--teacher", f"{trained_dir}/teacher.json", "--student", student) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {student}: model has d=2, but config field dataset.support holds "
+            "points of dimension 1")

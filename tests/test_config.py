@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +40,17 @@ def test_partial_config_fills_defaults(tmp_path):
     assert cfg.seed == 5
     assert cfg.teacher["iterations"] == 50
     assert cfg.teacher["batch_size"] == 2048  # default retained
+
+
+def test_type_hints_are_resolved_once_per_type(tmp_path, monkeypatch):
+    path = tmp_path / "config.json"
+    write_default_config(path)
+    first = load_config(path)
+    calls = []
+    real = typing.get_type_hints
+    monkeypatch.setattr(typing, "get_type_hints", lambda kind: calls.append(kind) or real(kind))
+    assert load_config(path) == first
+    assert calls == []
 
 
 def test_missing_file_is_config_error():
