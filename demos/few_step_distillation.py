@@ -33,13 +33,9 @@ Z = rng.standard_normal((4096, 1))
 teacher_samples = fd.denoise_batch(teacher, Z, grid)[0]
 
 # the student samples on its key grid: one model evaluation per key step
-before = result.student.eval_count
-student_samples = fd.denoise_batch(result.student, Z, fd.TimeGrid.uniform(config.m))[0]
-nfe = result.student.eval_count - before
-print(f"\nstudent evaluations per batch: {nfe} vs teacher {grid.n}: "
-      f"{grid.n // nfe}x fewer steps")
-
-w1 = fd.w1_distance(student_samples, teacher_samples)
-print(f"W1(student 5-step, teacher 50-step) = {w1:.4f}")
-print(f"student endpoint error: {fd.endpoint_error(student_samples, data.support):.4f}")
+student = fd.score_model(result.student, Z, fd.TimeGrid.uniform(config.m), teacher_samples)
+print(f"\nstudent evaluations per batch: {student.nfe} vs teacher {grid.n}: "
+      f"{grid.n // student.nfe}x fewer steps")
+print(f"W1(student 5-step, teacher 50-step) = {student.w1:.4f}")
+print(f"student endpoint error: {fd.endpoint_error(student.samples, data.support):.4f}")
 print(f"teacher endpoint error: {fd.endpoint_error(teacher_samples, data.support):.4f}")

@@ -35,8 +35,8 @@ for M in (0.0, 1.0, 2.0, 4.0):
         config=KDConfig(windows=5, iterations=3000, batch_size=128, pool_size=8192, seed=6),
         grid=grid,
     )
-    kd_samples = fd.sample_model(kd_student, count=2048, steps=5, seed=7)
-    kd_w1 = fd.w1_distance(kd_samples, p.support)
+    Z = np.random.default_rng(7).standard_normal((2048, 1))
+    kd_w1 = fd.score_model(kd_student, Z, fd.TimeGrid.uniform(5), p.support).w1
     print(f"{M:4.1f} {freq:13.4f} {kd_w1:8.4f}")
 
 print("\nEven at M=0 the frequency stays positive: Gaussian-noise draws")

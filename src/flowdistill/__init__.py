@@ -30,8 +30,8 @@ _HEAP_WARMUP_BYTES = 16 << 20
 _np.empty(_HEAP_WARMUP_BYTES // 8)
 
 from .adversarial import build_heads, head_of
-from .analysis import KDConfig, endpoint_error, kd_baseline_distill, \
-    mismatch_degree, mismatch_sweep, shifted_dataset, useless_frequency, w1_distance
+from .analysis import KDConfig, ModelScore, endpoint_error, kd_baseline_distill, mismatch_degree, \
+    mismatch_sweep, score_model, shifted_dataset, useless_frequency, w1_distance
 from .distill import DistillConfig, DistillResult, distill
 from .errors import ConfigError, FlowDistillError, NumericsError, StoreFormatError, \
     StoreIntegrityError

@@ -1,7 +1,7 @@
 """Diagnostics for dataset/noise mismatch: the mismatch degree, the
 frequency of useless forward-diffused points, a window-based knowledge-
-distillation baseline that consumes them, and scalar distribution
-metrics (1-Wasserstein distance and endpoint error).
+distillation baseline that consumes them, the metrics (1-Wasserstein
+distance, endpoint error) and `score_model`, which samples and scores a model.
 """
 
 from __future__ import annotations
@@ -25,14 +25,7 @@ SWEEP_COLUMNS = ("M", "seed", "useless_frequency", "kd_w1", "traj_distill_w1",
 
 
 def _support_of(points) -> np.ndarray:
-    support = points.support if isinstance(points, ToyDataset) else np.asarray(
-        points, dtype=np.float64
-    )
-    if support.ndim == 1:
-        support = support.reshape(-1, 1)
-    if support.shape[0] == 0:
-        raise ValueError("support must be non-empty")
-    return support
+    return (points if isinstance(points, ToyDataset) else ToyDataset(points)).support
 
 
 def nearest_distances(p_d, p) -> np.ndarray:
@@ -209,6 +202,22 @@ def endpoint_error(samples, support) -> float:
     return math.fsum(near) / near.size
 
 
+@dataclass(frozen=True)
+class ModelScore:
+    """A model's (B, d) samples, their W1 and its NFE (model evaluations)."""
+
+    samples: np.ndarray
+    w1: float
+    nfe: int
+
+
+def score_model(model: VelocityModel, Z, grid: TimeGrid, reference) -> ModelScore:
+    """Sample `model` from the (B, d) noise Z on `grid` and score it against `reference`."""
+    before = model.eval_count
+    samples = denoise_batch(model, Z, grid)[0]
+    return ModelScore(samples, w1_distance(samples, reference), model.eval_count - before)
+
+
 def mismatch_sweep(teacher: VelocityModel, store: TrajectoryStore, cfg):
     """Rows for the mismatch sweep CSV (SWEEP_COLUMNS order) of the run
     config `cfg`: one per M of `analysis.m_sweep` and seed label of
@@ -229,8 +238,8 @@ def mismatch_sweep(teacher: VelocityModel, store: TrajectoryStore, cfg):
         run_cfg = dataclasses.replace(cfg.distill, seed=derive_seed(seed, "sweep-distill"))
         student = distill(teacher, store, run_cfg).student
         Z = noise(derive_seed(seed, "sweep-eval"))
-        distill_w1[label] = w1_distance(denoise_batch(student, Z, TimeGrid.uniform(run_cfg.m))[0],
-                                        denoise_batch(teacher, Z, store.grid)[0])
+        distill_w1[label] = score_model(student, Z, TimeGrid.uniform(run_cfg.m),
+                                        denoise_batch(teacher, Z, store.grid)[0]).w1
 
     rows = []
     for M in a["m_sweep"]:
@@ -242,8 +251,8 @@ def mismatch_sweep(teacher: VelocityModel, store: TrajectoryStore, cfg):
                                      teacher_support=p)
             kd_cfg = dataclasses.replace(cfg.kd, seed=derive_seed(seed, f"sweep-kd-{M}"))
             kd_student, _ = kd_baseline_distill(teacher, p_d, kd_cfg, grid=store.grid)
-            kd_samples = denoise_batch(kd_student, noise(derive_seed(seed, f"sweep-kd-eval-{M}")),
-                                       TimeGrid.uniform(kd_cfg.windows))[0]
-            rows.append((actual, label, freq, w1_distance(kd_samples, p.support),
-                         distill_w1[label], endpoint_error(kd_samples, p.support)))
+            kd = score_model(kd_student, noise(derive_seed(seed, f"sweep-kd-eval-{M}")),
+                             TimeGrid.uniform(kd_cfg.windows), p.support)
+            rows.append((actual, label, freq, kd.w1, distill_w1[label],
+                         endpoint_error(kd.samples, p.support)))
     return rows

@@ -17,12 +17,12 @@ import numpy as np
 
 from .adversarial import head_of
 from .analysis import SWEEP_COLUMNS, endpoint_error, kd_baseline_distill, \
-    mismatch_sweep, shifted_dataset, useless_frequency, w1_distance
+    mismatch_sweep, score_model, shifted_dataset, useless_frequency
 from .atomic import atomic_open
 from .config import load_config
 from .distill import distill, METRIC_COLUMNS
 from .errors import ConfigError, FlowDistillError, NumericsError, StoreIntegrityError
-from .flow import TimeGrid, denoise_batch, sample_model, train_teacher
+from .flow import TimeGrid, sample_model, train_teacher
 from .nn import ParamSet, load_model, save_model, save_paramset
 from .seeds import derive_seed
 from .trajstore import check_teacher, generate_store, load_store, save_store
@@ -158,8 +158,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_sample(args) -> int:
     model = load_model(args.model)
-    if args.count < 1:
-        raise FlowDistillError(f"sample count must be positive, got {args.count}")
     samples = sample_model(model, args.count, args.steps, args.seed or 0)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -175,23 +173,22 @@ def cmd_eval(args) -> int:
     n, a, data = cfg.store["n"], cfg.analysis, cfg.data
     rng = np.random.default_rng(derive_seed(cfg.seed, "eval"))
     Z = rng.standard_normal((a["sample_count"], teacher.d))
-    teacher_samples = denoise_batch(teacher, Z, TimeGrid.uniform(n))[0]
+    teacher_row = score_model(teacher, Z, TimeGrid.uniform(n), data.support)
     freq = float("nan")
     if args.store:
         store = load_store(args.store)
         check_teacher(store, teacher)
         freq = useless_frequency(teacher, store, data, a["t_samples"], a["epsilon"], a["mode"],
                                  seed=derive_seed(cfg.seed, "eval-useless"), teacher_support=data)
-    # (label, samples, the reference its W1 is measured against)
-    scored = [(f"teacher-{n}step", teacher_samples, data.support)]
+    scored = [(f"teacher-{n}step", teacher_row)]
     if args.student:
         m = cfg.distill.m
-        s_samples = denoise_batch(_load_for_data(args.student, cfg), Z, TimeGrid.uniform(m))[0]
-        scored.append((f"student-{m}step", s_samples, teacher_samples))
+        scored.append((f"student-{m}step", score_model(_load_for_data(args.student, cfg), Z,
+                                                       TimeGrid.uniform(m), teacher_row.samples)))
     write_csv(os.path.join(cfg.out_dir, "eval.csv"),
               ("label", "w1", "endpoint_error", "useless_frequency", "seed"),
-              [(label, w1_distance(samples, ref), endpoint_error(samples, data.support),
-                freq, cfg.seed) for label, samples, ref in scored])
+              [(label, s.w1, endpoint_error(s.samples, data.support), freq, cfg.seed)
+               for label, s in scored])
     return 0
 
 

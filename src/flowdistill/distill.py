@@ -4,8 +4,8 @@ adversarial driver.
 The key timesteps t'_0 = 0 < ... < t'_m = 1 of a run are the time grid
 TimeGrid.uniform(m), indexed like every grid: key_grid.times[k] is t'_k,
 and key_points(store, key_grid)[:, k] the stored latents there. The
-student is sampled on the same grid, `denoise_batch(student, Z,
-key_grid)[0]`, in m model evaluations.
+student is sampled and scored on the same grid, in m model
+evaluations, by `analysis.score_model(student, Z, key_grid, reference)`.
 
 One training round sweeps k from m-1 down to 0. For each k the student
 is first regressed onto the stored finite-difference velocity over the

@@ -52,15 +52,11 @@ def parallel_map(fn, args):
 
 
 def distill_and_score(args):
-    """One ablation cell: distill a student, sample it in m steps from Z
-    and measure its W1 to the teacher's samples on the same noise, and
-    its NFE, the model evaluations the sampling took."""
+    """One ablation cell: distill a student and score it in m steps on Z."""
     teacher, store, config, Z, teacher_samples = args
     student = fd.distill(teacher, store, config).student
-    before = student.eval_count
-    samples = fd.denoise_batch(student, Z, fd.TimeGrid.uniform(config.m))[0]
-    w1 = fd.w1_distance(samples, teacher_samples)
-    return {"student": student, "w1": w1, "nfe": student.eval_count - before}
+    score = fd.score_model(student, Z, fd.TimeGrid.uniform(config.m), teacher_samples)
+    return {"student": student, "w1": score.w1, "nfe": score.nfe}
 
 
 def kd_and_score(args):
@@ -68,8 +64,8 @@ def kd_and_score(args):
     `config.windows` steps and measure W1 to the unshifted support."""
     teacher, p_d, config, grid, count, sample_seed, support = args
     student, _ = fd.kd_baseline_distill(teacher, p_d, config, grid=grid)
-    samples = fd.sample_model(student, count, config.windows, sample_seed)
-    return fd.w1_distance(samples, support)
+    Z = np.random.default_rng(sample_seed).standard_normal((count, student.d))
+    return fd.score_model(student, Z, fd.TimeGrid.uniform(config.windows), support).w1
 
 
 def rand_head(width, seed=0, scale=0.3):

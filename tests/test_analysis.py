@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,6 +144,22 @@ class TestEndpointError:
             support = rng.normal(0, 4, size=(int(rng.integers(1, 10)), d))
             assert fd.endpoint_error(samples, support) == \
                 endpoint_error_bruteforce(samples, support)
+
+
+class TestScoreModel:
+    @pytest.mark.parametrize("m", [1, 5, 10])
+    def test_samples_w1_and_nfe_of_one_sampling_call(self, quick_teacher, two_point_data, m):
+        Z = np.random.default_rng(17).standard_normal((64, 1))
+        grid = fd.TimeGrid.uniform(m)
+        score = fd.score_model(quick_teacher, Z, grid, two_point_data.support)
+        assert np.array_equal(score.samples, fd.denoise_batch(quick_teacher, Z, grid)[0])
+        assert score.w1 == fd.w1_distance(score.samples, two_point_data.support)
+        assert score.nfe == grid.n
+
+    def test_record_is_frozen(self, quick_teacher):
+        score = fd.score_model(quick_teacher, np.zeros((2, 1)), fd.TimeGrid.uniform(2), [0.0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            score.w1 = 0.0
 
 
 class TestUselessFrequency:

@@ -520,6 +520,8 @@ class TestSample:
         code = run_cli("sample", "--model", f"{trained_dir}/teacher.json",
                        "--count", "0", "--steps", "5", "--out", str(tmp_path / "s"))
         assert code != 0
+        assert capsys.readouterr().err == "error: sample count must be positive, got 0\n"
+        assert not (tmp_path / "s" / "samples.csv").exists()
 
     def test_deterministic_given_seed(self, trained_dir, tmp_path):
         outs = [str(tmp_path / x) for x in ("s1", "s2")]
@@ -539,6 +541,18 @@ class TestEval:
         assert lines[0] == "label,w1,endpoint_error,useless_frequency,seed"
         assert lines[1].startswith("teacher-10step,")
         assert lines[2].startswith("student-5step,")
+
+        # both rows are the scoring cell's numbers on the eval noise
+        teacher, student = (fd.load_model(f"{trained_dir}/{name}.json")
+                            for name in ("teacher", "student"))
+        Z = np.random.default_rng(fd.derive_seed(TINY["seed"], "eval")).standard_normal(
+            (TINY["analysis"]["sample_count"], 1))
+        support = TINY["dataset"]["support"]
+        t = fd.score_model(teacher, Z, fd.TimeGrid.uniform(TINY["store"]["n"]), support)
+        s = fd.score_model(student, Z, fd.TimeGrid.uniform(TINY["distill"]["m"]), t.samples)
+        for row, cell in zip(csv.DictReader(lines), (t, s)):
+            assert float(row["w1"]) == cell.w1, row
+            assert float(row["endpoint_error"]) == fd.endpoint_error(cell.samples, support), row
 
 
 class TestAnalyze:

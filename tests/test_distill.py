@@ -252,8 +252,8 @@ class TestHeadIsolation:
 
 
 class TestSampling:
-    """Few-step sampling is `denoise_batch` on the key grid; its NFE is
-    counted on the model, not returned."""
+    """Few-step sampling is `denoise_batch` on the key grid; the model
+    counts its evaluations, and `score_model` returns them as the NFE."""
 
     def test_nfe_equals_m(self, quick_teacher):
         before = quick_teacher.eval_count
