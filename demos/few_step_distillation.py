@@ -23,9 +23,12 @@ store = fd.generate_store(teacher, N=1024, grid=grid, seed=1)
 config = fd.DistillConfig(m=5, iterations=800, batch_size=128,
                           lambda_adv=0.1, seed=2)
 result = fd.distill(teacher, store, config)
-print(f"metrics rows: {len(result.metrics)}, heads: {result.heads.shapes[0][0]}")
-first, last = result.metrics[0], result.metrics[-1]
-print(f"trajectory loss: {first[2]:.4f} (start) -> {last[2]:.4f} (end)")
+# metrics[r, k] holds round r's (traj_loss, d_loss, g_loss) at key k
+rounds, keys, _ = result.metrics.shape
+print(f"loss history: {rounds} rounds x {keys} keys, heads: {result.heads.shapes[0][0]}")
+# a round sweeps k from m-1 down to 0
+first, last = result.metrics[0, -1, 0], result.metrics[-1, 0, 0]
+print(f"trajectory loss: {first:.4f} (start) -> {last:.4f} (end)")
 
 # identical noise draws through both models
 rng = np.random.default_rng(3)

@@ -21,7 +21,8 @@ print(f"loss: first 100 iters {losses[:100].mean():.3f} "
       f"-> last 100 iters {losses[-100:].mean():.3f}")
 
 # integrate noise back to data with 50 Euler steps
-samples = fd.sample_model(teacher, count=4096, steps=50, seed=1)
+Z = np.random.default_rng(1).standard_normal((4096, 1))
+samples = fd.denoise_batch(teacher, Z, fd.TimeGrid.uniform(50))[0]
 err = fd.endpoint_error(samples, data.support)
 near = np.mean(np.min(np.abs(samples - data.support[:, 0]), axis=1) <= 0.25)
 print(f"mean distance to nearest support point: {err:.4f}")

@@ -36,7 +36,7 @@ from .distill import DistillConfig, DistillResult, distill
 from .errors import ConfigError, FlowDistillError, NumericsError, StoreFormatError, \
     StoreIntegrityError
 from .flow import TimeGrid, ToyDataset, denoise_batch, integrate, interpolate, \
-    sample_model, train_teacher
+    train_teacher
 from .nn import OptimizerState, ParamSet, VelocityModel, build_velocity_model, \
     eval_velocity, init_optimizer, load_model, load_paramset, optimizer_step, \
     save_model, save_paramset, value_and_grad

@@ -22,7 +22,7 @@ from .atomic import atomic_open
 from .config import load_config
 from .distill import distill, METRIC_COLUMNS
 from .errors import ConfigError, FlowDistillError, NumericsError, StoreIntegrityError
-from .flow import TimeGrid, sample_model, train_teacher
+from .flow import TimeGrid, denoise_batch, train_teacher
 from .nn import ParamSet, load_model, save_model, save_paramset
 from .seeds import derive_seed
 from .trajstore import check_teacher, generate_store, load_store, save_store
@@ -126,7 +126,8 @@ def cmd_distill(args) -> int:
                       ParamSet(result.heads.names, head_of(result.heads, i)),
                       {"kind": "projection_head", "index": i})
     write_csv(os.path.join(cfg.out_dir, "distill_metrics.csv"), METRIC_COLUMNS,
-              result.metrics)
+              [(r, k, *losses[k]) for r, losses in enumerate(result.metrics)
+               for k in range(dcfg.m - 1, -1, -1)])
     return 0
 
 
@@ -158,7 +159,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_sample(args) -> int:
     model = load_model(args.model)
-    samples = sample_model(model, args.count, args.steps, args.seed or 0)
+    if args.count < 1:
+        raise ConfigError(f"sample count must be positive, got {args.count}")
+    Z = np.random.default_rng(args.seed or 0).standard_normal((args.count, model.d))
+    samples = denoise_batch(model, Z, TimeGrid.uniform(args.steps))[0]
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     header = ["index"] + [f"x{i}" for i in range(model.d)] + ["nfe"]

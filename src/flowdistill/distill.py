@@ -20,7 +20,7 @@ mean over the keys it served.
 
 A run's state between rounds is one dataclass, which is also its
 checkpoint; a resume refuses the checkpoint of another teacher, store or
-config.
+config. Its loss history is one (round, m, 3) float64 array.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from . import autodiff as ad
 from .adversarial import build_heads, d_loss_grad, features_node, g_loss_grad, \
     head_backward, head_forward, head_of
 from .atomic import write_json
-from .errors import ConfigError, NumericsError, check_fields, check_numbers
+from .errors import ConfigError, NumericsError, StoreFormatError, check_fields, check_numbers
 from .flow import TimeGrid
 from .nn import FILE_VERSION, OptimizerState, ParamSet, VelocityModel, check_grads, \
     check_loss, forward_velocity, from_payload, init_optimizer, mlp_backward, mlp_forward, \
@@ -43,7 +43,7 @@ from .nn import FILE_VERSION, OptimizerState, ParamSet, VelocityModel, check_gra
 from .seeds import derive_seed
 from .trajstore import TrajectoryStore, check_teacher, key_points
 
-METRIC_COLUMNS = ("iter", "k", "traj_loss", "d_loss", "g_loss", "queue_sizes")
+METRIC_COLUMNS = ("iter", "k", "traj_loss", "d_loss", "g_loss")
 # the DistillConfig fields a resume may change
 RESUMABLE = ("iterations", "checkpoint_interval")
 
@@ -109,7 +109,7 @@ class DistillConfig:
 class DistillResult:
     student: VelocityModel
     heads: ParamSet  # stacked on a leading head axis; head i is head_of(heads, i)
-    metrics: list  # rows matching METRIC_COLUMNS
+    metrics: np.ndarray  # (rounds, m, 3): metrics[r, k] = (traj_loss, d_loss, g_loss)
 
 
 @dataclass
@@ -134,7 +134,7 @@ class _DistillState:
     opt_heads: OptimizerState
     rng_batch: np.random.Generator
     rng_noise: np.random.Generator
-    metrics: list[tuple[int, int, float, float, float, str]]  # rows of METRIC_COLUMNS
+    metrics: np.ndarray  # (round, m, 3): the losses of every round so far
 
     def head_for(self, k: int) -> int:
         return k if self.config.heads == "per_timestep" else 0
@@ -151,7 +151,8 @@ def init_state(teacher: VelocityModel, store: TrajectoryStore,
         init_optimizer(student), init_optimizer(student), heads, init_optimizer(heads),
         np.random.default_rng(derive_seed(config.seed, "trajectory-batches")),
         # the label predates the chain; renaming it would change every draw
-        np.random.default_rng(derive_seed(config.seed, "queue-noise")), [])
+        np.random.default_rng(derive_seed(config.seed, "queue-noise")),
+        np.empty((0, config.m, 3)))
 
 
 def save_checkpoint(path, state: _DistillState):
@@ -178,6 +179,9 @@ def load_checkpoint(path, teacher: VelocityModel, store: TrajectoryStore,
             raise ConfigError(f"{path}: checkpoint was written for {name}={was!r}, "
                               f"this run has {name}={now!r}")
     state = from_payload(_DistillState, payload, path, like=fresh)
+    if state.metrics.shape != (state.round, config.m, 3):
+        raise StoreFormatError(f"{path}: field 'metrics' has shape {list(state.metrics.shape)}, "
+                               f"round {state.round} needs {[state.round, config.m, 3]}")
     return dataclasses.replace(state, config=config)
 
 
@@ -260,6 +264,9 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
     h_grads, h_fake = zeros_like(one_head), zeros_like(one_head)
     # adversarial gradient sums of a round, applied when it ends
     student_sum, head_sum = zeros_like(state.student), zeros_like(state.heads)
+    # the loss history of the whole run; the state views the rounds done
+    history = np.empty((max(config.iterations, state.round), m, 3))
+    history[:state.round] = state.metrics
     while state.round < config.iterations:
         rnd = state.round
         student_sum.flat[:] = head_sum.flat[:] = 0.0
@@ -279,7 +286,6 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
             )
 
             d_loss_val = g_loss_val = float("nan")
-            in_flight = [0] * (m + 1)
             if config.lambda_adv > 0.0:
                 if k == m - 1:
                     # fresh noise paired with this iteration's trajectories
@@ -297,12 +303,9 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
                 student_sum.flat += s_grads.flat
                 for acc, g in zip(head_of(head_sum, state.head_for(k)), h_grads.tensors):
                     acc += g
-                in_flight[k] = 1
-
-            state.metrics.append(
-                (rnd, k, loss, d_loss_val, g_loss_val, "|".join(map(str, in_flight)))
-            )
+            history[rnd, k] = loss, d_loss_val, g_loss_val
         state.round += 1
+        state.metrics = history[:state.round]
         if config.lambda_adv > 0.0:
             student_sum.flat /= m
             head_sum.flat /= 1 if config.heads == "per_timestep" else m  # keys per head

@@ -167,12 +167,3 @@ def denoise_batch(model: VelocityModel, X1: np.ndarray, grid: TimeGrid) -> np.nd
     evaluations."""
     return integrate(model, X1, grid.times[::-1])[::-1]
 
-
-def sample_model(model: VelocityModel, count: int, steps: int, seed: int) -> np.ndarray:
-    """Draw `count` samples by integrating seeded noise through `steps`
-    uniform Euler steps; the cost is exactly `steps` evaluations."""
-    if count < 1:
-        raise ConfigError(f"sample count must be positive, got {count}")
-    rng = np.random.default_rng(seed)
-    X1 = rng.standard_normal((count, model.d))
-    return integrate(model, X1, TimeGrid.uniform(steps).times[::-1])[-1]

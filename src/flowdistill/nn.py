@@ -424,20 +424,24 @@ def optimizer_step(params: ParamSet, grads: ParamSet, state: OptimizerState, lr:
     return params, dataclasses.replace(state, step=step)
 
 
+def _encode_tensor(t) -> dict:
+    """The record {"shape", "data"} of an array, `data` in base64."""
+    return {"shape": list(t.shape), "data": base64.b64encode(
+        np.ascontiguousarray(t, dtype="<f8").tobytes()).decode("ascii")}
+
+
 def to_payload(value):
-    """The JSON form of a ParamSet (base64 float64 tensors), a PCG64
-    generator, a dataclass whose fields are such values, or a list or
-    tuple of them; any other value is taken to be JSON already."""
+    """The JSON form of a float64 array (one tensor record), a ParamSet
+    (a list of named tensor records), a PCG64 generator or a dataclass
+    whose fields are such values; any other value is JSON already."""
+    if isinstance(value, np.ndarray):
+        return _encode_tensor(value)
     if isinstance(value, ParamSet):
-        return [{"name": n, "shape": list(t.shape), "data": base64.b64encode(
-                    np.ascontiguousarray(t, dtype="<f8").tobytes()).decode("ascii")}
-                for n, t in zip(value.names, value.tensors)]
+        return [{"name": n, **_encode_tensor(t)} for n, t in zip(value.names, value.tensors)]
     if isinstance(value, np.random.Generator):
         return value.bit_generator.state
     if dataclasses.is_dataclass(value):
         return {f.name: to_payload(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, (list, tuple)):
-        return [to_payload(v) for v in value]
     return value
 
 
@@ -506,9 +510,9 @@ _PCG64State = TypedDict("_PCG64State", {
 
 def from_payload(kind, value, source, field: str = "", like=None):
     """The `kind` value whose `to_payload` form is `value`, read from the
-    file `source`: a dataclass, TypedDict (as a dict), ParamSet,
-    Generator, `list[X]`, fixed-length `tuple[X, Y]`, float (or an int
-    that is exactly one), str, list or non-negative int. A ParamSet must
+    file `source`: a dataclass, TypedDict (as a dict), float64 array
+    (read-only), ParamSet, Generator, `list[X]`, float (or an int that
+    is exactly one), str, list or non-negative int. A ParamSet must
     have the layout of its counterpart in `like`, if given. A defect is
     a StoreFormatError naming the file and the dotted field, e.g.
     `opt_heads.step`, or the file alone."""
@@ -519,6 +523,8 @@ def from_payload(kind, value, source, field: str = "", like=None):
         require_fields(value, hints, where)
         return kind(**{n: from_payload(h, value[n], source, f"{field}.{n}".lstrip("."),
                                        getattr(like, n, None)) for n, h in hints.items()})
+    if kind is np.ndarray:
+        return _decode_tensor(require_fields(value, ("shape", "data"), where), where)
     if kind is ParamSet:
         if not isinstance(value, list):
             raise StoreFormatError(f"{where}: not a list of tensor records")
@@ -531,14 +537,10 @@ def from_payload(kind, value, source, field: str = "", like=None):
             raise StoreFormatError(f"{where} holds tensors {params.names} of shapes "
                                    f"{params.shapes}, the run has {like.shapes}")
         return params
-    if origin in (list, tuple):
-        if not isinstance(value, list) or origin is tuple and len(value) != len(args):
-            raise StoreFormatError(f"{where} is not a list"
-                                   + (f" of {len(args)} values" if origin is tuple else ""))
-        kinds = args * len(value) if origin is list else args
-        return origin(from_payload(k, v, source, f"{field}[{i}]",
-                                   like[i] if like and i < len(like) else None)
-                      for i, (k, v) in enumerate(zip(kinds, value)))
+    if origin is list:
+        if not isinstance(value, list):
+            raise StoreFormatError(f"{where} is not a list")
+        return [from_payload(args[0], v, source, f"{field}[{i}]") for i, v in enumerate(value)]
     if type(value) is kind or (kind is float and type(value) is int
                                and abs(value) <= sys.float_info.max and float(value) == value):
         if kind is not int or value >= 0:

@@ -172,8 +172,23 @@ class TestDistill:
         for k in range(TINY["distill"]["m"]):
             assert os.path.exists(f"{trained_dir}/head_{k}.json")
         lines = open(f"{trained_dir}/distill_metrics.csv").read().splitlines()
-        assert lines[0] == "iter,k,traj_loss,d_loss,g_loss,queue_sizes"
+        assert lines[0] == "iter,k,traj_loss,d_loss,g_loss"
         assert len(lines) == 1 + 6 * 5
+
+    @pytest.mark.parametrize("flags", [[], ["--no-adv"]], ids=["adv", "no-adv"])
+    def test_csv_rows_are_metrics_in_round_order(self, tiny_config, tmp_path, trained_dir,
+                                                 flags):
+        # the last checkpoint is at round 6, the end of the run: it holds every round
+        out = str(tmp_path / "out")
+        assert run_cli("distill", "--config", tiny_config, "--out", out,
+                       *inputs(trained_dir), *flags) == 0
+        with open(f"{out}/distill_checkpoint.json") as f:
+            metrics = record_array(json.load(f)["metrics"])
+        assert metrics.shape == (6, 5, 3)
+        assert np.all(np.isnan(metrics[..., 1:]) if flags else np.isfinite(metrics))
+        lines = open(f"{out}/distill_metrics.csv").read().splitlines()[1:]
+        assert lines == [",".join([str(r), str(k), *map(repr, metrics[r, k].tolist())])
+                         for r in range(6) for k in range(4, -1, -1)]
 
     def test_no_adv_equals_lambda_zero_config(self, tiny_config, tmp_path, trained_dir):
         flag_out = str(tmp_path / "flag")
@@ -326,7 +341,7 @@ class TestCheckpointFormat:
         ("rng_noise.has_uint32", lambda p: p["rng_noise"].update(has_uint32=1.5)),
         ("rng_noise.has_uint32", lambda p: p["rng_noise"].update(has_uint32=2)),
     ], ids=["rng-batch-not-pcg64", "rng-noise-not-a-state", "round-as-string",
-            "metrics-not-a-list", "heads-not-a-list", "optimizer-step-as-string",
+            "metrics-not-a-record", "heads-not-a-list", "optimizer-step-as-string",
             "heads-of-another-count", "consistent-wrong-shape", "uinteger-negative",
             "uinteger-fractional", "uinteger-bool", "uinteger-33-bit", "state-negative",
             "state-fractional", "inc-129-bit", "has-uint32-negative", "has-uint32-fractional",
@@ -406,6 +421,42 @@ class TestCheckpointFormat:
                        "--resume") == 0
         self._assert_same_outputs(out, ref_out)
         assert open(path, "rb").read() == before
+
+    @pytest.mark.parametrize("kept", [
+        lambda a: a[:1],  # round 1 dropped
+        lambda a: a.reshape(-1, 3)[:3],  # 3 of the 10 (round, key) rows
+        lambda a: a[:, :4],  # key 4 dropped
+    ], ids=["round-dropped", "rows-dropped", "key-dropped"])
+    def test_metrics_not_of_the_rounds_done_are_refused(self, halfway, capsys, kept):
+        # the round-2 checkpoint holds a (2, m, 3) loss history
+        args, _, out = halfway
+
+        def cut(p):
+            a = kept(record_array(p["metrics"]))
+            p["metrics"] = {"shape": list(a.shape), "data": tensor_data(a)}
+
+        path = self._rewrite(out, cut)
+        assert run_cli("distill", *args, "--out", out, "--resume") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: field 'metrics' has shape "), err
+        assert err.endswith("round 2 needs [2, 5, 3]\n"), err
+        assert not os.path.exists(f"{out}/distill_metrics.csv")
+
+    def test_checkpoint_with_metrics_rows_is_refused(self, halfway, capsys):
+        # the history as (iter, k, traj_loss, d_loss, g_loss, queue_sizes)
+        # rows, the layout before it became one array
+        args, _, out = halfway
+
+        def rows(p):
+            in_flight = lambda k: "|".join("1" if j == k else "0" for j in range(6))
+            p["metrics"] = [[r, k, 0.5, 0.25, 0.75, in_flight(k)]
+                            for r in range(2) for k in range(4, -1, -1)]
+
+        path = self._rewrite(out, rows)
+        assert run_cli("distill", *args, "--out", out, "--resume") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: field 'metrics'"), err
+        assert not os.path.exists(f"{out}/distill_metrics.csv")
 
     def test_per_head_records_are_refused(self, halfway, capsys):
         # the earlier layout: one {index, params} record and one Adam state per head

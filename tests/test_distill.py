@@ -118,8 +118,8 @@ class TestDistill:
         cfg = fd.DistillConfig(m=5, lambda_adv=0.0, iterations=1,
                                batch_size=8, seed=5)
         result = fd.distill(quick_teacher, quick_store, cfg)
-        rnd, k, loss, d_loss, g_loss, sizes = result.metrics[0]
-        assert (rnd, k) == (0, 4)
+        assert result.metrics.shape == (1, 5, 3)
+        loss, d_loss, g_loss = result.metrics[0, 4]
         key_grid = fd.TimeGrid.uniform(5)
         keys_all = fd.key_points(quick_store, key_grid)
         rng = np.random.default_rng(derive_seed(cfg.seed, "trajectory-batches"))
@@ -134,7 +134,7 @@ class TestDistill:
         a = fd.distill(quick_teacher, quick_store, cfg)
         b = fd.distill(quick_teacher, quick_store, cfg)
         assert a.student.params.equal(b.student.params)
-        assert a.metrics == b.metrics
+        assert np.array_equal(a.metrics, b.metrics)
         assert a.heads.equal(b.heads)
 
     def test_single_head_mode_uses_one_head(self, quick_teacher, quick_store):
@@ -151,31 +151,15 @@ class TestDistill:
     def test_metrics_have_row_per_iteration_and_k(self, quick_teacher, quick_store):
         cfg = fd.DistillConfig(m=5, iterations=3, batch_size=4, seed=9)
         result = fd.distill(quick_teacher, quick_store, cfg)
-        assert len(result.metrics) == 3 * 5
-        assert [(r[0], r[1]) for r in result.metrics[:5]] == [
-            (0, 4), (0, 3), (0, 2), (0, 1), (0, 0)
-        ]
+        assert result.metrics.shape == (3, 5, 3)
+        assert result.metrics.dtype == np.float64
+        assert np.all(np.isfinite(result.metrics))
 
     def test_adversarial_round_has_finite_losses_after_warmup(self, quick_teacher,
                                                               quick_store):
         cfg = fd.DistillConfig(m=5, iterations=2, batch_size=4, seed=10)
         result = fd.distill(quick_teacher, quick_store, cfg)
-        d_losses = [r[3] for r in result.metrics]
-        assert any(np.isfinite(v) for v in d_losses)
-
-    @pytest.mark.parametrize("lambda_adv", [0.1, 0.0])
-    def test_queue_sizes_count_latents_in_flight(self, quick_teacher, quick_store,
-                                                 lambda_adv):
-        # after step k the round's generated batch sits at key k; without
-        # the adversary nothing is in flight
-        cfg = fd.DistillConfig(m=5, iterations=3, batch_size=4, seed=13,
-                               lambda_adv=lambda_adv)
-        result = fd.distill(quick_teacher, quick_store, cfg)
-        for _, k, *_, sizes in result.metrics:
-            expected = ["0"] * 6
-            if lambda_adv:
-                expected[k] = "1"
-            assert sizes == "|".join(expected)
+        assert np.any(np.isfinite(result.metrics[..., 1]))
 
     def test_resume_reproduces_uninterrupted_run(self, quick_teacher, quick_store,
                                                  tmp_path):
@@ -187,7 +171,7 @@ class TestDistill:
         resumed = fd.distill(quick_teacher, quick_store, cfg, checkpoint_path=ckpt,
                              resume=True)
         assert resumed.student.params.equal(full.student.params)
-        assert resumed.metrics == full.metrics
+        assert np.array_equal(resumed.metrics, full.metrics)
         assert resumed.heads.equal(full.heads)
 
 

@@ -184,7 +184,10 @@ INTEGRATOR_CALLS = {
                 lambda m: euler_reference(m, Z[:1], GRID.times[::-1])[::-1, 0], 7),
     "denoise_batch": (lambda m: fd.denoise_batch(m, Z, GRID),
                       lambda m: euler_reference(m, Z, GRID.times[::-1])[::-1], 7),
-    "sample_model": (lambda m: fd.sample_model(m, 5, 4, seed=7),
+    # `flowdistill sample`: seeded noise through uniform Euler steps
+    "sample_model": (lambda m: fd.denoise_batch(
+                         m, np.random.default_rng(7).standard_normal((5, 2)),
+                         fd.TimeGrid.uniform(4))[0],
                      lambda m: euler_reference(m, Z, GRID.uniform(4).times[::-1])[-1], 4),
     # few-step student sampling: the Euler walk over the key grid
     "sample_student": (lambda m: fd.denoise_batch(m, Z[:1], KEY_GRID)[0, 0],
