@@ -19,7 +19,8 @@ import numpy as np
 rng = np.random.default_rng(0)
 model = fd.build_velocity_model(d=1, H=16, R=2, seed=3)
 # randomize the zero output layer so the test point is generic
-model = model.with_params(model.params.map(lambda t: t + rng.normal(0, 0.3, t.shape)))
+model = model.with_params(fd.ParamSet(model.params.names, [
+    t + rng.normal(0, 0.3, t.shape) for t in model.params.tensors]))
 
 batch = (3 * rng.standard_normal((16, 1)), rng.standard_normal((16, 1)), rng.random(16))
 x0, x1, t = batch
@@ -29,6 +30,13 @@ def loss_and_grad(params):
     """Loss and gradient: regress the velocity at x_t onto the
     conditional velocity x1 - x0."""
     return velocity_mse(params, fd.interpolate(x0, x1, t), t, x1 - x0, model.R)
+
+
+def bumped(i, value):
+    """The model's parameters with flat coordinate i set to `value`."""
+    params = model.params.copy()
+    params.flat[i] = value
+    return params
 
 
 loss, grads = loss_and_grad(model.params)
@@ -41,11 +49,11 @@ h = 1e-5
 print(f"{'coord':>6} {'analytic':>12} {'finite diff':>12} {'rel err':>10}")
 for i in rng.integers(0, model.params.size, 6):
     i = int(i)
-    base = model.params.get_flat(i)
-    up = loss_and_grad(model.params.with_flat(i, base + h))[0]
-    dn = loss_and_grad(model.params.with_flat(i, base - h))[0]
+    base = model.params.flat[i]
+    up = loss_and_grad(bumped(i, base + h))[0]
+    dn = loss_and_grad(bumped(i, base - h))[0]
     est = (up - dn) / (2 * h)
-    got = grads.get_flat(i)
+    got = grads.flat[i]
     print(f"{i:6d} {got:12.6f} {est:12.6f} {abs(got-est)/max(abs(est),1e-9):10.2e}")
 
 state = fd.init_optimizer(model.params)

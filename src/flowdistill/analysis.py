@@ -115,7 +115,7 @@ class KDConfig:
 
 
 def kd_baseline_distill(teacher: VelocityModel, p_d: ToyDataset, config: KDConfig,
-                        grid: TimeGrid | None = None):
+                        grid: TimeGrid):
     """Train a student to mimic the teacher across denoising windows.
 
     Training inputs are forward-diffused from p_d at grid times inside
@@ -128,7 +128,6 @@ def kd_baseline_distill(teacher: VelocityModel, p_d: ToyDataset, config: KDConfi
     result takes `config.windows` uniform Euler steps.
     """
     config.validate()
-    grid = grid or TimeGrid.uniform(50)
     windows = config.windows
     if grid.n % windows != 0:
         raise ConfigError(f"windows={windows} must divide the grid size n={grid.n}")
@@ -202,7 +201,7 @@ def endpoint_error(samples, support) -> float:
     return math.fsum(near) / near.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelScore:
     """A model's (B, d) samples, their W1 and its NFE (model evaluations)."""
 

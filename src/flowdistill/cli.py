@@ -85,8 +85,8 @@ def cmd_train_teacher(args) -> int:
 
 def cmd_synth(args) -> int:
     """Generate the store, save it, and check that the file reloads as
-    the generated store bit for bit: seed, teacher fingerprint, grid and
-    every state.
+    the generated store bit for bit: seed, teacher fingerprint and every
+    state (which fix the grid).
 
     A bit-exact reload passes `validate_store` without re-running the
     teacher: the stored states are the generation's own Euler steps,

@@ -3,7 +3,8 @@ adversarial driver.
 
 The key timesteps t'_0 = 0 < ... < t'_m = 1 of a run are the time grid
 TimeGrid.uniform(m), indexed like every grid: key_grid.times[k] is t'_k,
-and key_points(store, key_grid)[:, k] the stored latents there. The
+and key_points(store, key_grid)[:, k] the stored latents there, store
+step k·n/m, so m must divide the store's n (`key_points` checks it). The
 student is sampled and scored on the same grid, in m model
 evaluations, by `analysis.score_model(student, Z, key_grid, reference)`.
 
@@ -243,8 +244,6 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
     continues an interrupted run bit-for-bit from a checkpoint there.
     """
     config.validate()
-    if store.grid.n % config.m != 0:
-        raise ConfigError(f"store has n={store.grid.n}, which m={config.m} does not divide")
     if store.d != teacher.d:
         raise ConfigError("store dimension does not match the teacher")
     check_teacher(store, teacher)

@@ -3,13 +3,15 @@ regression loss, Euler ODE stepping, and teacher training on toy data.
 
 Conventions: time runs from t=1 (pure noise) down to t=0 (data).
 Sampling integrates the learned velocity field backwards along a
-TimeGrid whose entries are indexed so that times[j] is the j-th
-timestep, times[0] = 0 and times[n] = 1.
+TimeGrid, the uniform grid of n steps: times[j] = j / n is the j-th
+timestep, times[0] = 0 and times[n] = 1. Every grid of the lab, the
+teacher's and the key grid of a run alike, is uniform, so a grid is its
+step count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from .nn import VelocityModel, build_velocity_model, eval_velocity, forward_velo
     init_optimizer, optimizer_step, velocity_mse, zeros_like
 from .seeds import derive_seed
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ToyDataset:
     """A finite-support toy distribution: points drawn uniformly from
     `support`, an array of shape (k, d)."""
@@ -45,37 +47,20 @@ class ToyDataset:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Inference timesteps, stored ascending: times[j] = t_j, with
-    t_0 = 0 and t_n = 1 exactly."""
+    """The uniform grid of n inference steps, stored ascending:
+    times[j] = t_j = j / n, with t_0 = 0 and t_n = 1 exactly."""
 
-    times: np.ndarray
+    n: int
+    times: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64)
-        if times.ndim != 1 or times.size < 2:
-            raise ConfigError("time grid needs at least two timesteps")
-        if times[0] != 0.0 or times[-1] != 1.0:
-            raise ConfigError("time grid endpoints must be exactly 0 and 1")
-        if np.any(np.diff(times) <= 0):
-            raise ConfigError("time grid must be strictly ordered")
-        object.__setattr__(self, "times", times)
+        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise ConfigError(f"step count must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "times", np.arange(self.n + 1) / self.n)
 
     @classmethod
     def uniform(cls, n: int) -> "TimeGrid":
-        if n < 1:
-            raise ConfigError(f"step count must be positive, got {n}")
-        return cls(np.arange(n + 1) / n)
-
-    @property
-    def n(self) -> int:
-        return self.times.size - 1
-
-    def index_of(self, t: float) -> int:
-        """Index j with times[j] == t exactly; off-grid times are errors."""
-        j = int(np.searchsorted(self.times, t))
-        if j >= self.times.size or self.times[j] != t:
-            raise ConfigError(f"time {t!r} is not on the grid")
-        return j
+        return cls(n)
 
 
 def interpolate(x0, x1, t):

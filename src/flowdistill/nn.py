@@ -89,9 +89,6 @@ class ParamSet:
     def size(self) -> int:
         return self.flat.size
 
-    def map(self, fn) -> "ParamSet":
-        return ParamSet(self.names, [fn(t) for t in self.tensors])
-
     def _check_congruent(self, other: "ParamSet"):
         if self.names != other.names or self.shapes != other.shapes:
             raise ValueError("parameter sets are not shape-congruent")
@@ -111,19 +108,6 @@ class ParamSet:
             h.update(repr(t.shape).encode())
             h.update(np.ascontiguousarray(t, dtype="<f8").tobytes())
         return h.hexdigest()
-
-    # flat-index access, used by finite-difference probes
-    def get_flat(self, i: int) -> float:
-        if not 0 <= i < self.size:
-            raise IndexError(i)
-        return float(self.flat[i])
-
-    def with_flat(self, i: int, value: float) -> "ParamSet":
-        if not 0 <= i < self.size:
-            raise IndexError(i)
-        flat = self.flat.copy()
-        flat[i] = value
-        return self.like(flat)
 
 
 def zeros_like(params: ParamSet) -> ParamSet:

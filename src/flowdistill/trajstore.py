@@ -4,12 +4,14 @@ full teacher denoising paths.
 A store is columnar: one (N, n+1, d) float64 array holds every path,
 states[i, j] being path i's latent at grid.times[j] (so states[:, n] is
 the noise each path starts from and states[:, 0] its clean endpoint).
-The grid, the generating seed and the teacher fingerprint are shared by
+The grid is the uniform grid of n steps, so the shape of the states
+fixes it. The generating seed and the teacher fingerprint are shared by
 all paths and held once; path i's noise is a function of the seed and
 i alone (`path_noise`).
 
 The on-disk format (version 3) is JSON Lines: a header object holding
-version, N, n, d, teacher_fingerprint, seed and grid, then one JSON
+version, N, n, d, teacher_fingerprint, seed and grid (which must be
+the uniform grid of n steps, written out), then one JSON
 string per path, the standard padded base64 of its (n+1)·d
 little-endian float64 states, so every record line has the same
 length. Save then load is bit-exact, and the bytes are a pure function
@@ -60,20 +62,22 @@ def path_noise(seed: int, paths: range, d: int) -> np.ndarray:
 
 @dataclass
 class TrajectoryStore:
-    """N denoising paths of one teacher on one grid, held column-wise:
-    states is (N, n+1, d)."""
+    """N denoising paths of one teacher on the uniform grid of n steps,
+    held column-wise: states is (N, n+1, d)."""
 
-    grid: TimeGrid
     seed: int
     teacher_fingerprint: str
     states: np.ndarray
 
     def __post_init__(self):
         self.states = np.asarray(self.states, dtype=np.float64)
-        if self.states.ndim != 3 or self.states.shape[1] != self.grid.n + 1:
-            raise ValueError(
-                f"store states must be (N, {self.grid.n + 1}, d), got {self.states.shape}"
-            )
+        if self.states.ndim != 3 or self.states.shape[1] < 2:
+            raise ValueError(f"store states must be (N, n+1, d) with n >= 1, "
+                             f"got {self.states.shape}")
+
+    @property
+    def grid(self) -> TimeGrid:
+        return TimeGrid.uniform(self.states.shape[1] - 1)
 
     @property
     def N(self) -> int:
@@ -91,7 +95,6 @@ class TrajectoryStore:
         return (
             self.seed == other.seed
             and self.teacher_fingerprint == other.teacher_fingerprint
-            and np.array_equal(self.grid.times, other.grid.times)
             and np.array_equal(self.states, other.states)
         )
 
@@ -120,7 +123,7 @@ def generate_store(teacher: VelocityModel, N: int, grid: TimeGrid, seed: int) ->
     for lo in range(0, N, ROW_BLOCK):
         X1 = path_noise(seed, range(lo, min(lo + ROW_BLOCK, N)), teacher.d)
         states[lo:lo + ROW_BLOCK] = denoise_batch(teacher, X1, grid).swapaxes(0, 1)
-    return TrajectoryStore(grid, seed, teacher.fingerprint(), states)
+    return TrajectoryStore(seed, teacher.fingerprint(), states)
 
 
 def save_store(store: TrajectoryStore, path):
@@ -155,18 +158,18 @@ def load_store(path, teacher: VelocityModel | None = None) -> TrajectoryStore:
             raise StoreFormatError(f"{where}: version {header['version']!r} is not "
                                    f"{STORE_VERSION}; re-run synth to rebuild the store")
         header = from_payload(_Header, header, where)
-        try:
-            grid = TimeGrid(header["grid"])
-        except ConfigError as e:
-            raise StoreFormatError(f"{where}: grid is not a time grid ({e})") from e
-        N, d = header["N"], header["d"]
-        if grid.n != header["n"] or N < 1 or d < 1:
-            raise StoreFormatError(f"{where}: N and d must be positive and n the grid's length")
-        row_bytes = (grid.n + 1) * d * 8
+        N, n, d = header["N"], header["n"], header["d"]
+        if N < 1 or n < 1 or d < 1:
+            raise StoreFormatError(f"{where}: N, n and d must be positive")
+        # the length first, so a huge n is refused before its grid is built
+        if (len(header["grid"]) != n + 1
+                or header["grid"] != TimeGrid.uniform(n).times.tolist()):
+            raise StoreFormatError(f"{where}: grid is not the uniform grid of n={n} steps")
+        row_bytes = (n + 1) * d * 8
         record = 4 * -(-row_bytes // 3) + 3  # '"', the base64 of a row, '"\n'
         size = os.fstat(f.fileno()).st_size - len(first)
         # a file of the wrong size is only scanned for the line to name
-        states = np.empty((N, grid.n + 1, d)) if size == N * record else None
+        states = np.empty((N, n + 1, d)) if size == N * record else None
         count = 0
         for count, line in enumerate(f, start=1):
             where = f"{path}: line {count + 1}"
@@ -179,7 +182,7 @@ def load_store(path, teacher: VelocityModel | None = None) -> TrajectoryStore:
                 if line[:1] != b'"' or line[-2:] != b'"\n':
                     raise ValueError("not a JSON string")
                 raw = b64decode_exact(line[1:-2])
-                states[count - 1] = np.frombuffer(raw, dtype="<f8").reshape(grid.n + 1, d)
+                states[count - 1] = np.frombuffer(raw, dtype="<f8").reshape(n + 1, d)
             except ValueError as e:  # not a string, not canonical base64, or not a row
                 raise StoreFormatError(f"{where}: record is not the base64 of {row_bytes} "
                                        f"bytes ({e})") from e
@@ -191,26 +194,27 @@ def load_store(path, teacher: VelocityModel | None = None) -> TrajectoryStore:
     if not finite.all():
         i = int(np.argmin(finite))
         raise StoreFormatError(f"{path}: line {i + 2}: trajectory {i} holds a non-finite state")
-    store = TrajectoryStore(grid, header["seed"], header["teacher_fingerprint"], states)
+    store = TrajectoryStore(header["seed"], header["teacher_fingerprint"], states)
     if teacher is not None:
         validate_store(store, teacher)
     return store
 
 
-def recurrence_errors(model: VelocityModel, grid: TimeGrid, states) -> np.ndarray:
+def recurrence_errors(model: VelocityModel, states) -> np.ndarray:
     """Each path's largest per-coordinate deviation from the Euler
     recurrence when re-evaluating `model` on its stored states:
-    (N, n+1, d) states on `grid` to (N,) maxima (NaN for a path with a
-    non-finite state)."""
+    (N, n+1, d) states on the uniform grid of n steps to (N,) maxima
+    (NaN for a path with a non-finite state)."""
     states = np.asarray(states, dtype=np.float64)
-    if states.ndim != 3 or states.shape[1] != grid.n + 1:
-        raise ValueError(f"states must be (N, {grid.n + 1}, d), got {states.shape}")
-    times = grid.times
+    if states.ndim != 3:
+        raise ValueError(f"states must be (N, n+1, d), got shape {states.shape}")
+    n = states.shape[1] - 1
+    times = TimeGrid.uniform(n).times
     worst = np.zeros(states.shape[0])
     for lo in range(0, states.shape[0], ROW_BLOCK):
         block = states[lo:lo + ROW_BLOCK]
         block_worst = worst[lo:lo + ROW_BLOCK]
-        for j in range(grid.n, 0, -1):
+        for j in range(n, 0, -1):
             v = eval_velocity(model, block[:, j], times[j])
             residual = block[:, j - 1] - block[:, j] - (times[j - 1] - times[j]) * v
             np.maximum(block_worst, np.max(np.abs(residual), axis=1), out=block_worst)
@@ -230,7 +234,7 @@ def check_teacher(store: TrajectoryStore, teacher: VelocityModel):
 def validate_store(store: TrajectoryStore, teacher: VelocityModel):
     """Integrity check of a store against its claimed generator and seed."""
     check_teacher(store, teacher)
-    errors = recurrence_errors(teacher, store.grid, store.states)
+    errors = recurrence_errors(teacher, store.states)
     bad = np.flatnonzero(~(errors <= RECURRENCE_TOL))
     if bad.size:
         i = int(bad[0])
@@ -247,6 +251,9 @@ def validate_store(store: TrajectoryStore, teacher: VelocityModel):
 def key_points(x, key_grid: TimeGrid) -> np.ndarray:
     """The (N, m+1, d) states of a TrajectoryStore at the times of
     `key_grid`, in grid order: [:, k] holds the latents at
-    key_grid.times[k]. A key time off the store's grid is a ConfigError."""
-    rows = [x.grid.index_of(t) for t in key_grid.times]
-    return x.states[:, rows]
+    key_grid.times[k], store step k·n/m. A view of the store's states;
+    an m that does not divide the store's n is a ConfigError."""
+    n, m = x.grid.n, key_grid.n
+    if n % m:
+        raise ConfigError(f"store has n={n}, which m={m} does not divide")
+    return x.states[:, ::n // m]

@@ -14,7 +14,8 @@ def rand_model(d=1, H=12, R=2, seed=0, scale=0.4):
     output layer) so gradients are generic at the test point."""
     rng = np.random.default_rng(seed + 1000)
     model = fd.build_velocity_model(d, H, R, seed)
-    return model.with_params(model.params.map(lambda t: t + rng.normal(0, scale, t.shape)))
+    return model.with_params(fd.ParamSet(model.params.names, [
+        t + rng.normal(0, scale, t.shape) for t in model.params.tensors]))
 
 
 def tensor_data(array) -> str:

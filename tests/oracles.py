@@ -9,10 +9,13 @@ import numpy as np
 
 
 def central_diff(loss_at, params, coord, h=1e-5):
-    base = params.get_flat(coord)
-    hi = loss_at(params.with_flat(coord, base + h))
-    lo = loss_at(params.with_flat(coord, base - h))
-    return (hi - lo) / (2.0 * h)
+    def at(value):
+        bumped = params.copy()
+        bumped.flat[coord] = value
+        return loss_at(bumped)
+
+    base = float(params.flat[coord])
+    return (at(base + h) - at(base - h)) / (2.0 * h)
 
 
 def max_grad_rel_error(loss_at, params, grads, coords, h=1e-5, floor=None):
@@ -28,7 +31,7 @@ def max_grad_rel_error(loss_at, params, grads, coords, h=1e-5, floor=None):
     worst = 0.0
     for i in coords:
         fd_g = central_diff(loss_at, params, int(i), h)
-        an_g = grads.get_flat(int(i))
+        an_g = float(grads.flat[int(i)])
         worst = max(worst, abs(an_g - fd_g) / max(abs(fd_g), floor))
     return worst
 

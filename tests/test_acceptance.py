@@ -168,7 +168,7 @@ def test_criterion_3_solver_exactness(teacher, store):
         v = (x - a) / t
         assert abs((x + (0.0 - t) * v) - a) <= 1e-12
 
-    worst = float(np.max(fd.recurrence_errors(teacher, store.grid, store.states)))
+    worst = float(np.max(fd.recurrence_errors(teacher, store.states)))
     assert worst <= RECURRENCE_TOL
     print(f"\n[criterion 3] PASS: closed forms at <=1e-12; store recurrence "
           f"max error {worst:.2e} (<=1e-9) over {store.N} trajectories")

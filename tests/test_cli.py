@@ -142,8 +142,8 @@ class TestSynth:
             # one state one ulp off: still within the recurrence tolerance
             states = store.states.copy()
             states[3, 4, 0] = np.nextafter(states[3, 4, 0], np.inf)
-            fd.save_store(fd.TrajectoryStore(store.grid, store.seed,
-                                             store.teacher_fingerprint, states), path)
+            fd.save_store(fd.TrajectoryStore(store.seed, store.teacher_fingerprint, states),
+                          path)
 
         monkeypatch.setattr("flowdistill.cli.save_store", save_flipped)
         out = tmp_path / "o"

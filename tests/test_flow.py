@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flowdistill as fd
+from flowdistill.analysis import ModelScore
 from flowdistill.errors import ConfigError, NumericsError
 from flowdistill.flow import _fm_regression, fm_loss_node
 from flowdistill.nn import velocity_mse
@@ -49,18 +50,21 @@ class TestTimeGrid:
         grid = fd.TimeGrid.uniform(50)
         assert grid.times[0] == 0.0 and grid.times[-1] == 1.0 and grid.n == 50
 
-    def test_index_of_exact_time(self):
-        grid = fd.TimeGrid.uniform(50)
-        assert grid.index_of(0.2) == 10
+    def test_bad_step_count_rejected(self):
+        for n in (0, 2.5):
+            with pytest.raises(ConfigError, match="step count must be a positive integer"):
+                fd.TimeGrid.uniform(n)
 
-    def test_off_grid_time_rejected(self):
-        grid = fd.TimeGrid.uniform(50)
-        with pytest.raises(ConfigError):
-            grid.index_of(0.123)
-
-    def test_bad_endpoints_rejected(self):
-        with pytest.raises(ConfigError):
-            fd.TimeGrid(np.array([0.1, 1.0]))
+    def test_grids_compare_by_step_count(self):
+        assert fd.TimeGrid.uniform(5) == fd.TimeGrid.uniform(5) != fd.TimeGrid.uniform(4)
+        assert hash(fd.TimeGrid.uniform(5)) == hash(fd.TimeGrid.uniform(5))
+        # value types holding arrays compare by identity, without raising
+        data = fd.ToyDataset(np.array([-3.0, 3.0]))
+        score = ModelScore(np.zeros((2, 1)), 0.0, 1)
+        for value, twin in ((data, fd.ToyDataset(data.support)),
+                            (score, ModelScore(score.samples, 0.0, 1))):
+            assert value == value and value != twin
+            assert isinstance(hash(value), int)
 
 
 def fm_mse(model, batch):
@@ -170,7 +174,7 @@ class TestDenoise:
         grid = fd.TimeGrid.uniform(10)
         Z = np.random.default_rng(3).standard_normal((5, 1))
         states = fd.denoise_batch(quick_teacher, Z, grid)
-        errors = fd.recurrence_errors(quick_teacher, grid, states.swapaxes(0, 1))
+        errors = fd.recurrence_errors(quick_teacher, states.swapaxes(0, 1))
         assert errors.shape == (5,) and np.all(errors <= 1e-9)
 
 

@@ -49,6 +49,8 @@ GARBLES = {
     "nan-states": (3, _edit_row(lambda row: np.r_[row[:4], np.nan, row[5:]])),
     "non-string-states": (3, lambda line: json.dumps([0.0] * 11)),
     "non-numeric-grid": (1, _edit_header(lambda r: r["grid"].__setitem__(1, "x"))),
+    "non-uniform-grid": (1, _edit_header(lambda r: r["grid"].__setitem__(1, 0.15))),
+    "overflowing-n": (1, _edit_header(lambda r: r.update(n=2**62))),
     "unknown-version": (1, _edit_header(lambda r: r.update(version=99))),
     "version-1": (1, _edit_header(lambda r: r.update(version=1))),
     "version-2": (1, _edit_header(lambda r: r.update(version=2))),
@@ -88,7 +90,7 @@ class TestGenerate:
         assert np.array_equal(quick_store.states[:, -1], expected)
 
     def test_recurrence_within_tolerance(self, quick_teacher, quick_store):
-        errors = fd.recurrence_errors(quick_teacher, quick_store.grid, quick_store.states)
+        errors = fd.recurrence_errors(quick_teacher, quick_store.states)
         assert errors.shape == (quick_store.N,)
         assert np.all(errors <= RECURRENCE_TOL)
 
@@ -107,7 +109,7 @@ class TestGenerate:
         N = ROW_BLOCK + 5
         store = fd.generate_store(model, N, fd.TimeGrid.uniform(4), seed=6)
         assert store.states.shape == (N, 5, 2)
-        assert np.all(fd.recurrence_errors(model, store.grid, store.states) <= RECURRENCE_TOL)
+        assert np.all(fd.recurrence_errors(model, store.states) <= RECURRENCE_TOL)
         for i in range(ROW_BLOCK, N):
             rng = np.random.default_rng(fd.derive_seed(6, f"trajectory-{i}"))
             assert np.array_equal(store.states[i, -1], rng.standard_normal(2))
@@ -235,9 +237,9 @@ class TestKeyPoints:
             assert np.array_equal(points[:, k], store.states[:, j])
 
     def test_off_grid_key_time_rejected(self, quick_store):
-        key_grid = fd.TimeGrid(np.array([0.0, 0.15, 1.0]))  # store grid is n=10
-        with pytest.raises(ConfigError):
-            fd.key_points(quick_store, key_grid)
+        # the key times k/3 miss the store's grid of n=10 steps
+        with pytest.raises(ConfigError, match="store has n=10, which m=3 does not divide"):
+            fd.key_points(quick_store, fd.TimeGrid.uniform(3))
 
     def test_key_points_are_exact_subsequence(self, quick_store):
         n = quick_store.grid.n
