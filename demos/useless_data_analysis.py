@@ -25,10 +25,7 @@ for M in (0.0, 1.0, 2.0, 4.0):
     p_d = fd.shifted_dataset(p, M)
     assert fd.mismatch_degree(p_d, p) == M
 
-    freq = fd.useless_frequency(
-        teacher, store, p_d, t_samples=2048, epsilon=0.1,
-        mode="trajectory-proximity", seed=5,
-    )
+    freq = fd.useless_frequency(store, p_d, t_samples=2048, epsilon=0.1, seed=5)
 
     kd_student, _ = fd.kd_baseline_distill(
         teacher, p_d,

@@ -14,9 +14,9 @@ import numpy as np
 
 from .distill import distill
 from .errors import ConfigError, NumericsError, check_numbers
-from .flow import TimeGrid, ToyDataset, denoise_batch, integrate, interpolate
-from .nn import VelocityModel, build_velocity_model, init_optimizer, optimizer_step, \
-    velocity_mse, zeros_like
+from .flow import TimeGrid, ToyDataset, denoise_batch, fit_velocity, integrate, interpolate
+# optimizer_step is not called here: perfbench's tracer test reads the binding
+from .nn import VelocityModel, build_velocity_model, optimizer_step  # noqa: F401
 from .seeds import derive_seed
 from .trajstore import TrajectoryStore
 
@@ -53,31 +53,17 @@ def shifted_dataset(p: ToyDataset, shift: float) -> ToyDataset:
     return ToyDataset(support)
 
 
-def useless_frequency(teacher: VelocityModel, store: TrajectoryStore, p_d: ToyDataset,
-                      t_samples: int, epsilon: float, mode: str,
-                      seed: int = 0, teacher_support=None) -> float:
-    """Fraction of forward-diffused points that miss the teacher's
-    denoising trajectories.
-
-    Points are x_t = (1-t) x0 + t x1 with x0 from p_d, x1 standard
-    normal, and t drawn from the store's grid. In "trajectory-proximity"
-    mode a point is useless when no stored state at the same timestep
-    lies within epsilon. In "endpoint" mode it is useless when teacher-
-    denoising it to t=0 lands farther than epsilon from every point of
-    `teacher_support` (the teacher's own training support).
-    """
+def useless_frequency(store: TrajectoryStore, p_d: ToyDataset, t_samples: int,
+                      epsilon: float, seed: int = 0) -> float:
+    """Fraction of the points x_t = (1-t) x0 + t x1, x0 from p_d, x1 standard
+    normal and t from the store's grid, that miss the teacher's denoising
+    trajectories: no stored state at the same timestep lies within epsilon."""
     if t_samples < 1:
         raise ValueError(f"t_samples must be positive, got {t_samples}")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if mode not in ("trajectory-proximity", "endpoint"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "trajectory-proximity" and store.N == 0:
-        raise ValueError("trajectory-proximity mode needs a non-empty store")
-    if mode == "endpoint":
-        if teacher_support is None:
-            raise ValueError("endpoint mode needs the teacher's training support")
-        teacher_support = _support_of(teacher_support)
+    if store.N == 0:
+        raise ValueError("the useless frequency needs a non-empty store")
 
     grid = store.grid
     rng = np.random.default_rng(seed)
@@ -89,13 +75,7 @@ def useless_frequency(teacher: VelocityModel, store: TrajectoryStore, p_d: ToyDa
     useless = np.zeros(t_samples, dtype=bool)
     for j in np.unique(j_idx):
         mask = j_idx == j
-        if mode == "trajectory-proximity":
-            near = nearest_distances(xt[mask], store.states[:, j, :])
-        else:
-            # teacher-denoise from grid time t_j down to t_0 = 0
-            endpoints = integrate(teacher, xt[mask], grid.times[j::-1])[-1]
-            near = nearest_distances(endpoints, teacher_support)
-        useless[mask] = near > epsilon
+        useless[mask] = nearest_distances(xt[mask], store.states[:, j, :]) > epsilon
     return float(np.mean(useless))
 
 
@@ -147,30 +127,21 @@ def kd_baseline_distill(teacher: VelocityModel, p_d: ToyDataset, config: KDConfi
             x0 = p_d.sample(per_start, rng)
             x1 = rng.standard_normal((per_start, p_d.d))
             x_start = interpolate(x0, x1, t_start)
-            x_end = integrate(teacher, x_start, grid.times[j_lo:j + 1][::-1])[-1]
+            x_end = integrate(teacher, x_start, grid, j, j_lo)[-1]
             xs.append(x_start)
             ts.append(np.full(per_start, t_start))
             vs.append((x_end - x_start) / (t_lo - t_start))
-    pool_x = np.concatenate(xs)
-    pool_t = np.concatenate(ts)
-    pool_v = np.concatenate(vs)
+    pool_x, pool_t, pool_v = map(np.concatenate, (xs, ts, vs))
 
     student = build_velocity_model(teacher.d, teacher.H, teacher.R,
                                    derive_seed(config.seed, "kd-init"))
-    params = student.params
-    opt, grads = init_optimizer(params), zeros_like(params)
     rng_train = np.random.default_rng(derive_seed(config.seed, "kd-batches"))
-    losses = np.empty(config.iterations)
-    for i in range(config.iterations):
+
+    def batch():
         idx = rng_train.integers(0, pool_x.shape[0], size=config.batch_size)
-        try:
-            loss, grads = velocity_mse(params, pool_x[idx], pool_t[idx], pool_v[idx],
-                                       student.R, grads)
-        except NumericsError as e:
-            raise NumericsError(f"KD training diverged at iteration {i}: {e}") from e
-        params, opt = optimizer_step(params, grads, opt, config.lr)
-        losses[i] = loss
-    return student.with_params(params), losses
+        return pool_x[idx], pool_t[idx], pool_v[idx]
+
+    return fit_velocity(student, batch, config.iterations, config.lr, "KD training")
 
 
 def w1_distance(samples_a, samples_b) -> float:
@@ -245,11 +216,14 @@ def mismatch_sweep(teacher: VelocityModel, store: TrajectoryStore, cfg):
         p_d = shifted_dataset(p, M)
         actual = mismatch_degree(p_d, p)
         for label, seed in seeds:
-            freq = useless_frequency(teacher, store, p_d, a["t_samples"], a["epsilon"],
-                                     a["mode"], seed=derive_seed(seed, f"sweep-useless-{M}"),
-                                     teacher_support=p)
+            freq = useless_frequency(store, p_d, a["t_samples"], a["epsilon"],
+                                     seed=derive_seed(seed, f"sweep-useless-{M}"))
             kd_cfg = dataclasses.replace(cfg.kd, seed=derive_seed(seed, f"sweep-kd-{M}"))
-            kd_student, _ = kd_baseline_distill(teacher, p_d, kd_cfg, grid=store.grid)
+            try:
+                kd_student, _ = kd_baseline_distill(teacher, p_d, kd_cfg, grid=store.grid)
+            except NumericsError as e:
+                raise NumericsError(
+                    f"analysis.m_sweep value {M} is too large to train on: {e}") from e
             kd = score_model(kd_student, noise(derive_seed(seed, f"sweep-kd-eval-{M}")),
                              TimeGrid.uniform(kd_cfg.windows), p.support)
             rows.append((actual, label, freq, kd.w1, distill_w1[label],

@@ -182,8 +182,8 @@ def cmd_eval(args) -> int:
     if args.store:
         store = load_store(args.store)
         check_teacher(store, teacher)
-        freq = useless_frequency(teacher, store, data, a["t_samples"], a["epsilon"], a["mode"],
-                                 seed=derive_seed(cfg.seed, "eval-useless"), teacher_support=data)
+        freq = useless_frequency(store, data, a["t_samples"], a["epsilon"],
+                                 seed=derive_seed(cfg.seed, "eval-useless"))
     scored = [(f"teacher-{n}step", teacher_row)]
     if args.student:
         m = cfg.distill.m

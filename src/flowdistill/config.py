@@ -31,7 +31,8 @@ DatasetSection = TypedDict("DatasetSection", {"support": list})  # k numbers, or
 ModelSection = TypedDict("ModelSection", {"H": int, "R": int})
 TeacherSection = TypedDict("TeacherSection", {"iterations": int, "batch_size": int, "lr": float})
 StoreSection = TypedDict("StoreSection", {"N": int, "n": int})
-# m_sweep is kept as written, because each M labels its seeds as written
+# m_sweep is kept as written, because each M labels its seeds as written;
+# mode has one value, "trajectory-proximity", and stays for configs that set it
 AnalysisSection = TypedDict("AnalysisSection", {"epsilon": float, "mode": str, "t_samples": int,
                             "m_sweep": list, "seeds": list[int], "sample_count": int})
 
@@ -69,12 +70,12 @@ class RunConfig:
             ("dataset.support", rows and rows[0] and all(
                 len(r) == len(rows[0]) and all(map(_finite, r)) for r in rows),
              "a non-empty list of finite numbers, or of equal-length lists of them"),
+            ("model.H", self.model["H"] >= 2, f"at least 2, not {self.model['H']}"),
             ("store.n", self.store["n"] % m == 0,
              f"divisible by distill.m={m}, not {self.store['n']}"),
             ("kd.windows", self.store["n"] % self.kd.windows == 0,
              f"a divisor of store.n={self.store['n']}, not {self.kd.windows}"),
-            ("analysis.mode", a["mode"] in ("trajectory-proximity", "endpoint"),
-             "'trajectory-proximity' or 'endpoint'"),
+            ("analysis.mode", a["mode"] == "trajectory-proximity", "'trajectory-proximity'"),
             ("analysis.m_sweep", a["m_sweep"] and all(map(_finite, a["m_sweep"])),
              "a non-empty list of finite numbers"),
             ("analysis.seeds", a["seeds"], "a non-empty list"),
@@ -141,9 +142,3 @@ def load_config(path) -> RunConfig:
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path} is not valid JSON: {e}")
     return parse_config(raw, path)
-
-
-def write_default_config(path):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(DEFAULT_CONFIG, f, indent=2)
-        f.write("\n")

@@ -276,13 +276,12 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
                 loss, grads = velocity_mse(state.student,
                                            *_traj_regression(keys_b, key_grid, k), teacher.R,
                                            grads)
+                state.student, state.opt_student = optimizer_step(
+                    state.student, grads, state.opt_student, config.student_lr)
             except NumericsError as e:
                 raise NumericsError(
                     f"distillation diverged (traj phase, k={k}, round={rnd}): {e}"
                 ) from e
-            state.student, state.opt_student = optimizer_step(
-                state.student, grads, state.opt_student, config.student_lr
-            )
 
             d_loss_val = g_loss_val = float("nan")
             if config.lambda_adv > 0.0:
@@ -308,10 +307,13 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
         if config.lambda_adv > 0.0:
             student_sum.flat /= m
             head_sum.flat /= 1 if config.heads == "per_timestep" else m  # keys per head
-            state.student, state.opt_student_adv = optimizer_step(
-                state.student, student_sum, state.opt_student_adv, config.adv_student_lr)
-            state.heads, state.opt_heads = optimizer_step(
-                state.heads, head_sum, state.opt_heads, config.head_lr)
+            try:
+                state.student, state.opt_student_adv = optimizer_step(
+                    state.student, student_sum, state.opt_student_adv, config.adv_student_lr)
+                state.heads, state.opt_heads = optimizer_step(
+                    state.heads, head_sum, state.opt_heads, config.head_lr)
+            except NumericsError as e:
+                raise NumericsError(f"distillation diverged (adv update, round={rnd}): {e}") from e
         if (checkpoint_path and config.checkpoint_interval
                 and state.round % config.checkpoint_interval == 0):
             save_checkpoint(checkpoint_path, state)

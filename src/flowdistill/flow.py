@@ -92,6 +92,21 @@ def fm_loss_node(params, batch, R: int):
     return ad.mean(ad.square(ad.sub(pred, target)))
 
 
+def fit_velocity(model: VelocityModel, batch, iterations: int, lr: float, what: str):
+    """`model` trained by `iterations` Adam steps on `velocity_mse`, each on
+    the (X, t, target) that `batch()` returns, and the loss of each step.
+    A non-finite loss, gradient or step is a NumericsError naming `what`."""
+    params = model.params
+    opt, grads, losses = init_optimizer(params), zeros_like(params), np.empty(iterations)
+    for i in range(iterations):
+        try:
+            losses[i], grads = velocity_mse(params, *batch(), model.R, grads)
+            params, opt = optimizer_step(params, grads, opt, lr)
+        except NumericsError as e:
+            raise NumericsError(f"{what} diverged at iteration {i}: {e}") from e
+    return model.with_params(params), losses
+
+
 def train_teacher(data: ToyDataset, iterations: int, batch_size: int, lr: float,
                   seed: int, H: int = 32, R: int = 3):
     """Train a velocity model on a toy dataset.
@@ -108,37 +123,26 @@ def train_teacher(data: ToyDataset, iterations: int, batch_size: int, lr: float,
         raise ConfigError(f"learning rate must be positive, got {lr}")
     model = build_velocity_model(data.d, H, R, derive_seed(seed, "teacher-init"))
     rng = np.random.default_rng(derive_seed(seed, "teacher-batches"))
-    params = model.params
-    opt, grads = init_optimizer(params), zeros_like(params)
-    losses = np.empty(iterations)
-    for i in range(iterations):
+
+    def batch():
         x0 = data.sample(batch_size, rng)
         x1 = rng.standard_normal((batch_size, data.d))
-        t = rng.random(batch_size)
-        try:
-            loss, grads = velocity_mse(params, *_fm_regression(x0, x1, t), R, grads)
-        except NumericsError as e:
-            raise NumericsError(f"teacher training diverged at iteration {i}: {e}") from e
-        params, opt = optimizer_step(params, grads, opt, lr)
-        losses[i] = loss
-    return model.with_params(params), losses
+        return _fm_regression(x0, x1, rng.random(batch_size))
+
+    return fit_velocity(model, batch, iterations, lr, "teacher training")
 
 
-def integrate(model: VelocityModel, X, times) -> np.ndarray:
-    """Explicit Euler integration of the velocity ODE through `times`,
-    given in integration order: (B, d) states at times[0] to
-    (len(times), B, d) states, one model evaluation per step. Equal
-    consecutive times make a zero step."""
-    X = np.asarray(X, dtype=np.float64)
-    times = np.asarray(times, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"states must be a (B, d) batch, got shape {X.shape}")
-    if times.ndim != 1 or np.any(times < 0.0) or np.any(times > 1.0):
-        raise ValueError("step times must lie in [0, 1]")
-    states = np.empty((times.size,) + X.shape)
+def integrate(model: VelocityModel, X, grid: TimeGrid, j_from: int, j_to: int) -> np.ndarray:
+    """Explicit Euler steps of the velocity ODE down `grid`, one model
+    evaluation each: (B, d) states at times[j_from] to the (j_from - j_to + 1,
+    B, d) states at times[j_from], times[j_from - 1], ..., times[j_to]."""
+    if not 0 <= j_to <= j_from <= grid.n:
+        raise ValueError(f"steps must satisfy 0 <= j_to <= j_from <= {grid.n}, "
+                         f"got j_from={j_from}, j_to={j_to}")
+    times, states = grid.times, np.empty((j_from - j_to + 1,) + np.shape(X))
     states[0] = X
-    for i in range(times.size - 1):
-        t, t_next = times[i], times[i + 1]
+    for i, j in enumerate(range(j_from, j_to, -1)):
+        t, t_next = times[j], times[j - 1]
         states[i + 1] = states[i] + (t_next - t) * eval_velocity(model, states[i], t)
         if not np.all(np.isfinite(states[i + 1])):
             raise NumericsError(f"Euler integration produced a non-finite state at t={t_next}")
@@ -146,9 +150,8 @@ def integrate(model: VelocityModel, X, times) -> np.ndarray:
 
 
 def denoise_batch(model: VelocityModel, X1: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Integrate (B, d) noise draws from t=1 down to t=0, keeping every
-    state: (n+1, B, d) states indexed like grid.times, so states[n] is
-    the noise and states[0] the clean endpoints; exactly grid.n model
-    evaluations."""
-    return integrate(model, X1, grid.times[::-1])[::-1]
+    """Integrate (B, d) noise draws from t=1 down to t=0, keeping every state:
+    (n+1, B, d) states indexed like grid.times, so states[n] is the noise and
+    states[0] the clean endpoints; exactly grid.n model evaluations."""
+    return integrate(model, X1, grid, grid.n, 0)[::-1]
 

@@ -1,12 +1,11 @@
-"""Golden SHA-256 digests of every file the CLI writes on three small runs.
+"""Golden SHA-256 digests of every file the CLI writes on two small runs.
 
     PYTHONPATH=src python tests/golden.py           compare with tests/golden.json
     PYTHONPATH=src python tests/golden.py --write   rewrite tests/golden.json
 
-The runs are the criterion-9 CLI sequence, the same sequence with
-`analysis.mode: endpoint`, and a short distill at the distill-adv shape
-of perfbench (N=4096, n=50, H=32, R=3, batch 128) with a checkpoint,
-with and without the adversary and with one shared head.
+The runs are the criterion-9 CLI sequence and a short distill at the
+distill-adv shape of perfbench (N=4096, n=50, H=32, R=3, batch 128) with
+a checkpoint, with and without the adversary and with one shared head.
 
 The bits depend on the machine: OpenBLAS picks its kernels by CPU, and
 numpy dispatches its float64 loops by CPU level. So the digests are
@@ -46,7 +45,6 @@ CRITERION_9 = {
     "kd": {"windows": 2, "iterations": 8, "batch_size": 8, "pool_size": 32},
     "analysis": {"t_samples": 32, "m_sweep": [0.0, 1.0], "seeds": [0], "sample_count": 64},
 }
-ENDPOINT = dict(CRITERION_9, analysis=dict(CRITERION_9["analysis"], mode="endpoint"))
 DISTILL_ADV = {
     "config_version": 1, "seed": 0,
     "dataset": {"support": [-3.0, 3.0]},
@@ -78,7 +76,6 @@ def _distill_adv(out: str) -> list:
 
 # run name -> (config, the CLI argument lists of the run writing into its directory)
 RUNS = {"criterion-9": (CRITERION_9, _criterion_9),
-        "endpoint": (ENDPOINT, _criterion_9),
         "distill-adv": (DISTILL_ADV, _distill_adv)}
 
 

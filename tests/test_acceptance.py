@@ -159,7 +159,7 @@ def test_criterion_2_gradient_correctness(teacher):
 def test_criterion_3_solver_exactness(teacher, store):
     # constant field: rig the output bias
     model = constant_model(2.0)
-    out = fd.integrate(model, np.array([[0.0]]), (1.0, 0.5))[-1]
+    out = fd.integrate(model, np.array([[0.0]]), fd.TimeGrid(2), 2, 1)[-1]
     assert abs(out[0, 0] - (-1.0)) <= 1e-12
 
     # analytic single-datum field lands exactly
@@ -192,8 +192,7 @@ def test_criterion_5_useless_frequency_trend(teacher, store, data):
     for M in M_SWEEP:
         p_d = fd.shifted_dataset(data, M)
         freqs = [
-            fd.useless_frequency(teacher, store, p_d, t_samples=4096, epsilon=0.1,
-                                 mode="trajectory-proximity",
+            fd.useless_frequency(store, p_d, t_samples=4096, epsilon=0.1,
                                  seed=derive_seed(s, f"useless-{M}"))
             for s in SEEDS
         ]

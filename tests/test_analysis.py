@@ -163,49 +163,31 @@ class TestScoreModel:
 
 
 class TestUselessFrequency:
-    def test_stored_states_never_useless(self, quick_teacher, quick_store):
+    def test_stored_states_never_useless(self, quick_store):
         # feed the exact stored states back: distance zero at every time
         p_like = fd.ToyDataset(quick_store.states[0, 0].reshape(1, -1))
-        freq = fd.useless_frequency(quick_teacher, quick_store, p_like,
-                                    t_samples=64, epsilon=1e9,
-                                    mode="trajectory-proximity", seed=0)
+        freq = fd.useless_frequency(quick_store, p_like, t_samples=64, epsilon=1e9, seed=0)
         assert freq == 0.0
 
-    def test_far_point_always_useless(self, quick_teacher, quick_store, two_point_data):
-        # the literal point 1000 misses every stored state at every time,
-        # and teacher-denoising it lands nowhere near the support
+    def test_far_point_always_useless(self, quick_store):
+        # the literal point 1000 misses every stored state at every time
         states = quick_store.states_array()
-        grid = quick_store.grid
-        for j in range(grid.n + 1):
+        for j in range(quick_store.grid.n + 1):
             assert np.min(np.abs(1000.0 - states[:, j, 0])) > 0.1
-            x = np.array([[1000.0]])
-            for step in range(j, 0, -1):
-                dt = grid.times[step - 1] - grid.times[step]
-                x = x + dt * fd.eval_velocity(quick_teacher, x, grid.times[step])
-            assert np.min(np.abs(x[0, 0] - two_point_data.support[:, 0])) > 0.1
 
         # through the sampler: only exact t=1 draws (pure noise) can land
         # on a trajectory, so the useless fraction stays near one
         far = fd.ToyDataset(np.array([[1000.0]]))
-        freq_traj = fd.useless_frequency(quick_teacher, quick_store, far,
-                                         t_samples=256, epsilon=0.1,
-                                         mode="trajectory-proximity", seed=1)
-        freq_end = fd.useless_frequency(quick_teacher, quick_store, far,
-                                        t_samples=256, epsilon=0.1, mode="endpoint",
-                                        seed=1, teacher_support=two_point_data)
-        assert freq_traj > 0.8
-        assert freq_end > 0.8
+        assert fd.useless_frequency(quick_store, far, t_samples=256, epsilon=0.1, seed=1) > 0.8
 
-    def test_frequency_in_unit_interval(self, quick_teacher, quick_store, two_point_data):
-        freq = fd.useless_frequency(quick_teacher, quick_store, two_point_data,
-                                    t_samples=256, epsilon=0.1,
-                                    mode="trajectory-proximity", seed=2)
+    def test_frequency_in_unit_interval(self, quick_store, two_point_data):
+        freq = fd.useless_frequency(quick_store, two_point_data, t_samples=256, epsilon=0.1,
+                                    seed=2)
         assert 0.0 <= freq <= 1.0
 
-    def test_huge_epsilon_gives_zero(self, quick_teacher, quick_store, two_point_data):
-        freq = fd.useless_frequency(quick_teacher, quick_store, two_point_data,
-                                    t_samples=128, epsilon=1e9,
-                                    mode="trajectory-proximity", seed=3)
+    def test_huge_epsilon_gives_zero(self, quick_store, two_point_data):
+        freq = fd.useless_frequency(quick_store, two_point_data, t_samples=128, epsilon=1e9,
+                                    seed=3)
         assert freq == 0.0
 
     def test_more_trajectories_never_increase_frequency(self, quick_teacher,
@@ -215,31 +197,20 @@ class TestUselessFrequency:
         big = fd.generate_store(quick_teacher, 64, grid, seed=9)
         # the larger store contains a superset of reference states in
         # distribution; frequencies are computed on one fixed sample set
-        f_small = fd.useless_frequency(quick_teacher, small, two_point_data,
-                                       t_samples=512, epsilon=0.25,
-                                       mode="trajectory-proximity", seed=4)
-        f_big = fd.useless_frequency(quick_teacher, big, two_point_data,
-                                     t_samples=512, epsilon=0.25,
-                                     mode="trajectory-proximity", seed=4)
+        f_small = fd.useless_frequency(small, two_point_data, t_samples=512, epsilon=0.25,
+                                       seed=4)
+        f_big = fd.useless_frequency(big, two_point_data, t_samples=512, epsilon=0.25, seed=4)
         assert f_big <= f_small
-
-    def test_endpoint_mode_needs_teacher_support(self, quick_teacher, quick_store,
-                                                 two_point_data):
-        with pytest.raises(ValueError):
-            fd.useless_frequency(quick_teacher, quick_store, two_point_data,
-                                 t_samples=16, epsilon=0.1, mode="endpoint", seed=0)
 
     def test_monte_carlo_agrees_with_oversampled_store(self, quick_teacher,
                                                        two_point_data):
         grid = fd.TimeGrid.uniform(10)
         base = fd.generate_store(quick_teacher, 64, grid, seed=10)
         dense = fd.generate_store(quick_teacher, 640, grid, seed=10)
-        f_base = fd.useless_frequency(quick_teacher, base, two_point_data,
-                                      t_samples=1024, epsilon=0.25,
-                                      mode="trajectory-proximity", seed=5)
-        f_dense = fd.useless_frequency(quick_teacher, dense, two_point_data,
-                                       t_samples=1024, epsilon=0.25,
-                                       mode="trajectory-proximity", seed=5)
+        f_base = fd.useless_frequency(base, two_point_data, t_samples=1024, epsilon=0.25,
+                                      seed=5)
+        f_dense = fd.useless_frequency(dense, two_point_data, t_samples=1024, epsilon=0.25,
+                                       seed=5)
         assert abs(f_base - f_dense) <= 0.05
 
 

@@ -218,6 +218,13 @@ class TestDistill:
         assert code == 1
         assert err.startswith("error: store was generated by a different teacher"), err
 
+    def test_overflowing_adversary_names_phase_and_round(self, tmp_path, trained_dir, capsys):
+        config = tiny_variant(tmp_path, "huge", lambda_adv=1e300)
+        assert run_cli("distill", "--config", config, "--out", str(tmp_path / "o"),
+                       *inputs(trained_dir)) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: distillation diverged (adv update, round=0): Adam step")
+
     def test_rerun_byte_identical(self, tiny_config, tmp_path, trained_dir):
         outs = [str(tmp_path / x) for x in ("r1", "r2")]
         for out in outs:
@@ -620,6 +627,15 @@ class TestAnalyze:
             w1.setdefault(row["seed"], set()).add(row["traj_distill_w1"])
         assert sorted(w1) == ["0", "1"]
         assert all(len(values) == 1 for values in w1.values()), w1
+
+    def test_overflowing_shift_is_named(self, tmp_path, trained_dir, capsys):
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps(dict(TINY, analysis=dict(TINY["analysis"],
+                                                              m_sweep=[1e300]))))
+        assert run_cli("analyze-mismatch", "--config", str(config), "--out",
+                       str(tmp_path / "an"), *inputs(trained_dir)) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: analysis.m_sweep value 1e+300 is too large to train on: KD training")
 
 
 class TestDimensionMismatch:

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowdistill.analysis import KDConfig
-from flowdistill.config import DEFAULT_CONFIG, load_config, parse_config, \
-    write_default_config
+from flowdistill.config import DEFAULT_CONFIG, load_config, parse_config
 from flowdistill.distill import DistillConfig
 from flowdistill.errors import ConfigError
 
@@ -25,7 +24,7 @@ def test_default_config_parses():
 
 def test_written_default_round_trips(tmp_path):
     path = tmp_path / "config.json"
-    write_default_config(path)
+    path.write_text(json.dumps(DEFAULT_CONFIG))
     cfg = load_config(path)
     assert cfg.teacher["iterations"] == 10000
     assert cfg.teacher["batch_size"] == 2048
@@ -44,7 +43,7 @@ def test_partial_config_fills_defaults(tmp_path):
 
 def test_type_hints_are_resolved_once_per_type(tmp_path, monkeypatch):
     path = tmp_path / "config.json"
-    write_default_config(path)
+    path.write_text(json.dumps(DEFAULT_CONFIG))
     first = load_config(path)
     calls = []
     real = typing.get_type_hints
@@ -88,6 +87,8 @@ def test_wrong_version_rejected():
     ({"distill": {"lambda_adv": float("inf")}}, "distill.lambda_adv"),
     ({"analysis": {"m_sweep": [float("nan")]}}, "analysis.m_sweep"),
     ({"kd": {"windows": 3}}, "kd.windows"),  # must divide store.n; used to fail only late
+    ({"analysis": {"mode": "endpoint"}}, "analysis.mode"),  # the one mode is the default
+    ({"model": {"H": 1}}, "model.H"),  # a head needs two features; used to fail in distill
 ])
 def test_invalid_fields_name_the_field(patch, field):
     raw = {"config_version": 1, **patch}

@@ -5,7 +5,7 @@ import pytest
 
 import flowdistill as fd
 from flowdistill.distill import traj_loss_node, _adv_gradients, _traj_regression, init_state
-from flowdistill.errors import ConfigError
+from flowdistill.errors import ConfigError, NumericsError
 from flowdistill.nn import init_optimizer, optimizer_step, value_and_grad, velocity_mse
 from flowdistill.seeds import derive_seed
 
@@ -146,6 +146,25 @@ class TestDistill:
     def test_grid_mismatch_rejected(self, quick_teacher, quick_store):
         cfg = fd.DistillConfig(m=3, iterations=1, batch_size=4)  # the store has n=10
         with pytest.raises(ConfigError, match="n=10, which m=3 does not divide"):
+            fd.distill(quick_teacher, quick_store, cfg)
+
+    # round 0 steps Adam for the trajectory at k = 4 .. 0, then for the adversary
+    @pytest.mark.parametrize("failing,where", [(1, "traj phase, k=4, round=0"),
+                                               (6, "adv update, round=0")])
+    def test_adam_failure_names_phase_and_round(self, quick_teacher, quick_store,
+                                                monkeypatch, failing, where):
+        calls = []
+
+        def step(*args):
+            calls.append(args)
+            if len(calls) == failing:
+                raise NumericsError("Adam step produced a non-finite second moment")
+            return optimizer_step(*args)
+
+        monkeypatch.setattr(importlib.import_module("flowdistill.distill"), "optimizer_step",
+                            step)
+        cfg = fd.DistillConfig(m=5, iterations=1, batch_size=4, seed=8)
+        with pytest.raises(NumericsError, match=rf"^distillation diverged \({where}\): Adam"):
             fd.distill(quick_teacher, quick_store, cfg)
 
     def test_metrics_have_row_per_iteration_and_k(self, quick_teacher, quick_store):

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flowdistill as fd
-from flowdistill.analysis import ModelScore
+from flowdistill import flow
+from flowdistill.analysis import KDConfig, ModelScore
 from flowdistill.errors import ConfigError, NumericsError
 from flowdistill.flow import _fm_regression, fm_loss_node
-from flowdistill.nn import velocity_mse
+from flowdistill.nn import optimizer_step, velocity_mse
 
 from helpers import constant_model, rand_model
 from oracles import euler_reference, max_grad_rel_error
@@ -111,21 +112,21 @@ class TestFmLoss:
         ) < 1e-4
 
 
-def euler_step(model, X, t_from, t_to):
-    """One explicit Euler step of a (B, d) batch from t_from to t_to."""
-    return fd.integrate(model, X, (t_from, t_to))[-1]
+def euler_step(model, X, grid, j):
+    """One explicit Euler step of a (B, d) batch from grid step j to j - 1."""
+    return fd.integrate(model, X, grid, j, j - 1)[-1]
 
 
 class TestEulerStep:
     def test_constant_field(self):
         model = constant_model(2.0)
-        out = euler_step(model, np.array([[0.0]]), 1.0, 0.5)
+        out = euler_step(model, np.array([[0.0]]), fd.TimeGrid(2), 2)
         assert out[0, 0] == pytest.approx(-1.0, abs=1e-12)
 
-    def test_no_move_when_times_equal(self):
-        model = rand_model(seed=23)
-        X = np.array([[0.7]])
-        assert np.array_equal(euler_step(model, X, 0.5, 0.5), X)
+    @pytest.mark.parametrize("j_from,j_to", [(3, 4), (8, 0), (2, -1)])
+    def test_steps_off_the_grid_rejected(self, j_from, j_to):
+        with pytest.raises(ValueError, match="0 <= j_to <= j_from <= 7"):
+            fd.integrate(rand_model(seed=23), np.array([[0.7]]), fd.TimeGrid(7), j_from, j_to)
 
     def test_single_datum_field_lands_exactly(self):
         # v(x, t) = (x - a) / t carries any x to a in one step t -> 0
@@ -136,16 +137,17 @@ class TestEulerStep:
 
     def test_step_matches_eval_velocity(self):
         model = rand_model(seed=24)
-        X, t = np.array([[4.0]]), 0.8
-        v = fd.eval_velocity(model, X, t)
-        assert np.array_equal(euler_step(model, X, t, 0.4), X + (0.4 - t) * v)
+        X, grid = np.array([[4.0]]), fd.TimeGrid(5)
+        v = fd.eval_velocity(model, X, grid.times[4])
+        dt = grid.times[3] - grid.times[4]
+        assert np.array_equal(euler_step(model, X, grid, 4), X + dt * v)
 
 
 class TestDenoise:
     def test_single_step_grid_equals_euler_step(self, quick_teacher):
         Z = np.array([[0.45]])
         states = fd.denoise_batch(quick_teacher, Z, fd.TimeGrid.uniform(1))
-        direct = euler_step(quick_teacher, Z, 1.0, 0.0)
+        direct = euler_step(quick_teacher, Z, fd.TimeGrid(1), 1)
         assert np.array_equal(states[0], direct)
 
     def test_constant_field_telescopes(self):
@@ -198,11 +200,9 @@ INTEGRATOR_CALLS = {
                        lambda m: euler_reference(m, Z[:1], KEY_GRID.times[::-1])[-1, 0], 5),
     "sample_student_batch": (lambda m: fd.denoise_batch(m, Z, KEY_GRID)[0],
                              lambda m: euler_reference(m, Z, KEY_GRID.times[::-1])[-1], 5),
-    "euler_step": (lambda m: fd.integrate(m, Z[:1], (0.8, 0.3))[-1],
-                   lambda m: euler_reference(m, Z[:1], [0.8, 0.3])[-1], 1),
-    "euler_step_equal_times": (lambda m: fd.integrate(m, Z[:1], (0.5, 0.5))[-1],
-                               lambda m: euler_reference(m, Z[:1], [0.5, 0.5])[-1], 1),
-    "partial_window": (lambda m: fd.integrate(m, Z, GRID.times[2:6][::-1]),
+    "euler_step": (lambda m: fd.integrate(m, Z[:1], GRID, 4, 3)[-1],
+                   lambda m: euler_reference(m, Z[:1], GRID.times[4:2:-1])[-1], 1),
+    "partial_window": (lambda m: fd.integrate(m, Z, GRID, 5, 2),
                        lambda m: euler_reference(m, Z, GRID.times[5:1:-1]), 3),
 }
 
@@ -218,6 +218,26 @@ def test_integrator_matches_reference_loop(call):
 
 
 class TestTrainTeacher:
+    @pytest.mark.parametrize("stage", ["teacher training", "KD training"])
+    def test_adam_failure_names_stage_and_iteration(self, monkeypatch, two_point_data,
+                                                    quick_teacher, stage):
+        calls = []
+
+        def third_step_fails(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise NumericsError("Adam step produced a non-finite second moment")
+            return optimizer_step(*args)
+
+        monkeypatch.setattr(flow, "optimizer_step", third_step_fails)
+        with pytest.raises(NumericsError, match=f"^{stage} diverged at iteration 2: Adam"):
+            if stage == "teacher training":
+                fd.train_teacher(two_point_data, 5, 8, 1e-3, seed=0, H=8, R=1)
+            else:
+                fd.kd_baseline_distill(quick_teacher, two_point_data,
+                                       KDConfig(windows=2, iterations=5, pool_size=32),
+                                       grid=fd.TimeGrid(10))
+
     def test_zero_iterations_rejected(self, two_point_data):
         with pytest.raises(ConfigError):
             fd.train_teacher(two_point_data, iterations=0, batch_size=8, lr=1e-3, seed=0)
