@@ -12,8 +12,7 @@ optimizer state.
 
 # flowdistill before numpy: importing it pins BLAS to one thread
 import flowdistill as fd
-from flowdistill.flow import fm_loss_node
-from flowdistill.nn import velocity_mse
+from flowdistill.nn import velocity_mse, velocity_mse_node
 import numpy as np
 
 rng = np.random.default_rng(0)
@@ -22,14 +21,14 @@ model = fd.build_velocity_model(d=1, H=16, R=2, seed=3)
 model = model.with_params(fd.ParamSet(model.params.names, [
     t + rng.normal(0, 0.3, t.shape) for t in model.params.tensors]))
 
-batch = (3 * rng.standard_normal((16, 1)), rng.standard_normal((16, 1)), rng.random(16))
-x0, x1, t = batch
+x0, x1, t = 3 * rng.standard_normal((16, 1)), rng.standard_normal((16, 1)), rng.random(16)
+# regress the velocity at x_t onto the conditional velocity x1 - x0
+inputs = fd.interpolate(x0, x1, t), t, x1 - x0
 
 
 def loss_and_grad(params):
-    """Loss and gradient: regress the velocity at x_t onto the
-    conditional velocity x1 - x0."""
-    return velocity_mse(params, fd.interpolate(x0, x1, t), t, x1 - x0, model.R)
+    """Loss and gradient of the flow-matching regression."""
+    return velocity_mse(params, *inputs, model.R)
 
 
 def bumped(i, value):
@@ -40,7 +39,8 @@ def bumped(i, value):
 
 
 loss, grads = loss_and_grad(model.params)
-_, tape_grads = fd.value_and_grad(lambda ps: fm_loss_node(ps, batch, model.R), model.params)
+_, tape_grads = fd.value_and_grad(lambda ps: velocity_mse_node(ps, *inputs, model.R),
+                                  model.params)
 print(f"explicit gradient equals the tape's bit for bit: "
       f"{np.array_equal(grads.flat, tape_grads.flat)}")
 print(f"flow-matching loss at test point: {loss:.6f}")

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError
-from .nn import ParamSet, VelocityModel, forward_velocity, mlp_forward
+from .nn import ParamSet, VelocityModel, mlp_forward
 
 PROB_EPS = 1e-7
 
@@ -25,18 +25,12 @@ def features_node(teacher: VelocityModel, x, t: float, want_cache: bool = False)
     block R, the deepest, for noisy inputs (t > 0), and block max(1, R // 2)
     for clean ones (t = 0). Block 0 is the input projection's output.
 
-    For a (B, d) array `x` this is the explicit pass: the teacher runs
-    only up to the tapped block, and the (B, H) features come back as
-    an array, with the ForwardCache that `mlp_backward` needs to
-    differentiate through them when `want_cache` is set. A Tensor `x` builds the same activation as a
-    node of the autodiff tape, so gradients flow back through the input
-    (the reference the explicit path is tested against). Either way
-    the teacher parameters are constants and never receive gradients.
+    The teacher runs on the (B, d) states `x` only up to the tapped
+    block. Returns the (B, H) features, plus the ForwardCache that
+    `mlp_backward` needs to differentiate through them when
+    `want_cache` is set; the teacher parameters never receive gradients.
     """
     block = teacher.R if t > 0.0 else max(1, teacher.R // 2)
-    if isinstance(x, Tensor):
-        _, hidden = forward_velocity(teacher.params, x, t, teacher.R, want_hidden=True)
-        return hidden[block]
     X = np.asarray(x, dtype=np.float64)
     return mlp_forward(teacher.params, X, t, teacher.R, stop=block, want_cache=want_cache)
 

@@ -33,8 +33,9 @@ def nearest_distances(p_d, p) -> np.ndarray:
     a, b = _support_of(p_d), _support_of(p)
     if a.shape[1] != b.shape[1]:
         raise ValueError("supports must share a dimension")
-    diff = a[:, None, :] - b[None, :, :]
-    dists = np.sqrt(np.sum(diff * diff, axis=-1))
+    with np.errstate(over="ignore"):  # an overflowed distance is inf, beyond any epsilon
+        diff = a[:, None, :] - b[None, :, :]
+        dists = np.sqrt(np.sum(diff * diff, axis=-1))
     return dists.min(axis=1)
 
 

@@ -57,9 +57,6 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag}, requires_grad={self.requires_grad})"
 
-    def item(self) -> float:
-        return float(self.data)
-
     def backward(self):
         """Accumulate gradients of this scalar into all reachable leaves."""
         if self.data.size != 1:
@@ -266,25 +263,11 @@ def concat(parts, axis: int = 1) -> Tensor:
     return _node(data, tuple(parts), vjp)
 
 
-# Fused layer ops. The generic ops above compose to the same values
-# (same operation order, so bit-identical), but the fused forms cut the
-# temporary-array traffic that dominates wall time at training batch
-# sizes.
-
-
-def affine(x, w, b) -> Tensor:
-    """x @ w + b for (B, n) inputs with a (m,) bias."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    data = x.data @ w.data
-    data += b.data
-
-    def vjp(g):
-        gx = g @ w.data.T if x.requires_grad else None
-        gw = x.data.T @ g if w.requires_grad else None
-        gb = g.sum(axis=0) if b.requires_grad else None
-        return gx, gw, gb
-
-    return _node(data, (x, w, b), vjp)
+# The one fused layer op. Its VJP folds d silu / d pre into the upstream
+# gradient in the order `nn.mlp_backward` uses; the generic `silu` VJP
+# multiplies in the order of `adversarial.head_backward`, which rounds
+# differently, so composing a block from `silu` would not reproduce the
+# explicit gradient bit for bit.
 
 
 def resblock(h, w1, b1, w2, b2) -> Tensor:

@@ -9,6 +9,7 @@ distill, kd-baseline, analyze-mismatch, sample, eval.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -64,6 +65,16 @@ def _load_for_data(path, cfg):
     return model
 
 
+@contextlib.contextmanager
+def _model_named(path):
+    """A NumericsError raised inside, such as an Euler integration that
+    overflows, names the model file `path`."""
+    try:
+        yield
+    except NumericsError as e:
+        raise NumericsError(f"{path}: {e}") from e
+
+
 def _seed(text: str) -> int:
     seed = int(text)
     if seed < 0:
@@ -97,7 +108,8 @@ def cmd_synth(args) -> int:
     cfg = _prepare(args)
     teacher = load_model(args.teacher)
     grid = TimeGrid.uniform(cfg.store["n"])
-    store = generate_store(teacher, cfg.store["N"], grid, derive_seed(cfg.seed, "store"))
+    with _model_named(args.teacher):
+        store = generate_store(teacher, cfg.store["N"], grid, derive_seed(cfg.seed, "store"))
     path = os.path.join(cfg.out_dir, "store.jsonl")
     save_store(store, path)
     if not load_store(path).equal(store):
@@ -142,7 +154,9 @@ def cmd_kd_baseline(args) -> int:
     try:
         student, losses = kd_baseline_distill(teacher, p_d, kd_cfg, grid)
     except NumericsError as e:
-        raise NumericsError(f"--mismatch {args.mismatch} is too large to train on: {e}") from e
+        # with no shift the data are the config's own: only the teacher is left to blame
+        shift = f"--mismatch {args.mismatch} is too large to train on with {args.teacher}"
+        raise NumericsError(f"{shift if args.mismatch else args.teacher}: {e}") from e
     save_model(os.path.join(cfg.out_dir, "kd_student.json"), student)
     write_csv(os.path.join(cfg.out_dir, "kd_loss.csv"), ("iteration", "loss"),
               [(i, float(l)) for i, l in enumerate(losses)])
@@ -162,7 +176,8 @@ def cmd_sample(args) -> int:
     if args.count < 1:
         raise ConfigError(f"sample count must be positive, got {args.count}")
     Z = np.random.default_rng(args.seed or 0).standard_normal((args.count, model.d))
-    samples = denoise_batch(model, Z, TimeGrid.uniform(args.steps))[0]
+    with _model_named(args.model):
+        samples = denoise_batch(model, Z, TimeGrid.uniform(args.steps))[0]
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     header = ["index"] + [f"x{i}" for i in range(model.d)] + ["nfe"]
@@ -177,7 +192,8 @@ def cmd_eval(args) -> int:
     n, a, data = cfg.store["n"], cfg.analysis, cfg.data
     rng = np.random.default_rng(derive_seed(cfg.seed, "eval"))
     Z = rng.standard_normal((a["sample_count"], teacher.d))
-    teacher_row = score_model(teacher, Z, TimeGrid.uniform(n), data.support)
+    with _model_named(args.teacher):
+        teacher_row = score_model(teacher, Z, TimeGrid.uniform(n), data.support)
     freq = float("nan")
     if args.store:
         store = load_store(args.store)
@@ -186,9 +202,10 @@ def cmd_eval(args) -> int:
                                  seed=derive_seed(cfg.seed, "eval-useless"))
     scored = [(f"teacher-{n}step", teacher_row)]
     if args.student:
-        m = cfg.distill.m
-        scored.append((f"student-{m}step", score_model(_load_for_data(args.student, cfg), Z,
-                                                       TimeGrid.uniform(m), teacher_row.samples)))
+        m, student = cfg.distill.m, _load_for_data(args.student, cfg)
+        with _model_named(args.student):
+            scored.append((f"student-{m}step", score_model(student, Z, TimeGrid.uniform(m),
+                                                           teacher_row.samples)))
     write_csv(os.path.join(cfg.out_dir, "eval.csv"),
               ("label", "w1", "endpoint_error", "useless_frequency", "seed"),
               [(label, s.w1, endpoint_error(s.samples, data.support), freq, cfg.seed)

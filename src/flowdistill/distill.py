@@ -32,15 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .adversarial import build_heads, d_loss_grad, features_node, g_loss_grad, \
     head_backward, head_forward, head_of
 from .atomic import write_json
 from .errors import ConfigError, NumericsError, StoreFormatError, check_fields, check_numbers
 from .flow import TimeGrid
 from .nn import FILE_VERSION, OptimizerState, ParamSet, VelocityModel, check_grads, \
-    check_loss, forward_velocity, from_payload, init_optimizer, mlp_backward, mlp_forward, \
-    optimizer_step, read_json, to_payload, velocity_mse, zeros_like
+    check_loss, from_payload, init_optimizer, mlp_backward, mlp_forward, optimizer_step, \
+    read_json, to_payload, velocity_mse, zeros_like
 from .seeds import derive_seed
 from .trajstore import TrajectoryStore, check_teacher, key_points
 
@@ -63,17 +62,6 @@ def _traj_regression(keys, key_grid: TimeGrid, k: int):
     t_lo, t_hi = key_grid.times[k], key_grid.times[k + 1]
     l_lo, l_hi = keys[:, k, :], keys[:, k + 1, :]
     return l_hi, t_hi, (l_lo - l_hi) / (t_lo - t_hi)
-
-
-def traj_loss_node(params, keys, key_grid: TimeGrid, k: int, R: int):
-    """Trajectory-regression loss as a node of the autodiff tape (the
-    reference for the explicit gradient of the trajectory phase): the
-    squared error between the velocity at the key latents for t'_{k+1}
-    and the stored finite-difference velocity over [t'_k, t'_{k+1}],
-    averaged over trajectories and dimensions."""
-    l_hi, t_hi, target = _traj_regression(keys, key_grid, k)
-    pred = forward_velocity(params, l_hi, t_hi, R)
-    return ad.mean(ad.square(ad.sub(pred, target)))
 
 
 @dataclass(frozen=True)

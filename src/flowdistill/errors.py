@@ -20,7 +20,8 @@ class NumericsError(FlowDistillError):
 
 
 class StoreFormatError(FlowDistillError):
-    """A trajectory-store file could not be parsed."""
+    """A trajectory-store, model or checkpoint file, or a config payload
+    being decoded, is malformed or of another format or version."""
 
 
 class StoreIntegrityError(FlowDistillError):

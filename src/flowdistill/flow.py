@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import ConfigError, NumericsError
-from .nn import VelocityModel, build_velocity_model, eval_velocity, forward_velocity, \
-    init_optimizer, optimizer_step, velocity_mse, zeros_like
+from .nn import VelocityModel, build_velocity_model, eval_velocity, init_optimizer, \
+    optimizer_step, velocity_mse, zeros_like
 from .seeds import derive_seed
 
 @dataclass(frozen=True, eq=False)
@@ -81,15 +80,6 @@ def _fm_regression(x0, x1, t):
     """Inputs (x_t, t) and conditional-velocity targets of a batch of
     (B, d) data points x0, (B, d) noise draws x1 and (B,) times t."""
     return interpolate(x0, x1, t), t, np.subtract(x1, x0)
-
-
-def fm_loss_node(params, batch, R: int):
-    """Flow-matching loss on an (x0, x1, t) batch as a node of the
-    autodiff tape (the reference for the explicit gradient of
-    `train_teacher`)."""
-    xt, t, target = _fm_regression(*batch)
-    pred = forward_velocity(params, xt, t, R)
-    return ad.mean(ad.square(ad.sub(pred, target)))
 
 
 def fit_velocity(model: VelocityModel, batch, iterations: int, lr: float, what: str):

@@ -9,9 +9,9 @@ A training loop owns its ParamSets: `optimizer_step` updates them in
 place, and `velocity_mse` fills a gradient buffer the loop allocates once.
 
 Training differentiates the model with explicit layer VJPs
-(`mlp_forward`, `mlp_backward`). The autodiff-tape forms
-(`forward_velocity`, `value_and_grad`) compute the same values and are
-the reference the explicit gradients are tested against.
+(`mlp_forward`, `mlp_backward`). Their reference is the autodiff tape:
+`forward_velocity` builds the same pass and `velocity_mse_node` the same
+loss, whose `value_and_grad` equals `velocity_mse` bit for bit.
 """
 
 from __future__ import annotations
@@ -186,19 +186,21 @@ def mlp_forward(params: ParamSet, X, t, R: int, stop: int | None = None,
     Returns the (B, d) velocity or, with `stop`, the (B, H) output of
     block `stop` (0 is the input projection; the later layers are not
     run), plus a ForwardCache for `mlp_backward` when `want_cache` is
-    set. Each layer repeats the fused arithmetic of `autodiff.affine`
-    and `autodiff.resblock` in the same order, so the values equal
-    those of `forward_velocity` bit for bit.
+    set. The projections repeat the arithmetic of `autodiff.matmul` and
+    `autodiff.add`, each block that of `autodiff.resblock`, in the same
+    order, so the values equal those of `forward_velocity` bit for bit.
+    Overflow does not warn: exp(-pre) overflowing still gives s = 0, and
+    any other overflow leaves a non-finite value the caller's check names.
     """
     ts = params.tensors
     B, d = X.shape
     inp = np.empty((B, d + 1))
     inp[:, :d] = X
     inp[:, d] = t
-    h = inp @ ts[0]
-    h += ts[1]
-    blocks = []
-    with np.errstate(over="ignore"):  # exp(-pre) may overflow; s still lands on 0
+    blocks, top = [], None
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = inp @ ts[0]
+        h += ts[1]
         for r in range(R if stop is None else stop):
             w1, b1, w2, b2 = ts[2 + 4 * r:6 + 4 * r]
             pre = h @ w1
@@ -214,10 +216,9 @@ def mlp_forward(params: ParamSet, X, t, R: int, stop: int | None = None,
             if want_cache:
                 blocks.append((h, pre, s, act))
             h = out
-    top = None
-    if stop is None:
-        top, h = h, h @ ts[-2]
-        h += ts[-1]
+        if stop is None:
+            top, h = h, h @ ts[-2]
+            h += ts[-1]
     return (h, ForwardCache(inp, blocks, top)) if want_cache else h
 
 
@@ -229,8 +230,8 @@ def mlp_backward(params: ParamSet, cache: ForwardCache, g, grads: ParamSet | Non
     Writes the parameter gradients into `grads` (laid out like
     `params`) unless it is None, as for a frozen model, and returns the
     (B, d) gradient with respect to X when `want_input` is set. Same
-    arithmetic as the tape's VJPs of `autodiff.affine` and
-    `autodiff.resblock`.
+    arithmetic as the tape's VJPs of `autodiff.matmul`, `autodiff.add`
+    and `autodiff.resblock`.
     """
     ts = params.tensors
     gs = None if grads is None else grads.tensors
@@ -282,8 +283,9 @@ def velocity_mse(params: ParamSet, X, t, target, R: int, grads: ParamSet | None 
     the KD baseline. The gradient fills `grads` if given (a loop's own
     buffer: `mlp_backward` writes all of it), else a new ParamSet."""
     pred, cache = mlp_forward(params, X, t, R, want_cache=True)
-    diff = pred - target
-    loss = float(np.mean(diff * diff))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by check_loss
+        diff = pred - target
+        loss = float(np.mean(diff * diff))
     check_loss(loss)
     if grads is None:
         grads = zeros_like(params)
@@ -294,34 +296,31 @@ def velocity_mse(params: ParamSet, X, t, target, R: int, grads: ParamSet | None 
 
 
 def forward_velocity(params, X, t, R: int, want_hidden: bool = False):
-    """Forward pass on a batch, built on the autodiff tape: the
-    reference the explicit `mlp_forward`/`mlp_backward` are tested
-    against.
-
-    X is (B, d) and t is (B,); either may be a Tensor so gradients can
-    flow through the input (needed when differentiating through a
-    frozen feature extractor). Returns the (B, d) output node, plus the
-    per-block hidden activations when `want_hidden` is set.
+    """Forward pass on a (B, d) batch at time t (a scalar or (B,)), built
+    on the autodiff tape: the reference `mlp_forward` and `mlp_backward`
+    are tested against. X may be a Tensor, so gradients can flow through
+    the input. Returns the (B, d) output node, plus the per-block hidden
+    activations when `want_hidden` is set.
     """
     ts = list(getattr(params, "tensors", params))
     X = ad.as_tensor(X)
-    B = X.data.shape[0]
-    if isinstance(t, Tensor):
-        t_col = t
-    else:
-        t_arr = np.asarray(t, dtype=np.float64)
-        t_col = ad.as_tensor(
-            np.full((B, 1), float(t_arr)) if t_arr.ndim == 0 else t_arr.reshape(-1, 1)
-        )
-    inp = ad.concat([X, t_col], axis=1)
-    h = ad.affine(inp, ts[0], ts[1])
+    t = np.asarray(t, dtype=np.float64)
+    t_col = np.full((X.data.shape[0], 1), float(t)) if t.ndim == 0 else t.reshape(-1, 1)
+    h = ad.add(ad.matmul(ad.concat([X, t_col], axis=1), ts[0]), ts[1])
     hidden = [h]
     for r in range(R):
         w1, b1, w2, b2 = ts[2 + 4 * r : 6 + 4 * r]
         h = ad.resblock(h, w1, b1, w2, b2)
         hidden.append(h)
-    out = ad.affine(h, ts[-2], ts[-1])
+    out = ad.add(ad.matmul(h, ts[-2]), ts[-1])
     return (out, hidden) if want_hidden else out
+
+
+def velocity_mse_node(params, X, t, target, R: int):
+    """`velocity_mse`'s loss as a node of the autodiff tape: the one
+    reference for the explicit gradients of teacher training,
+    trajectory regression and the KD baseline."""
+    return ad.mean(ad.square(ad.sub(forward_velocity(params, X, t, R), target)))
 
 
 def eval_velocity(model: VelocityModel, x, t):
@@ -338,32 +337,23 @@ def eval_velocity(model: VelocityModel, x, t):
     return out
 
 
-@dataclass(frozen=True)
-class TapeParams:
-    """Named gradient-tracking Tensors, handed to a tape loss function."""
-
-    names: tuple
-    tensors: tuple
-
-
 def value_and_grad(loss_fn, params: ParamSet):
     """Loss value and d(loss)/d(params) through the autodiff tape (the
     reference for the explicit gradients).
 
-    `loss_fn` receives a TapeParams of tracked Tensors and must return a
-    scalar Tensor built from autodiff ops. Parameters the loss never
-    touches get zero gradients.
+    `loss_fn` receives the tuple of tracked leaf Tensors, one per tensor
+    of `params`, and must return a scalar Tensor built from autodiff
+    ops. Parameters the loss never touches get zero gradients.
     """
-    leaves = TapeParams(params.names, tuple(
-        Tensor(t, requires_grad=True, name=n) for n, t in zip(params.names, params.tensors)
-    ))
+    leaves = tuple(Tensor(t, requires_grad=True, name=n)
+                   for n, t in zip(params.names, params.tensors))
     out = loss_fn(leaves)
     loss = float(out.data)
     check_loss(loss)
     out.backward()
     grads = ParamSet(params.names, [
         leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-        for leaf in leaves.tensors
+        for leaf in leaves
     ])
     check_grads(grads)
     return loss, grads

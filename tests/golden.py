@@ -90,19 +90,27 @@ def environment() -> dict:
             "python": platform.python_version()}
 
 
+def run(name: str, root: Path) -> Path:
+    """Run the entry `name` of RUNS into the directory root/name, which
+    it returns, with its config file beside that directory."""
+    config, arguments = RUNS[name]
+    out = root / name
+    out.mkdir(parents=True)
+    config_path = root / f"{name}.config.json"
+    config_path.write_text(json.dumps(config))
+    for args in arguments(str(out)):
+        full = args if "--out" in args else args + ["--out", str(out)]
+        if args[0] != "sample":
+            full = full + ["--config", str(config_path)]
+        if cli_main(full) != 0:
+            raise RuntimeError(f"{name}: {' '.join(args)} failed")
+    return out
+
+
 def write_runs(root: Path):
     """Run every entry of RUNS into its own directory under `root`."""
-    for name, (config, arguments) in RUNS.items():
-        out = root / name
-        out.mkdir(parents=True)
-        config_path = root / f"{name}.config.json"
-        config_path.write_text(json.dumps(config))
-        for args in arguments(str(out)):
-            full = args if "--out" in args else args + ["--out", str(out)]
-            if args[0] != "sample":
-                full = full + ["--config", str(config_path)]
-            if cli_main(full) != 0:
-                raise RuntimeError(f"{name}: {' '.join(args)} failed")
+    for name in RUNS:
+        run(name, root)
 
 
 def digests(root: Path) -> dict:

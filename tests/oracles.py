@@ -134,6 +134,17 @@ def euler_reference(model, X, times):
     return np.stack(states)
 
 
+def tape_features(teacher, x, t):
+    """The teacher features of `adversarial.features_node` as a node of
+    the autodiff tape, so gradients flow back through the (B, d) states
+    `x`, an array or a Tensor: block R of the full forward pass for
+    t > 0 and block max(1, R // 2) for t = 0."""
+    from flowdistill.nn import forward_velocity
+
+    _, hidden = forward_velocity(teacher.params, x, t, teacher.R, want_hidden=True)
+    return hidden[teacher.R if t > 0.0 else max(1, teacher.R // 2)]
+
+
 def adv_step_tape(teacher, student_params, head_params, l_prev, real, t_hi, t_lo, scale):
     """One adversarial step of distillation differentiated on the
     autodiff tape, as the training loop computed it before it had
@@ -142,8 +153,7 @@ def adv_step_tape(teacher, student_params, head_params, l_prev, real, t_hi, t_lo
     gradient on the head. Returns (d_loss, g_loss, generated latents,
     student gradient, head gradient)."""
     import flowdistill.autodiff as ad
-    from flowdistill.adversarial import d_loss_node, features_node, g_loss_node, \
-        head_logit_node
+    from flowdistill.adversarial import d_loss_node, g_loss_node, head_logit_node
     from flowdistill.nn import forward_velocity, value_and_grad
 
     dt = t_lo - t_hi
@@ -151,14 +161,14 @@ def adv_step_tape(teacher, student_params, head_params, l_prev, real, t_hi, t_lo
     def gen_loss(ps):
         v = forward_velocity(ps, l_prev, t_hi, teacher.R)
         l_gen = ad.add(l_prev, ad.mul(v, dt))
-        feats = features_node(teacher, l_gen, t_lo)
+        feats = tape_features(teacher, l_gen, t_lo)
         p_fake = ad.sigmoid(head_logit_node(head_params, feats))
         return ad.mul(g_loss_node(p_fake), scale)
 
     g_scaled, s_grads = value_and_grad(gen_loss, student_params)
     l_gen = l_prev + dt * forward_velocity(student_params, l_prev, t_hi, teacher.R).data
-    feats_fake = features_node(teacher, ad.Tensor(l_gen), t_lo).data
-    feats_real = features_node(teacher, ad.Tensor(real), t_lo).data
+    feats_fake = tape_features(teacher, l_gen, t_lo).data
+    feats_real = tape_features(teacher, real, t_lo).data
 
     def disc_loss(ps):
         p_real = ad.sigmoid(head_logit_node(ps, feats_real))

@@ -10,20 +10,19 @@ run in up to two worker processes (`helpers.parallel_map`).
 """
 
 import dataclasses
-import json
 import time
 
 import numpy as np
 import pytest
 
 import flowdistill as fd
-from flowdistill.cli import main as cli_main
 from flowdistill.distill import _traj_regression
 from flowdistill.flow import _fm_regression
 from flowdistill.nn import velocity_mse
 from flowdistill.seeds import derive_seed
 from flowdistill.trajstore import RECURRENCE_TOL
 
+import golden
 from helpers import adv_step, constant_model, distill_and_score, kd_and_score, parallel_map, \
     rand_model
 from oracles import max_grad_rel_error, mismatch_bruteforce
@@ -268,45 +267,11 @@ def test_criterion_9_plumbing_determinism(store, tmp_path):
     fd.save_store(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
-    config = {
-        "config_version": 1, "seed": 3,
-        "dataset": {"support": [-3.0, 3.0]},
-        "model": {"H": 12, "R": 2},
-        "teacher": {"iterations": 40, "batch_size": 32, "lr": 1e-3},
-        "store": {"N": 12, "n": 10},
-        "distill": {"m": 5, "iterations": 4, "batch_size": 8,
-                    "checkpoint_interval": 2},
-        "kd": {"windows": 2, "iterations": 8, "batch_size": 8, "pool_size": 32},
-        "analysis": {"t_samples": 32, "m_sweep": [0.0, 1.0], "seeds": [0],
-                     "sample_count": 64},
-    }
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(config))
-
+    # the CLI sequence of golden.py's criterion-9 run, twice
     outputs = {}
-    for run in ("a", "b"):
-        out = tmp_path / run
-        argsets = [
-            ["train-teacher"],
-            ["synth", "--teacher", f"{out}/teacher.json"],
-            ["distill", "--teacher", f"{out}/teacher.json",
-             "--store", f"{out}/store.jsonl"],
-            ["kd-baseline", "--teacher", f"{out}/teacher.json", "--mismatch", "1.0"],
-            ["analyze-mismatch", "--teacher", f"{out}/teacher.json",
-             "--store", f"{out}/store.jsonl"],
-            ["sample", "--model", f"{out}/teacher.json", "--count", "8",
-             "--steps", "5", "--seed", "1"],
-            ["eval", "--teacher", f"{out}/teacher.json",
-             "--student", f"{out}/student.json", "--store", f"{out}/store.jsonl"],
-        ]
-        for args in argsets:
-            full = args + ["--out", str(out)]
-            if args[0] != "sample":
-                full += ["--config", str(cfg_path)]
-            assert cli_main(full) == 0, args
-        outputs[run] = {
-            f.name: f.read_bytes() for f in sorted(out.iterdir()) if f.is_file()
-        }
+    for rerun in ("a", "b"):
+        out = golden.run("criterion-9", tmp_path / rerun)
+        outputs[rerun] = {f.name: f.read_bytes() for f in sorted(out.iterdir()) if f.is_file()}
     assert outputs["a"].keys() == outputs["b"].keys()
     for name in outputs["a"]:
         assert outputs["a"][name] == outputs["b"][name], name

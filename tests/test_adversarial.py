@@ -8,7 +8,7 @@ from flowdistill.adversarial import PROB_EPS, d_loss_grad, features_node, g_loss
 from flowdistill.nn import forward_velocity
 
 from helpers import rand_model
-from oracles import adam_reference, max_grad_rel_error
+from oracles import adam_reference, max_grad_rel_error, tape_features
 
 
 class TestFeatureExtraction:
@@ -43,10 +43,12 @@ class TestFeatureExtraction:
         assert np.array_equal(a, b)
 
     def test_tap_matches_forward_hidden(self, quick_teacher):
-        # block R for noisy inputs, block max(1, R // 2) for clean ones
+        # block R for noisy inputs, block max(1, R // 2) for clean ones; the
+        # tape oracle applies the same rule on its own
         R, X = quick_teacher.R, np.array([[0.4]])
         for t, block in ((0.5, R), (0.0, max(1, R // 2))):
             _, hidden = forward_velocity(quick_teacher.params, X, t, R, want_hidden=True)
+            assert np.array_equal(tape_features(quick_teacher, X, t).data, hidden[block].data)
             assert np.array_equal(features_node(quick_teacher, X, t), hidden[block].data)
 
 
@@ -162,7 +164,7 @@ class TestAdvLosses:
         def g_loss_fn(ps):
             v = forward_velocity(ps, l_prev, t_hi, student.R)
             l_gen = ad.add(l_prev, ad.mul(v, t_lo - t_hi))
-            feats = features_node(quick_teacher, l_gen, t_lo)
+            feats = tape_features(quick_teacher, l_gen, t_lo)
             p_fake = ad.sigmoid(head_logit_node(head, feats))
             return g_loss_node(p_fake)
 

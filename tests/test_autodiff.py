@@ -61,19 +61,6 @@ def test_matmul_gradients_both_sides():
     assert np.allclose(gb, ref_b, rtol=1e-6)
 
 
-def test_affine_matches_composed_ops():
-    rng = np.random.default_rng(6)
-    x, w, b = rng.standard_normal((5, 3)), rng.standard_normal((3, 4)), rng.standard_normal(4)
-    fused = ad.affine(ad.Tensor(x), ad.Tensor(w, requires_grad=True), ad.Tensor(b, requires_grad=True))
-    composed = ad.add(ad.matmul(ad.Tensor(x), ad.Tensor(w)), ad.Tensor(b))
-    assert np.array_equal(fused.data, composed.data)
-    out = ad.mean(fused)
-    out.backward()
-    gw = fused._parents[1].grad
-    ref_w = finite_diff(lambda v: float(np.mean(x @ v + b)), w)
-    assert np.allclose(gw, ref_w, rtol=1e-6)
-
-
 def test_resblock_matches_composed_ops():
     rng = np.random.default_rng(7)
     h = rng.standard_normal((6, 4))

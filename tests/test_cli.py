@@ -628,6 +628,7 @@ class TestAnalyze:
         assert sorted(w1) == ["0", "1"]
         assert all(len(values) == 1 for values in w1.values()), w1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_shift_is_named(self, tmp_path, trained_dir, capsys):
         config = tmp_path / "huge.json"
         config.write_text(json.dumps(dict(TINY, analysis=dict(TINY["analysis"],
@@ -636,6 +637,25 @@ class TestAnalyze:
                        str(tmp_path / "an"), *inputs(trained_dir)) == 1
         assert capsys.readouterr().err.startswith(
             "error: analysis.m_sweep value 1e+300 is too large to train on: KD training")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["synth", "sample", "eval", "kd-baseline"])
+def test_model_whose_euler_integration_overflows_is_named(tmp_path, capsys, command):
+    # an output layer at the edge of the float range: the first Euler step overflows
+    model = fd.build_velocity_model(1, 8, 1, seed=0)
+    model.params.tensors[-2][:] = 1e307
+    model.params.tensors[-1][:] = 1.7e308
+    path = str(tmp_path / "model.json")
+    fd.save_model(path, model)
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps(dict(TINY, model={"H": 8, "R": 1}, store={"N": 4, "n": 10})))
+    args = ["--model", path, "--count", "4", "--steps", "5"] if command == "sample" else \
+        ["--teacher", path, "--config", str(config)]
+    assert run_cli(command, *args, "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: Euler integration produced a non-finite state"), err
+    assert err.count("\n") == 1, err
 
 
 class TestDimensionMismatch:

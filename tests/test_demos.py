@@ -2,11 +2,14 @@
 package provides: every `fd.<name>` (after `import flowdistill as fd`)
 and every `from flowdistill[.<module>] import <name>` resolves; and each
 demo imports flowdistill before numpy. Checked on the parsed source,
-without running the scripts."""
+without running the scripts, except for the gradient demo, which takes
+about 0.1 s and so is also run."""
 
 import ast
 import importlib
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +62,10 @@ def test_flowdistill_imported_before_numpy(path):
     # the package pins BLAS to one thread only if numpy is not loaded yet
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert _first_import(tree, "flowdistill") < _first_import(tree, "numpy"), path.name
+
+
+def test_gradient_demo_runs_and_matches_the_tape():
+    proc = subprocess.run([sys.executable, "demos/gradient_machinery.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "explicit gradient equals the tape's bit for bit: True\n" in proc.stdout, proc.stdout

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import flowdistill as fd
-from flowdistill.distill import traj_loss_node, _adv_gradients, _traj_regression, init_state
+from flowdistill.distill import _adv_gradients, _traj_regression, init_state
 from flowdistill.errors import ConfigError, NumericsError
-from flowdistill.nn import init_optimizer, optimizer_step, value_and_grad, velocity_mse
+from flowdistill.nn import init_optimizer, optimizer_step, value_and_grad, velocity_mse, \
+    velocity_mse_node
 from flowdistill.seeds import derive_seed
 
 from helpers import constant_model, rand_model
@@ -51,9 +52,9 @@ class TestTrajLoss:
         rng = np.random.default_rng(2)
         keys = rng.standard_normal((1, 6, 1)) * 2
         k = 2
-        _, grads = fd.value_and_grad(
-            lambda ps: traj_loss_node(ps, keys, key_grid, k, model.R), model.params
-        )
+        inputs = _traj_regression(keys, key_grid, k)
+        _, grads = fd.value_and_grad(lambda ps: velocity_mse_node(ps, *inputs, model.R),
+                                     model.params)
         coords = rng.integers(0, model.params.size, 32)
         assert max_grad_rel_error(
             lambda ps: traj_mse(model.with_params(ps), keys, key_grid, k),
@@ -66,7 +67,8 @@ class TestTrajLoss:
         key_grid = fd.TimeGrid.uniform(5)
         rng = np.random.default_rng(3)
         keys_b = rng.standard_normal((7, 6, 1))
-        batched = float(traj_loss_node(model.params, keys_b, key_grid, 1, model.R).data)
+        batched = float(velocity_mse_node(model.params, *_traj_regression(keys_b, key_grid, 1),
+                                          model.R).data)
         singles = [traj_mse(model, keys_b[i:i + 1], key_grid, 1) for i in range(7)]
         assert batched == pytest.approx(np.mean(singles), rel=1e-12)
 
@@ -91,11 +93,9 @@ class TestDistill:
         for _ in range(cfg.iterations):
             for k in range(cfg.m - 1, -1, -1):
                 idx = rng.integers(0, quick_store.N, size=cfg.batch_size)
+                inputs = _traj_regression(keys_all[idx], key_grid, k)
                 _, grads = value_and_grad(
-                    lambda ps: traj_loss_node(ps, keys_all[idx], key_grid, k,
-                                              quick_teacher.R),
-                    params,
-                )
+                    lambda ps: velocity_mse_node(ps, *inputs, quick_teacher.R), params)
                 params, opt = optimizer_step(params, grads, opt, cfg.student_lr)
         assert result.student.params.equal(params)
 
@@ -124,8 +124,9 @@ class TestDistill:
         keys_all = fd.key_points(quick_store, key_grid)
         rng = np.random.default_rng(derive_seed(cfg.seed, "trajectory-batches"))
         idx = rng.integers(0, quick_store.N, size=cfg.batch_size)
-        expected = float(traj_loss_node(quick_teacher.params, keys_all[idx], key_grid,
-                                        4, quick_teacher.R).data)
+        expected = float(velocity_mse_node(quick_teacher.params,
+                                           *_traj_regression(keys_all[idx], key_grid, 4),
+                                           quick_teacher.R).data)
         assert loss == expected
         assert np.isnan(d_loss) and np.isnan(g_loss)
 

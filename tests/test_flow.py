@@ -6,8 +6,8 @@ import flowdistill as fd
 from flowdistill import flow
 from flowdistill.analysis import KDConfig, ModelScore
 from flowdistill.errors import ConfigError, NumericsError
-from flowdistill.flow import _fm_regression, fm_loss_node
-from flowdistill.nn import optimizer_step, velocity_mse
+from flowdistill.flow import _fm_regression
+from flowdistill.nn import optimizer_step, velocity_mse, velocity_mse_node
 
 from helpers import constant_model, rand_model
 from oracles import euler_reference, max_grad_rel_error
@@ -102,9 +102,9 @@ class TestFmLoss:
         model = rand_model(seed=22)
         rng = np.random.default_rng(1)
         batch = (3 * rng.standard_normal((8, 1)), rng.standard_normal((8, 1)), rng.random(8))
-        _, grads = fd.value_and_grad(
-            lambda ps: fm_loss_node(ps, batch, model.R), model.params
-        )
+        inputs = _fm_regression(*batch)
+        _, grads = fd.value_and_grad(lambda ps: velocity_mse_node(ps, *inputs, model.R),
+                                     model.params)
         coords = rng.integers(0, model.params.size, 32)
         assert max_grad_rel_error(
             lambda ps: fm_mse(model.with_params(ps), batch),

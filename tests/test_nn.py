@@ -105,7 +105,7 @@ class TestGrad:
 
         def loss(ps):
             total = None
-            for t in ps.tensors:
+            for t in ps:
                 term = ad.tsum(ad.square(t))
                 total = term if total is None else ad.add(total, term)
             return total

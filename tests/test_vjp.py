@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import flowdistill as fd
-import flowdistill.autodiff as ad
-from flowdistill.distill import _traj_regression, traj_loss_node
+from flowdistill.distill import _traj_regression
 from flowdistill.errors import NumericsError
-from flowdistill.flow import _fm_regression, fm_loss_node
-from flowdistill.nn import check_grads, forward_velocity, mlp_forward, velocity_mse
+from flowdistill.flow import _fm_regression
+from flowdistill.nn import check_grads, forward_velocity, mlp_forward, velocity_mse, \
+    velocity_mse_node
 
 from helpers import adv_step, rand_head, rand_model
 from oracles import adv_step_tape
@@ -42,8 +42,9 @@ def test_fm_loss_gradient_at_b2048_with_per_row_t():
     rng = np.random.default_rng(0)
     batch = (3 * rng.standard_normal((2048, 1)), rng.standard_normal((2048, 1)),
              rng.random(2048))
-    _assert_same(velocity_mse(model.params, *_fm_regression(*batch), R),
-                 fd.value_and_grad(lambda ps: fm_loss_node(ps, batch, R), model.params))
+    inputs = _fm_regression(*batch)
+    _assert_same(velocity_mse(model.params, *inputs, R),
+                 fd.value_and_grad(lambda ps: velocity_mse_node(ps, *inputs, R), model.params))
 
 
 @pytest.mark.parametrize("k", range(5))
@@ -51,23 +52,18 @@ def test_traj_loss_gradient_at_b128(k):
     model = rand_model(H=H, R=R, seed=3)
     key_grid = fd.TimeGrid.uniform(5)
     keys = 2 * np.random.default_rng(k).standard_normal((128, 6, 1))
-    _assert_same(
-        velocity_mse(model.params, *_traj_regression(keys, key_grid, k), R),
-        fd.value_and_grad(lambda ps: traj_loss_node(ps, keys, key_grid, k, R),
-                          model.params))
+    inputs = _traj_regression(keys, key_grid, k)
+    _assert_same(velocity_mse(model.params, *inputs, R),
+                 fd.value_and_grad(lambda ps: velocity_mse_node(ps, *inputs, R), model.params))
 
 
 @pytest.mark.parametrize("B", [256, 100])
 def test_kd_loss_gradient(B):
     model = rand_model(H=H, R=R, seed=4)
     rng = np.random.default_rng(1)
-    bx, bt, bv = rng.standard_normal((B, 1)), rng.random(B), rng.standard_normal((B, 1))
-
-    def tape_loss(ps):
-        return ad.mean(ad.square(ad.sub(forward_velocity(ps, bx, bt, R), bv)))
-
-    _assert_same(velocity_mse(model.params, bx, bt, bv, R),
-                 fd.value_and_grad(tape_loss, model.params))
+    inputs = rng.standard_normal((B, 1)), rng.random(B), rng.standard_normal((B, 1))
+    _assert_same(velocity_mse(model.params, *inputs, R),
+                 fd.value_and_grad(lambda ps: velocity_mse_node(ps, *inputs, R), model.params))
 
 
 @pytest.mark.parametrize("heads", ["per_timestep", "single"])
