@@ -28,7 +28,7 @@ inputs = fd.interpolate(x0, x1, t), t, x1 - x0
 
 def loss_and_grad(params):
     """Loss and gradient of the flow-matching regression."""
-    return velocity_mse(params, *inputs, model.R)
+    return velocity_mse(params, *inputs)
 
 
 def bumped(i, value):
@@ -39,8 +39,7 @@ def bumped(i, value):
 
 
 loss, grads = loss_and_grad(model.params)
-_, tape_grads = fd.value_and_grad(lambda ps: velocity_mse_node(ps, *inputs, model.R),
-                                  model.params)
+_, tape_grads = fd.value_and_grad(lambda ps: velocity_mse_node(ps, *inputs), model.params)
 print(f"explicit gradient equals the tape's bit for bit: "
       f"{np.array_equal(grads.flat, tape_grads.flat)}")
 print(f"flow-matching loss at test point: {loss:.6f}")

@@ -34,7 +34,7 @@ from .analysis import KDConfig, ModelScore, endpoint_error, kd_baseline_distill,
     mismatch_sweep, score_model, shifted_dataset, useless_frequency, w1_distance
 from .distill import DistillConfig, DistillResult, distill
 from .errors import ConfigError, FlowDistillError, NumericsError, StoreFormatError, \
-    StoreIntegrityError
+    IntegrationError, StoreIntegrityError
 from .flow import TimeGrid, ToyDataset, denoise_batch, integrate, interpolate, \
     train_teacher
 from .nn import OptimizerState, ParamSet, VelocityModel, build_velocity_model, \

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import ConfigError
 from .nn import ParamSet, VelocityModel, mlp_forward
 
@@ -32,7 +31,7 @@ def features_node(teacher: VelocityModel, x, t: float, want_cache: bool = False)
     """
     block = teacher.R if t > 0.0 else max(1, teacher.R // 2)
     X = np.asarray(x, dtype=np.float64)
-    return mlp_forward(teacher.params, X, t, teacher.R, stop=block, want_cache=want_cache)
+    return mlp_forward(teacher.params, X, t, stop=block, want_cache=want_cache)
 
 
 def build_heads(feature_width: int, seeds) -> ParamSet:
@@ -56,7 +55,7 @@ def head_of(heads: ParamSet, i: int) -> tuple:
     return tuple(t[i] for t in heads.tensors)
 
 
-def head_logit_node(head, features) -> Tensor:
+def head_logit_node(head, features) -> ad.Tensor:
     """Logit of a head, its four tensors or Tensors, on (B, H) features,
     built on the autodiff tape; either side may carry grads. The
     reference for `head_forward` and `head_backward`."""
@@ -126,12 +125,12 @@ def d_loss_grad(logit_real, logit_fake, scale: float):
     return float(loss), g_r * pr * (1.0 - pr), g_f * pf * (1.0 - pf)
 
 
-def d_loss_node(p_real: Tensor, p_fake: Tensor) -> Tensor:
+def d_loss_node(p_real: ad.Tensor, p_fake: ad.Tensor) -> ad.Tensor:
     pr = ad.clip(p_real, PROB_EPS, 1.0 - PROB_EPS)
     pf = ad.clip(p_fake, PROB_EPS, 1.0 - PROB_EPS)
-    return ad.neg(ad.add(ad.mean(ad.log(pr)), ad.mean(ad.log(1.0 - pf))))
+    return ad.neg(ad.add(ad.mean(ad.log(pr)), ad.mean(ad.log(ad.sub(1.0, pf)))))
 
 
-def g_loss_node(p_fake: Tensor) -> Tensor:
+def g_loss_node(p_fake: ad.Tensor) -> ad.Tensor:
     pf = ad.clip(p_fake, PROB_EPS, 1.0 - PROB_EPS)
     return ad.neg(ad.mean(ad.log(pf)))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distill import distill
-from .errors import ConfigError, NumericsError, check_numbers
+from .errors import ConfigError, IntegrationError, NumericsError, check_numbers
 from .flow import TimeGrid, ToyDataset, denoise_batch, fit_velocity, integrate, interpolate
 # optimizer_step is not called here: perfbench's tracer test reads the binding
 from .nn import VelocityModel, build_velocity_model, optimizer_step  # noqa: F401
@@ -222,9 +222,11 @@ def mismatch_sweep(teacher: VelocityModel, store: TrajectoryStore, cfg):
             kd_cfg = dataclasses.replace(cfg.kd, seed=derive_seed(seed, f"sweep-kd-{M}"))
             try:
                 kd_student, _ = kd_baseline_distill(teacher, p_d, kd_cfg, grid=store.grid)
-            except NumericsError as e:
-                raise NumericsError(
-                    f"analysis.m_sweep value {M} is too large to train on: {e}") from e
+            except NumericsError as e:  # with no shift, the teacher or the rate fails
+                cause = (f"analysis.m_sweep value {M} is too large to train on" if M else
+                         "KD teacher rollout" if isinstance(e, IntegrationError) else
+                         f"kd.lr {kd_cfg.lr}")
+                raise NumericsError(f"{cause}: {e}") from e
             kd = score_model(kd_student, noise(derive_seed(seed, f"sweep-kd-eval-{M}")),
                              TimeGrid.uniform(kd_cfg.windows), p.support)
             rows.append((actual, label, freq, kd.w1, distill_w1[label],

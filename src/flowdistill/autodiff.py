@@ -1,18 +1,18 @@
-"""Minimal reverse-mode automatic differentiation over float64 arrays.
+"""Minimal reverse-mode automatic differentiation over float64 arrays:
+the reference the explicit layer VJPs of `nn` and `adversarial` are
+tested against, bit for bit. No training loop runs on it.
 
 A `Tensor` wraps an ndarray and remembers how it was produced. Calling
 `backward()` on a scalar output walks the tape in reverse topological
 order and accumulates d(output)/d(leaf) into every leaf created with
-`requires_grad=True`. Only the operations the velocity models and
-losses need are implemented; everything runs in 64-bit floats so
-finite-difference checks can use tight tolerances.
-
-Nodes whose inputs carry no gradient are created without parent links,
-so evaluation of a frozen model builds no graph at all.
-
-The training loops do not run on the tape: they use the explicit layer
-VJPs of `nn` and `adversarial`, which repeat this module's arithmetic
-in the same order. The tape is the reference those are tested against.
+`requires_grad=True`. Nodes whose inputs carry no gradient get no
+parent links, so a frozen model builds no graph. The ops are the ones
+a reference calls, in the order of their explicit twins:
+- `add`, `matmul`, `concat`, `resblock`: `nn.forward_velocity`;
+- `sub`, `square`, `mean`: `nn.velocity_mse_node`;
+- `silu` (with `add`, `matmul`): `adversarial.head_logit_node`;
+- `clip`, `log`, `neg`: `adversarial.d_loss_node` and `g_loss_node`;
+- `sigmoid`, `mul`: the adversarial step of `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -39,23 +39,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
-    def __init__(self, data, requires_grad=False, name=None):
+    def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
         self._vjp = None
-        self.name = name
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}{tag}, requires_grad={self.requires_grad})"
 
     def backward(self):
         """Accumulate gradients of this scalar into all reachable leaves."""
@@ -70,29 +61,6 @@ class Tensor:
                 if g is None:
                     continue
                 parent.grad = g if parent.grad is None else parent.grad + g
-
-    # operator sugar; scalars and ndarrays are wrapped as constants
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(x) -> Tensor:
@@ -237,15 +205,6 @@ def mean(a) -> Tensor:
         return (np.full(a.data.shape, float(g) / size),)
 
     return _node(np.mean(a.data), (a,), vjp)
-
-
-def tsum(a) -> Tensor:
-    a = as_tensor(a)
-
-    def vjp(g):
-        return (np.full(a.data.shape, float(g)),)
-
-    return _node(np.sum(a.data), (a,), vjp)
 
 
 def concat(parts, axis: int = 1) -> Tensor:

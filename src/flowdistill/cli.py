@@ -22,7 +22,8 @@ from .analysis import SWEEP_COLUMNS, endpoint_error, kd_baseline_distill, \
 from .atomic import atomic_open
 from .config import load_config
 from .distill import distill, METRIC_COLUMNS
-from .errors import ConfigError, FlowDistillError, NumericsError, StoreIntegrityError
+from .errors import ConfigError, FlowDistillError, IntegrationError, NumericsError, \
+    StoreIntegrityError
 from .flow import TimeGrid, denoise_batch, train_teacher
 from .nn import ParamSet, load_model, save_model, save_paramset
 from .seeds import derive_seed
@@ -154,9 +155,10 @@ def cmd_kd_baseline(args) -> int:
     try:
         student, losses = kd_baseline_distill(teacher, p_d, kd_cfg, grid)
     except NumericsError as e:
-        # with no shift the data are the config's own: only the teacher is left to blame
-        shift = f"--mismatch {args.mismatch} is too large to train on with {args.teacher}"
-        raise NumericsError(f"{shift if args.mismatch else args.teacher}: {e}") from e
+        # a rollout fails on the teacher, training on the rate; a shift can fail either
+        cause = args.teacher if isinstance(e, IntegrationError) else f"kd.lr {kd_cfg.lr}"
+        shift = f"--mismatch {args.mismatch} is too large to train on with {cause}"
+        raise NumericsError(f"{shift if args.mismatch else cause}: {e}") from e
     save_model(os.path.join(cfg.out_dir, "kd_student.json"), student)
     write_csv(os.path.join(cfg.out_dir, "kd_loss.csv"), ("iteration", "loss"),
               [(i, float(l)) for i, l in enumerate(losses)])

@@ -84,7 +84,7 @@ class DistillConfig:
     iterations: int = 3000  # training rounds; each sweeps k = m-1 .. 0
     seed: int = 0
     heads: str = "per_timestep"  # or "single"
-    adv_batch: int = 32  # generated latents per round (the adversarial minibatch)
+    adv_batch: int = 32  # a round generates min(adv_batch, batch_size) latents
     checkpoint_interval: int = 200  # rounds between checkpoints; 0 disables
 
     def validate(self):
@@ -174,14 +174,16 @@ def load_checkpoint(path, teacher: VelocityModel, store: TrajectoryStore,
     return dataclasses.replace(state, config=config)
 
 
-def _adv_gradients(teacher, key_grid, config, state, k, l_prev, real, s_grads, h_grads,
-                   h_fake):
-    """Adversarial gradients at key k, at the current student and the
-    head for k; nothing in `state` changes.
+def _adv_gradients(teacher, student, head, l_prev, real, t_hi, t_lo, scale, s_grads,
+                   h_grads, h_fake):
+    """Adversarial gradients of the `student` parameters and of `head`,
+    its four tensors, over the key interval from t_hi = t'_{k+1} down to
+    t_lo = t'_k, with losses scaled by `scale` (lambda_adv): the
+    arguments of `tests/oracles.py::adv_step_tape`, plus three buffers.
 
-    The generated latents are the (B, d) latents `l_prev` at t'_{k+1}
+    The generated latents are the (B, d) latents `l_prev` at t_hi
     advanced one student step; their real counterparts are the (B, d)
-    stored latents `real` at t'_k of the paired trajectories. The
+    stored latents `real` at t_lo of the paired trajectories. The
     student step, the teacher features and the head logits of the
     generated latents are computed once and serve the generator
     gradient, the discriminator and the next key.
@@ -190,17 +192,14 @@ def _adv_gradients(teacher, key_grid, config, state, k, l_prev, real, s_grads, h
     into `h_grads`, laid out like one head (`h_fake` holds its fake
     branch on the way), and returns (d_loss, g_loss, generated latents).
     """
-    t_hi, t_lo = key_grid.times[k + 1], key_grid.times[k]
     dt = t_lo - t_hi
-    head, student = head_of(state.heads, state.head_for(k)), state.student
-
-    v, step_cache = mlp_forward(student, l_prev, t_hi, teacher.R, want_cache=True)
+    v, step_cache = mlp_forward(student, l_prev, t_hi, want_cache=True)
     l_gen = l_prev + v * dt
     feats_fake, tap_cache = features_node(teacher, l_gen, t_lo, want_cache=True)
     logit_fake, head_fake = head_forward(head, feats_fake)
 
     # generator: back through the head, the frozen teacher and the step
-    g_scaled, g_logit = g_loss_grad(logit_fake, config.lambda_adv)
+    g_scaled, g_logit = g_loss_grad(logit_fake, scale)
     check_loss(g_scaled)
     g_feats = head_backward(head, head_fake, g_logit, want_input=True)
     g_lgen = mlp_backward(teacher.params, tap_cache, g_feats, want_input=True)
@@ -210,14 +209,14 @@ def _adv_gradients(teacher, key_grid, config, state, k, l_prev, real, s_grads, h
     # discriminator: both branches of the head, summed per parameter
     logit_real, head_real = head_forward(
         head, features_node(teacher, real, t_lo))
-    d_scaled, g_real, g_fake = d_loss_grad(logit_real, logit_fake, config.lambda_adv)
+    d_scaled, g_real, g_fake = d_loss_grad(logit_real, logit_fake, scale)
     check_loss(d_scaled)
     head_backward(head, head_real, g_real, h_grads.tensors)
     head_backward(head, head_fake, g_fake, h_fake.tensors)
     h_grads.flat += h_fake.flat
     check_grads(h_grads)
 
-    return d_scaled / config.lambda_adv, g_scaled / config.lambda_adv, l_gen
+    return d_scaled / scale, g_scaled / scale, l_gen
 
 
 def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfig,
@@ -262,8 +261,7 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
             keys_b = keys_all[idx]
             try:
                 loss, grads = velocity_mse(state.student,
-                                           *_traj_regression(keys_b, key_grid, k), teacher.R,
-                                           grads)
+                                           *_traj_regression(keys_b, key_grid, k), grads)
                 state.student, state.opt_student = optimizer_step(
                     state.student, grads, state.opt_student, config.student_lr)
             except NumericsError as e:
@@ -280,8 +278,9 @@ def distill(teacher: VelocityModel, store: TrajectoryStore, config: DistillConfi
                     real_keys = keys_b[:nb]
                 try:
                     d_loss_val, g_loss_val, latent = _adv_gradients(
-                        teacher, key_grid, config, state, k, latent,
-                        real_keys[:, k], s_grads, h_grads, h_fake)
+                        teacher, state.student, head_of(state.heads, state.head_for(k)),
+                        latent, real_keys[:, k], key_grid.times[k + 1], key_grid.times[k],
+                        config.lambda_adv, s_grads, h_grads, h_fake)
                 except NumericsError as e:
                     raise NumericsError(
                         f"distillation diverged (adv phase, k={k}, round={rnd}): {e}"

@@ -19,6 +19,10 @@ class NumericsError(FlowDistillError):
     """A computation produced non-finite values."""
 
 
+class IntegrationError(NumericsError):
+    """An Euler integration of a velocity model produced a non-finite state."""
+
+
 class StoreFormatError(FlowDistillError):
     """A trajectory-store, model or checkpoint file, or a config payload
     being decoded, is malformed or of another format or version."""

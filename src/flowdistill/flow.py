@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, IntegrationError, NumericsError
 from .nn import VelocityModel, build_velocity_model, eval_velocity, init_optimizer, \
     optimizer_step, velocity_mse, zeros_like
 from .seeds import derive_seed
@@ -90,7 +90,7 @@ def fit_velocity(model: VelocityModel, batch, iterations: int, lr: float, what: 
     opt, grads, losses = init_optimizer(params), zeros_like(params), np.empty(iterations)
     for i in range(iterations):
         try:
-            losses[i], grads = velocity_mse(params, *batch(), model.R, grads)
+            losses[i], grads = velocity_mse(params, *batch(), grads)
             params, opt = optimizer_step(params, grads, opt, lr)
         except NumericsError as e:
             raise NumericsError(f"{what} diverged at iteration {i}: {e}") from e
@@ -135,7 +135,7 @@ def integrate(model: VelocityModel, X, grid: TimeGrid, j_from: int, j_to: int) -
         t, t_next = times[j], times[j - 1]
         states[i + 1] = states[i] + (t_next - t) * eval_velocity(model, states[i], t)
         if not np.all(np.isfinite(states[i + 1])):
-            raise NumericsError(f"Euler integration produced a non-finite state at t={t_next}")
+            raise IntegrationError(f"Euler integration produced a non-finite state at t={t_next}")
     return states
 
 

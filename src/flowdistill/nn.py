@@ -7,6 +7,7 @@ projection (d+1 -> H), R residual blocks (linear, silu, linear, skip),
 and a zero-initialized output projection (H -> d), all in float64.
 A training loop owns its ParamSets: `optimizer_step` updates them in
 place, and `velocity_mse` fills a gradient buffer the loop allocates once.
+Every pass reads the depth R from its parameters, 4R + 4 tensors.
 
 Training differentiates the model with explicit layer VJPs
 (`mlp_forward`, `mlp_backward`). Their reference is the autodiff tape:
@@ -30,7 +31,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .atomic import write_json
-from .autodiff import Tensor
 from .errors import ConfigError, NumericsError, StoreFormatError, type_hints
 
 ADAM_BETA1 = 0.9
@@ -178,10 +178,9 @@ class ForwardCache(NamedTuple):
     top: np.ndarray | None  # input of the output layer; None if the pass stopped early
 
 
-def mlp_forward(params: ParamSet, X, t, R: int, stop: int | None = None,
-                want_cache: bool = False):
+def mlp_forward(params: ParamSet, X, t, stop: int | None = None, want_cache: bool = False):
     """Forward pass of the velocity MLP on a (B, d) batch at time t
-    (a scalar or (B,)), without the autodiff tape.
+    (a scalar or (B,)), off the tape, through the R blocks `params` holds.
 
     Returns the (B, d) velocity or, with `stop`, the (B, H) output of
     block `stop` (0 is the input projection; the later layers are not
@@ -201,7 +200,7 @@ def mlp_forward(params: ParamSet, X, t, R: int, stop: int | None = None,
     with np.errstate(over="ignore", invalid="ignore"):
         h = inp @ ts[0]
         h += ts[1]
-        for r in range(R if stop is None else stop):
+        for r in range(len(ts) // 4 - 1 if stop is None else stop):
             w1, b1, w2, b2 = ts[2 + 4 * r:6 + 4 * r]
             pre = h @ w1
             pre += b1
@@ -276,13 +275,13 @@ def check_grads(grads: ParamSet):
         raise NumericsError(f"non-finite gradient in tensor {name!r}")
 
 
-def velocity_mse(params: ParamSet, X, t, target, R: int, grads: ParamSet | None = None):
+def velocity_mse(params: ParamSet, X, t, target, grads: ParamSet | None = None):
     """Mean squared error of the velocity at (X, t) against `target`,
     averaged over batch and dimensions, and its gradient with respect
     to params: the loss of teacher training, trajectory regression and
     the KD baseline. The gradient fills `grads` if given (a loop's own
-    buffer: `mlp_backward` writes all of it), else a new ParamSet."""
-    pred, cache = mlp_forward(params, X, t, R, want_cache=True)
+    buffer: `mlp_backward` writes all of it, every block), else a new ParamSet."""
+    pred, cache = mlp_forward(params, X, t, want_cache=True)
     with np.errstate(over="ignore", invalid="ignore"):  # refused by check_loss
         diff = pred - target
         loss = float(np.mean(diff * diff))
@@ -295,7 +294,7 @@ def velocity_mse(params: ParamSet, X, t, target, R: int, grads: ParamSet | None 
     return loss, grads
 
 
-def forward_velocity(params, X, t, R: int, want_hidden: bool = False):
+def forward_velocity(params, X, t, want_hidden: bool = False):
     """Forward pass on a (B, d) batch at time t (a scalar or (B,)), built
     on the autodiff tape: the reference `mlp_forward` and `mlp_backward`
     are tested against. X may be a Tensor, so gradients can flow through
@@ -308,7 +307,7 @@ def forward_velocity(params, X, t, R: int, want_hidden: bool = False):
     t_col = np.full((X.data.shape[0], 1), float(t)) if t.ndim == 0 else t.reshape(-1, 1)
     h = ad.add(ad.matmul(ad.concat([X, t_col], axis=1), ts[0]), ts[1])
     hidden = [h]
-    for r in range(R):
+    for r in range(len(ts) // 4 - 1):
         w1, b1, w2, b2 = ts[2 + 4 * r : 6 + 4 * r]
         h = ad.resblock(h, w1, b1, w2, b2)
         hidden.append(h)
@@ -316,11 +315,11 @@ def forward_velocity(params, X, t, R: int, want_hidden: bool = False):
     return (out, hidden) if want_hidden else out
 
 
-def velocity_mse_node(params, X, t, target, R: int):
+def velocity_mse_node(params, X, t, target):
     """`velocity_mse`'s loss as a node of the autodiff tape: the one
     reference for the explicit gradients of teacher training,
     trajectory regression and the KD baseline."""
-    return ad.mean(ad.square(ad.sub(forward_velocity(params, X, t, R), target)))
+    return ad.mean(ad.square(ad.sub(forward_velocity(params, X, t), target)))
 
 
 def eval_velocity(model: VelocityModel, x, t):
@@ -332,7 +331,7 @@ def eval_velocity(model: VelocityModel, x, t):
     t_arr = np.broadcast_to(np.asarray(t, dtype=np.float64), (X.shape[0],))
     if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
         raise ValueError("time must lie in [0, 1]")
-    out = mlp_forward(model.params, X, t_arr, model.R)
+    out = mlp_forward(model.params, X, t_arr)
     model.eval_count += 1
     return out
 
@@ -345,8 +344,7 @@ def value_and_grad(loss_fn, params: ParamSet):
     of `params`, and must return a scalar Tensor built from autodiff
     ops. Parameters the loss never touches get zero gradients.
     """
-    leaves = tuple(Tensor(t, requires_grad=True, name=n)
-                   for n, t in zip(params.names, params.tensors))
+    leaves = tuple(ad.Tensor(t, requires_grad=True) for t in params.tensors)
     out = loss_fn(leaves)
     loss = float(out.data)
     check_loss(loss)

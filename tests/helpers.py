@@ -79,28 +79,20 @@ def rand_head(width, seed=0, scale=0.3):
                                     for t in fd.head_of(head, 0)])
 
 
-def adv_step(teacher, student_params, head, l_prev, real_keys, k, key_grid,
-             scale=1.0, heads="per_timestep"):
-    """One adversarial step through the training loop's explicit path
-    (`distill._adv_gradients`) on a fresh state holding `student_params`
-    and, as the head for key k, the ParamSet `head`. Returns (d_loss,
-    g_loss, generated latents, student gradient, head gradient).
+def adv_step(teacher, student_params, head, l_prev, real, t_hi, t_lo, scale):
+    """One adversarial step through the training loop's explicit path,
+    `distill._adv_gradients`, on the arguments of `oracles.adv_step_tape`
+    (`head` a ParamSet). Returns (d_loss, g_loss, generated latents,
+    student gradient, head gradient).
 
     The gradient buffers start as NaN, as a run's reused buffers hold
     the last key's values: the step must overwrite every element."""
-    from flowdistill.distill import _adv_gradients, init_state
+    from flowdistill.distill import _adv_gradients
 
-    config = fd.DistillConfig(m=key_grid.n, lambda_adv=scale, heads=heads)
-    # the store only names the run; a one-step, one-path one is enough
-    state = init_state(teacher, fd.generate_store(teacher, 1, fd.TimeGrid.uniform(1), 0),
-                       config)
-    state.student = student_params
-    for view, t in zip(fd.head_of(state.heads, state.head_for(k)), head.tensors):
-        view[...] = t
     s_grads, h_grads, h_fake = (ps.like(np.full(ps.size, np.nan))
                                 for ps in (student_params, head, head))
-    return (*_adv_gradients(teacher, key_grid, config, state, k, l_prev, real_keys[:, k],
-                            s_grads, h_grads, h_fake), s_grads, h_grads)
+    return (*_adv_gradients(teacher, student_params, head.tensors, l_prev, real, t_hi, t_lo,
+                            scale, s_grads, h_grads, h_fake), s_grads, h_grads)
 
 
 def json_leaves(node, field="", path=()):

@@ -141,7 +141,7 @@ def tape_features(teacher, x, t):
     t > 0 and block max(1, R // 2) for t = 0."""
     from flowdistill.nn import forward_velocity
 
-    _, hidden = forward_velocity(teacher.params, x, t, teacher.R, want_hidden=True)
+    _, hidden = forward_velocity(teacher.params, x, t, want_hidden=True)
     return hidden[teacher.R if t > 0.0 else max(1, teacher.R // 2)]
 
 
@@ -159,14 +159,14 @@ def adv_step_tape(teacher, student_params, head_params, l_prev, real, t_hi, t_lo
     dt = t_lo - t_hi
 
     def gen_loss(ps):
-        v = forward_velocity(ps, l_prev, t_hi, teacher.R)
+        v = forward_velocity(ps, l_prev, t_hi)
         l_gen = ad.add(l_prev, ad.mul(v, dt))
         feats = tape_features(teacher, l_gen, t_lo)
         p_fake = ad.sigmoid(head_logit_node(head_params, feats))
         return ad.mul(g_loss_node(p_fake), scale)
 
     g_scaled, s_grads = value_and_grad(gen_loss, student_params)
-    l_gen = l_prev + dt * forward_velocity(student_params, l_prev, t_hi, teacher.R).data
+    l_gen = l_prev + dt * forward_velocity(student_params, l_prev, t_hi).data
     feats_fake = tape_features(teacher, l_gen, t_lo).data
     feats_real = tape_features(teacher, real, t_lo).data
 

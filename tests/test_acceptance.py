@@ -122,16 +122,16 @@ def test_criterion_2_gradient_correctness(teacher):
 
         batch = (3 * rng.standard_normal((8, 1)), rng.standard_normal((8, 1)),
                  rng.random(8))
-        _, g = velocity_mse(model.params, *_fm_regression(*batch), model.R)
+        _, g = velocity_mse(model.params, *_fm_regression(*batch))
         worst["fm"] = max(worst["fm"], max_grad_rel_error(
-            lambda ps: velocity_mse(ps, *_fm_regression(*batch), model.R)[0],
+            lambda ps: velocity_mse(ps, *_fm_regression(*batch))[0],
             model.params, g, coords))
 
         keys = 2 * rng.standard_normal((1, 6, 1))
         k = int(rng.integers(0, 5))
-        _, g = velocity_mse(model.params, *_traj_regression(keys, key_grid, k), model.R)
+        _, g = velocity_mse(model.params, *_traj_regression(keys, key_grid, k))
         worst["traj"] = max(worst["traj"], max_grad_rel_error(
-            lambda ps: velocity_mse(ps, *_traj_regression(keys, key_grid, k), model.R)[0],
+            lambda ps: velocity_mse(ps, *_traj_regression(keys, key_grid, k))[0],
             model.params, g, coords))
 
         # the generator loss through one student step from t'_2 = 0.4 to
@@ -141,10 +141,10 @@ def test_criterion_2_gradient_correctness(teacher):
         head = fd.ParamSet(heads.names, [t + rng.normal(0, 0.3, t.shape)
                                          for t in fd.head_of(heads, 0)])
         l_prev = rng.standard_normal((1, 1))
-        real_keys = np.zeros((1, 6, 1))
 
         def adv_gen(ps):
-            return adv_step(teacher, ps, head, l_prev, real_keys, 1, key_grid)
+            return adv_step(teacher, ps, head, l_prev, np.zeros((1, 1)), key_grid.times[2],
+                            key_grid.times[1], 1.0)
 
         g = adv_gen(student.params)[3]
         worst["adv"] = max(worst["adv"], max_grad_rel_error(

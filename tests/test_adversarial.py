@@ -3,8 +3,8 @@ import pytest
 
 import flowdistill as fd
 import flowdistill.autodiff as ad
-from flowdistill.adversarial import PROB_EPS, d_loss_grad, features_node, g_loss_grad, \
-    g_loss_node, head_forward, head_logit_node
+from flowdistill.adversarial import d_loss_grad, features_node, g_loss_grad, g_loss_node, \
+    head_backward, head_forward, head_logit_node
 from flowdistill.nn import forward_velocity
 
 from helpers import rand_model
@@ -47,7 +47,7 @@ class TestFeatureExtraction:
         # tape oracle applies the same rule on its own
         R, X = quick_teacher.R, np.array([[0.4]])
         for t, block in ((0.5, R), (0.0, max(1, R // 2))):
-            _, hidden = forward_velocity(quick_teacher.params, X, t, R, want_hidden=True)
+            _, hidden = forward_velocity(quick_teacher.params, X, t, want_hidden=True)
             assert np.array_equal(tape_features(quick_teacher, X, t).data, hidden[block].data)
             assert np.array_equal(features_node(quick_teacher, X, t), hidden[block].data)
 
@@ -75,25 +75,23 @@ class TestDiscriminate:
         assert all(a < b for a, b in zip(probs, probs[1:]))
 
     def test_trains_to_separate_clusters(self):
+        # the head update `distill` runs: the closed-form loss gradients on
+        # the logits, back through each branch of the head, summed
         rng = np.random.default_rng(7)
         width = 12
         real = rng.normal(1.5, 0.5, size=(256, width))
         fake = rng.normal(-1.5, 0.5, size=(256, width))
         heads = fd.build_heads(width, [8])
         params = fd.ParamSet(heads.names, fd.head_of(heads, 0))
-        opt = fd.init_optimizer(params)
+        opt, grads, g_fake = fd.init_optimizer(params), params.copy(), params.copy()
         for step in range(300):
             i = rng.integers(0, 256, 32)
-            fr, ff = real[i], fake[i]
-
-            def loss(ps):
-                pr = ad.sigmoid(head_logit_node(ps, fr))
-                pf = ad.sigmoid(head_logit_node(ps, ff))
-                return ad.neg(ad.add(ad.mean(ad.log(ad.clip(pr, PROB_EPS, 1 - PROB_EPS))),
-                                     ad.mean(ad.log(ad.clip(1.0 - pf + 0.0, PROB_EPS,
-                                                            1 - PROB_EPS)))))
-
-            _, grads = fd.value_and_grad(loss, params)
+            logit_real, cache_real = head_forward(params.tensors, real[i])
+            logit_fake, cache_fake = head_forward(params.tensors, fake[i])
+            _, g_r, g_f = d_loss_grad(logit_real, logit_fake, 1.0)
+            head_backward(params.tensors, cache_real, g_r, grads.tensors)
+            head_backward(params.tensors, cache_fake, g_f, g_fake.tensors)
+            grads.flat += g_fake.flat
             params, opt = fd.optimizer_step(params, grads, opt, 5e-3)
         held_real = rng.normal(1.5, 0.5, size=(128, width))
         held_fake = rng.normal(-1.5, 0.5, size=(128, width))
@@ -162,7 +160,7 @@ class TestAdvLosses:
         t_hi, t_lo = 0.4, 0.2
 
         def g_loss_fn(ps):
-            v = forward_velocity(ps, l_prev, t_hi, student.R)
+            v = forward_velocity(ps, l_prev, t_hi)
             l_gen = ad.add(l_prev, ad.mul(v, t_lo - t_hi))
             feats = tape_features(quick_teacher, l_gen, t_lo)
             p_fake = ad.sigmoid(head_logit_node(head, feats))

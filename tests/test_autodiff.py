@@ -104,9 +104,9 @@ def test_resblock_gradients_all_inputs():
 def test_clip_gradient_masks_outside():
     x = np.array([-2.0, -0.5, 0.3, 0.9, 5.0])
     leaf = ad.Tensor(x, requires_grad=True)
-    out = ad.tsum(ad.clip(leaf, -1.0, 1.0))
+    out = ad.mean(ad.clip(leaf, -1.0, 1.0))
     out.backward()
-    assert np.array_equal(leaf.grad, np.array([0.0, 1.0, 1.0, 1.0, 0.0]))
+    assert np.array_equal(leaf.grad, np.array([0.0, 1.0, 1.0, 1.0, 0.0]) / 5)
 
 
 def test_concat_splits_gradient():
@@ -119,18 +119,19 @@ def test_concat_splits_gradient():
 
 
 def test_broadcast_add_accumulates_bias_gradient():
-    x = ad.Tensor(np.zeros((8, 3)))
-    b = ad.Tensor(np.zeros(3), requires_grad=True)
-    out = ad.tsum(ad.add(x, b))
+    # 8 rows of 1/32 each sum to 1/4 exactly
+    x = ad.Tensor(np.zeros((8, 4)))
+    b = ad.Tensor(np.zeros(4), requires_grad=True)
+    out = ad.mean(ad.add(x, b))
     out.backward()
-    assert np.array_equal(b.grad, np.full(3, 8.0))
+    assert np.array_equal(b.grad, np.full(4, 0.25))
 
 
 def test_diamond_graph_accumulates():
     # y = x*x + x*x reuses the same node twice
     x = ad.Tensor(np.array([3.0]), requires_grad=True)
     sq = ad.mul(x, x)
-    out = ad.tsum(ad.add(sq, sq))
+    out = ad.mean(ad.add(sq, sq))
     out.backward()
     assert np.allclose(x.grad, [12.0])
 
@@ -156,7 +157,7 @@ def test_mean_and_sum_gradients_any_shape(rows, cols, seed):
     ad.mean(leaf).backward()
     assert np.allclose(leaf.grad, 1.0 / (rows * cols))
     leaf2 = ad.Tensor(x, requires_grad=True)
-    ad.tsum(leaf2).backward()
+    ad.mul(ad.mean(leaf2), float(rows * cols)).backward()  # the sum, as size times the mean
     assert np.allclose(leaf2.grad, 1.0)
 
 

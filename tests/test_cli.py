@@ -658,6 +658,22 @@ def test_model_whose_euler_integration_overflows_is_named(tmp_path, capsys, comm
     assert err.count("\n") == 1, err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["kd-baseline", "analyze-mismatch"])
+def test_kd_divergence_at_zero_shift_names_the_rate(tmp_path, trained_dir, capsys, command):
+    # the teacher's rollouts are finite and the data unshifted: only kd.lr is to blame
+    config = tmp_path / "steep.json"
+    config.write_text(json.dumps(dict(TINY, kd=dict(TINY["kd"], lr=1e300), analysis=dict(
+        TINY["analysis"], m_sweep=[0.0], seeds=[0]))))
+    args = ["--mismatch", "0"] if command == "kd-baseline" else \
+        ["--store", f"{trained_dir}/store.jsonl"]
+    assert run_cli(command, "--config", str(config), "--out", str(tmp_path / "o"),
+                   "--teacher", f"{trained_dir}/teacher.json", *args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: kd.lr 1e+300: KD training diverged at iteration "), err
+    assert err.count("\n") == 1, err
+
+
 class TestDimensionMismatch:
     """A model whose d is not the dimension of the config's data points is
     refused, naming the model file and the config field."""

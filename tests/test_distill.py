@@ -16,7 +16,7 @@ from oracles import max_grad_rel_error
 
 def traj_mse(model, keys, key_grid, k):
     """Trajectory-regression loss of `model` on (B, m+1, d) keys."""
-    return velocity_mse(model.params, *_traj_regression(keys, key_grid, k), model.R)[0]
+    return velocity_mse(model.params, *_traj_regression(keys, key_grid, k))[0]
 
 
 class TestTrajLoss:
@@ -53,7 +53,7 @@ class TestTrajLoss:
         keys = rng.standard_normal((1, 6, 1)) * 2
         k = 2
         inputs = _traj_regression(keys, key_grid, k)
-        _, grads = fd.value_and_grad(lambda ps: velocity_mse_node(ps, *inputs, model.R),
+        _, grads = fd.value_and_grad(lambda ps: velocity_mse_node(ps, *inputs),
                                      model.params)
         coords = rng.integers(0, model.params.size, 32)
         assert max_grad_rel_error(
@@ -67,8 +67,8 @@ class TestTrajLoss:
         key_grid = fd.TimeGrid.uniform(5)
         rng = np.random.default_rng(3)
         keys_b = rng.standard_normal((7, 6, 1))
-        batched = float(velocity_mse_node(model.params, *_traj_regression(keys_b, key_grid, 1),
-                                          model.R).data)
+        batched = float(velocity_mse_node(model.params,
+                                          *_traj_regression(keys_b, key_grid, 1)).data)
         singles = [traj_mse(model, keys_b[i:i + 1], key_grid, 1) for i in range(7)]
         assert batched == pytest.approx(np.mean(singles), rel=1e-12)
 
@@ -95,7 +95,7 @@ class TestDistill:
                 idx = rng.integers(0, quick_store.N, size=cfg.batch_size)
                 inputs = _traj_regression(keys_all[idx], key_grid, k)
                 _, grads = value_and_grad(
-                    lambda ps: velocity_mse_node(ps, *inputs, quick_teacher.R), params)
+                    lambda ps: velocity_mse_node(ps, *inputs), params)
                 params, opt = optimizer_step(params, grads, opt, cfg.student_lr)
         assert result.student.params.equal(params)
 
@@ -125,8 +125,7 @@ class TestDistill:
         rng = np.random.default_rng(derive_seed(cfg.seed, "trajectory-batches"))
         idx = rng.integers(0, quick_store.N, size=cfg.batch_size)
         expected = float(velocity_mse_node(quick_teacher.params,
-                                           *_traj_regression(keys_all[idx], key_grid, 4),
-                                           quick_teacher.R).data)
+                                           *_traj_regression(keys_all[idx], key_grid, 4)).data)
         assert loss == expected
         assert np.isnan(d_loss) and np.isnan(g_loss)
 
@@ -206,9 +205,9 @@ class TestPassCount:
 
         calls, forward = [], nn.mlp_forward
 
-        def counted(params, X, t, R, stop=None, want_cache=False):
+        def counted(params, X, t, stop=None, want_cache=False):
             calls.append((params is quick_teacher.params, stop))
-            return forward(params, X, t, R, stop, want_cache)
+            return forward(params, X, t, stop, want_cache)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("flowdistill") and getattr(module, "mlp_forward", None) is forward:
@@ -231,8 +230,9 @@ class TestHeadIsolation:
         before, student_before = state.heads.copy(), state.student.copy()
         keys = fd.key_points(quick_store, key_grid)[:1]
         one_head = fd.ParamSet(state.heads.names, fd.head_of(state.heads, 2))
-        _adv_gradients(quick_teacher, key_grid, cfg, state, 2, np.array([[0.3]]), keys[:, 2],
-                       state.student.copy(), one_head.copy(), one_head.copy())
+        _adv_gradients(quick_teacher, state.student, fd.head_of(state.heads, 2),
+                       np.array([[0.3]]), keys[:, 2], key_grid.times[3], key_grid.times[2],
+                       cfg.lambda_adv, state.student.copy(), one_head.copy(), one_head.copy())
         # computing the gradients moves nothing; the round-end update does
         assert state.student.equal(student_before)
         assert state.heads.equal(before)
@@ -241,8 +241,8 @@ class TestHeadIsolation:
         # Adam leaves a parameter with zero gradient and zero moments where it is
         def only_key_2(*args):
             out = _adv_gradients(*args)
-            k, h_grads = args[4], args[-2]
-            if k != 2:
+            t_lo, h_grads = args[6], args[-2]
+            if t_lo != key_grid.times[2]:
                 h_grads.flat.fill(0.0)
             return out
 

@@ -70,7 +70,7 @@ class TestTimeGrid:
 
 def fm_mse(model, batch):
     """Flow-matching loss of `model` on an (x0, x1, t) batch."""
-    return velocity_mse(model.params, *_fm_regression(*batch), model.R)[0]
+    return velocity_mse(model.params, *_fm_regression(*batch))[0]
 
 
 class TestFmLoss:
@@ -103,7 +103,7 @@ class TestFmLoss:
         rng = np.random.default_rng(1)
         batch = (3 * rng.standard_normal((8, 1)), rng.standard_normal((8, 1)), rng.random(8))
         inputs = _fm_regression(*batch)
-        _, grads = fd.value_and_grad(lambda ps: velocity_mse_node(ps, *inputs, model.R),
+        _, grads = fd.value_and_grad(lambda ps: velocity_mse_node(ps, *inputs),
                                      model.params)
         coords = rng.integers(0, model.params.size, 32)
         assert max_grad_rel_error(
