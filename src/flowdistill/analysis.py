@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,6 +190,94 @@ def score_model(model: VelocityModel, Z, grid: TimeGrid, reference) -> ModelScor
     return ModelScore(samples, w1_distance(samples, reference), model.eval_count - before)
 
 
+def kd_failure(error: NumericsError, shift_name: str, shift: float, rollout: str,
+               lr: float) -> NumericsError:
+    """The error of a KD baseline run at the dataset shift `shift` (called
+    `shift_name`) that failed with `error`. A failed teacher rollout (an
+    IntegrationError) blames `rollout`, any other failure the rate `kd.lr`;
+    a non-zero shift can cause either, so it is named first."""
+    cause = rollout if isinstance(error, IntegrationError) else f"kd.lr {lr}"
+    if shift:
+        cause = f"{shift_name} {shift} is too large to train on with {cause}"
+    return NumericsError(f"{cause}: {error}")
+
+
+_worker_call = None  # (fn, shared) in a parallel_map worker process
+
+
+def _init_worker(fn, shared):
+    global _worker_call
+    _worker_call = fn, shared
+
+
+def _call_in_worker(item):
+    fn, shared = _worker_call
+    return fn(shared, item)
+
+
+def parallel_map(fn, shared, items) -> list:
+    """[fn(shared, item) for item in items], spread over one worker process
+    per CPU this process may use (`os.sched_getaffinity`), at most one per
+    item; with fewer than two, a plain loop in this process.
+
+    The workers are forked, so they inherit `fn`, `shared`, the BLAS pin
+    and the warning filters, and only the items and the results are
+    pickled. Results come back in input order, and the first failing
+    item in input order raises its own exception: for independent,
+    seeded calls the outcome is the plain loop's.
+    """
+    items = list(items)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(items))
+    if workers < 2:
+        return [fn(shared, item) for item in items]
+    # imported here, so that the commands that map nothing skip their import time
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: a spawned worker imports numpy and flowdistill again,
+    # which costs more than a small sweep's cells. The fork is safe because
+    # no thread runs at it: BLAS is pinned to one thread and the executor
+    # forks every worker before it starts its own manager thread.
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                             initializer=_init_worker, initargs=(fn, shared)) as pool:
+        return list(pool.map(_call_in_worker, items))
+
+
+def _sample_noise(seed: int, count: int, d: int) -> np.ndarray:
+    return np.random.default_rng(seed).standard_normal((count, d))
+
+
+def _sweep_cell(shared, cell):
+    """One cell of `mismatch_sweep`, `shared` being (teacher, store, cfg).
+    ("distill", seed): the W1 to the teacher's samples of a student
+    distilled with that seed. ("kd", M, seed): the useless frequency at
+    shift M, and the W1 and endpoint error of a KD baseline trained on
+    the dataset shifted by M."""
+    teacher, store, cfg = shared
+    a, p = cfg.analysis, cfg.data
+    if cell[0] == "distill":
+        seed = cell[1]
+        run_cfg = dataclasses.replace(cfg.distill, seed=derive_seed(seed, "sweep-distill"))
+        student = distill(teacher, store, run_cfg).student
+        Z = _sample_noise(derive_seed(seed, "sweep-eval"), a["sample_count"], teacher.d)
+        return score_model(student, Z, TimeGrid.uniform(run_cfg.m),
+                           denoise_batch(teacher, Z, store.grid)[0]).w1
+
+    _, M, seed = cell
+    p_d = shifted_dataset(p, M)
+    freq = useless_frequency(store, p_d, a["t_samples"], a["epsilon"],
+                             seed=derive_seed(seed, f"sweep-useless-{M}"))
+    kd_cfg = dataclasses.replace(cfg.kd, seed=derive_seed(seed, f"sweep-kd-{M}"))
+    try:
+        kd_student, _ = kd_baseline_distill(teacher, p_d, kd_cfg, grid=store.grid)
+    except NumericsError as e:
+        raise kd_failure(e, "analysis.m_sweep value", M, "KD teacher rollout", kd_cfg.lr) from e
+    Z = _sample_noise(derive_seed(seed, f"sweep-kd-eval-{M}"), a["sample_count"], teacher.d)
+    kd = score_model(kd_student, Z, TimeGrid.uniform(kd_cfg.windows), p.support)
+    return freq, kd.w1, endpoint_error(kd.samples, p.support)
+
+
 def mismatch_sweep(teacher: VelocityModel, store: TrajectoryStore, cfg):
     """Rows for the mismatch sweep CSV (SWEEP_COLUMNS order) of the run
     config `cfg`: one per M of `analysis.m_sweep` and seed label of
@@ -197,38 +286,23 @@ def mismatch_sweep(teacher: VelocityModel, store: TrajectoryStore, cfg):
     The KD baseline is retrained per (M, seed) because its training
     inputs depend on the shifted dataset. Trajectory distillation never
     touches p_d, so one run per seed is shared across every M.
+
+    The cells, one distill run per seed and then one KD run per (M, seed),
+    are independent and seeded, so `parallel_map` runs them on as many
+    processes as this process may use CPUs. The rows do not depend on
+    that count, and a failing cell raises the error of a serial run.
     """
     a, p = cfg.analysis, cfg.data
     seeds = [(label, derive_seed(cfg.seed, f"analysis-{label}")) for label in a["seeds"]]
-
-    def noise(seed):
-        return np.random.default_rng(seed).standard_normal((a["sample_count"], teacher.d))
-
-    distill_w1 = {}
-    for label, seed in seeds:
-        run_cfg = dataclasses.replace(cfg.distill, seed=derive_seed(seed, "sweep-distill"))
-        student = distill(teacher, store, run_cfg).student
-        Z = noise(derive_seed(seed, "sweep-eval"))
-        distill_w1[label] = score_model(student, Z, TimeGrid.uniform(run_cfg.m),
-                                        denoise_batch(teacher, Z, store.grid)[0]).w1
-
+    cells = [("distill", seed) for _, seed in seeds]
+    cells += [("kd", M, seed) for M in a["m_sweep"] for _, seed in seeds]
+    results = parallel_map(_sweep_cell, (teacher, store, cfg), cells)
+    distill_w1 = {label: w1 for (label, _), w1 in zip(seeds, results)}
+    kd_cells = iter(results[len(seeds):])
     rows = []
     for M in a["m_sweep"]:
-        p_d = shifted_dataset(p, M)
-        actual = mismatch_degree(p_d, p)
-        for label, seed in seeds:
-            freq = useless_frequency(store, p_d, a["t_samples"], a["epsilon"],
-                                     seed=derive_seed(seed, f"sweep-useless-{M}"))
-            kd_cfg = dataclasses.replace(cfg.kd, seed=derive_seed(seed, f"sweep-kd-{M}"))
-            try:
-                kd_student, _ = kd_baseline_distill(teacher, p_d, kd_cfg, grid=store.grid)
-            except NumericsError as e:  # with no shift, the teacher or the rate fails
-                cause = (f"analysis.m_sweep value {M} is too large to train on" if M else
-                         "KD teacher rollout" if isinstance(e, IntegrationError) else
-                         f"kd.lr {kd_cfg.lr}")
-                raise NumericsError(f"{cause}: {e}") from e
-            kd = score_model(kd_student, noise(derive_seed(seed, f"sweep-kd-eval-{M}")),
-                             TimeGrid.uniform(kd_cfg.windows), p.support)
-            rows.append((actual, label, freq, kd.w1, distill_w1[label],
-                         endpoint_error(kd.samples, p.support)))
+        actual = mismatch_degree(shifted_dataset(p, M), p)
+        for label, _ in seeds:
+            freq, kd_w1, kd_error = next(kd_cells)
+            rows.append((actual, label, freq, kd_w1, distill_w1[label], kd_error))
     return rows

@@ -17,13 +17,12 @@ import sys
 import numpy as np
 
 from .adversarial import head_of
-from .analysis import SWEEP_COLUMNS, endpoint_error, kd_baseline_distill, \
+from .analysis import SWEEP_COLUMNS, endpoint_error, kd_baseline_distill, kd_failure, \
     mismatch_sweep, score_model, shifted_dataset, useless_frequency
 from .atomic import atomic_open
 from .config import load_config
 from .distill import distill, METRIC_COLUMNS
-from .errors import ConfigError, FlowDistillError, IntegrationError, NumericsError, \
-    StoreIntegrityError
+from .errors import ConfigError, FlowDistillError, NumericsError, StoreIntegrityError
 from .flow import TimeGrid, denoise_batch, train_teacher
 from .nn import ParamSet, load_model, save_model, save_paramset
 from .seeds import derive_seed
@@ -155,10 +154,7 @@ def cmd_kd_baseline(args) -> int:
     try:
         student, losses = kd_baseline_distill(teacher, p_d, kd_cfg, grid)
     except NumericsError as e:
-        # a rollout fails on the teacher, training on the rate; a shift can fail either
-        cause = args.teacher if isinstance(e, IntegrationError) else f"kd.lr {kd_cfg.lr}"
-        shift = f"--mismatch {args.mismatch} is too large to train on with {cause}"
-        raise NumericsError(f"{shift if args.mismatch else cause}: {e}") from e
+        raise kd_failure(e, "--mismatch", args.mismatch, args.teacher, kd_cfg.lr) from e
     save_model(os.path.join(cfg.out_dir, "kd_student.json"), student)
     write_csv(os.path.join(cfg.out_dir, "kd_loss.csv"), ("iteration", "loss"),
               [(i, float(l)) for i, l in enumerate(losses)])

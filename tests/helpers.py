@@ -1,8 +1,5 @@
 import base64
 import json
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -38,33 +35,25 @@ def constant_model(c):
     return model.with_params(fd.ParamSet(model.params.names, tuple(tensors)))
 
 
-def parallel_map(fn, args):
-    """[fn(a) for a in args], spread over up to two worker processes when
-    this process may run on two CPUs. `fn` must be a module-level
-    function of this module; each call is independent and seeded, so the
-    results do not depend on where it ran."""
-    args = list(args)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if min(2, cpus or 1, len(args)) < 2:
-        return [fn(a) for a in args]
-    # spawn, not fork: a forked child would inherit the BLAS thread state
-    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
-        return list(pool.map(fn, args))
-
-
-def distill_and_score(args):
-    """One ablation cell: distill a student and score it in m steps on Z."""
-    teacher, store, config, Z, teacher_samples = args
+def distill_and_score(shared, item):
+    """One ablation cell, for `flowdistill.analysis.parallel_map` with
+    `shared` (teacher, store): distill a student with `item`'s config and
+    score it in m steps from the noise Z against the teacher's samples."""
+    teacher, store = shared
+    config, Z, teacher_samples = item
     student = fd.distill(teacher, store, config).student
     score = fd.score_model(student, Z, fd.TimeGrid.uniform(config.m), teacher_samples)
     return {"student": student, "w1": score.w1, "nfe": score.nfe}
 
 
-def kd_and_score(args):
-    """One KD-baseline cell: train on the shifted dataset p_d, sample in
-    `config.windows` steps and measure W1 to the unshifted support."""
-    teacher, p_d, config, grid, count, sample_seed, support = args
-    student, _ = fd.kd_baseline_distill(teacher, p_d, config, grid=grid)
+def kd_and_score(shared, item):
+    """One KD-baseline cell, for `flowdistill.analysis.parallel_map` with
+    `shared` (teacher, store): train on the shifted dataset p_d on the
+    store's grid, sample in `config.windows` steps and measure W1 to the
+    unshifted support."""
+    teacher, store = shared
+    p_d, config, count, sample_seed, support = item
+    student, _ = fd.kd_baseline_distill(teacher, p_d, config, grid=store.grid)
     Z = np.random.default_rng(sample_seed).standard_normal((count, student.d))
     return fd.score_model(student, Z, fd.TimeGrid.uniform(config.windows), support).w1
 

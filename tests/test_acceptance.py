@@ -6,7 +6,8 @@ artifacts (fully trained teacher, 4096-trajectory store, the ablation
 grid of distilled students) are session-scoped fixtures shared across
 criteria, so the suite trains the teacher exactly once. The 15 ablation
 runs and the 20 KD-baseline runs are independent and seeded, so they
-run in up to two worker processes (`helpers.parallel_map`).
+run on every CPU this process may use (`analysis.parallel_map`, with
+the teacher and the store shared).
 """
 
 import dataclasses
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 import flowdistill as fd
+from flowdistill.analysis import parallel_map
 from flowdistill.distill import _traj_regression
 from flowdistill.flow import _fm_regression
 from flowdistill.nn import velocity_mse
@@ -23,8 +25,7 @@ from flowdistill.seeds import derive_seed
 from flowdistill.trajstore import RECURRENCE_TOL
 
 import golden
-from helpers import adv_step, constant_model, distill_and_score, kd_and_score, parallel_map, \
-    rand_model
+from helpers import adv_step, constant_model, distill_and_score, kd_and_score, rand_model
 from oracles import max_grad_rel_error, mismatch_bruteforce
 
 TEACHER_ITERS = 10000
@@ -92,11 +93,11 @@ def ablation(teacher, store, teacher_samples):
     }
     cells = [(name, seed) for seed in SEEDS for name in variants]
     tasks = [
-        (teacher, store, dataclasses.replace(variants[name], seed=derive_seed(seed, "distill")),
+        (dataclasses.replace(variants[name], seed=derive_seed(seed, "distill")),
          *teacher_samples[seed])
         for name, seed in cells
     ]
-    return dict(zip(cells, parallel_map(distill_and_score, tasks)))
+    return dict(zip(cells, parallel_map(distill_and_score, (teacher, store), tasks)))
 
 
 def test_criterion_1_teacher_fidelity(teacher_run, data):
@@ -209,12 +210,13 @@ def test_criterion_5_useless_frequency_trend(teacher, store, data):
 def test_criterion_6_kd_degrades_distillation_does_not(teacher, store, data,
                                                        ablation):
     tasks = [
-        (teacher, fd.shifted_dataset(data, M),
-         dataclasses.replace(KD_BASE, seed=derive_seed(seed, f"kd-{M}")), store.grid,
-         EVAL_COUNT, derive_seed(seed, f"kd-eval-{M}"), data.support)
+        (fd.shifted_dataset(data, M),
+         dataclasses.replace(KD_BASE, seed=derive_seed(seed, f"kd-{M}")), EVAL_COUNT,
+         derive_seed(seed, f"kd-eval-{M}"), data.support)
         for M in M_SWEEP for seed in SEEDS
     ]
-    w1s = np.reshape(parallel_map(kd_and_score, tasks), (len(M_SWEEP), len(SEEDS)))
+    w1s = np.reshape(parallel_map(kd_and_score, (teacher, store), tasks),
+                     (len(M_SWEEP), len(SEEDS)))
     kd_medians = [float(np.median(row)) for row in w1s]
     assert all(b >= a - 1e-12 for a, b in zip(kd_medians, kd_medians[1:])), kd_medians
 

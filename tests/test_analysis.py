@@ -1,11 +1,13 @@
 import dataclasses
+import os
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import flowdistill as fd
-from flowdistill.analysis import KDConfig, nearest_distances
+from flowdistill.analysis import KDConfig, nearest_distances, parallel_map
 
 from oracles import endpoint_error_bruteforce, mismatch_bruteforce, w1_cdf_area, \
     w1_merge_walk, w1_quantile_grid
@@ -248,3 +250,31 @@ class TestKDBaseline:
             grid=fd.TimeGrid.uniform(10),
         )
         assert student.arch == quick_teacher.arch
+
+
+def _offset_and_pid(shared, item):
+    return shared + item, os.getpid()
+
+
+def _fail_odd_items(delay, item):
+    if item % 2:
+        time.sleep(delay if item == 1 else 0.0)  # item 3 fails first in time
+        raise ValueError(f"item {item}")
+    return item
+
+
+class TestParallelMap:
+    def test_results_come_in_input_order(self):
+        results = parallel_map(_offset_and_pid, 100, range(12))
+        assert [value for value, _ in results] == list(range(100, 112))
+        if len(os.sched_getaffinity(0)) >= 2:
+            assert os.getpid() not in {pid for _, pid in results}
+
+    def test_one_cpu_runs_in_this_process(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        pid = os.getpid()
+        assert parallel_map(_offset_and_pid, 1, range(3)) == [(1, pid), (2, pid), (3, pid)]
+
+    def test_first_failing_item_in_input_order_raises(self):
+        with pytest.raises(ValueError, match="^item 1$"):
+            parallel_map(_fail_odd_items, 0.3, range(4))

@@ -636,7 +636,22 @@ class TestAnalyze:
         assert run_cli("analyze-mismatch", "--config", str(config), "--out",
                        str(tmp_path / "an"), *inputs(trained_dir)) == 1
         assert capsys.readouterr().err.startswith(
-            "error: analysis.m_sweep value 1e+300 is too large to train on: KD training")
+            "error: analysis.m_sweep value 1e+300 is too large to train on with kd.lr 0.001: "
+            "KD training")
+
+    def test_one_and_two_workers_write_the_same_bytes(self, tiny_config, tmp_path,
+                                                      trained_dir, monkeypatch):
+        def sweep(out):
+            assert run_cli("analyze-mismatch", "--config", tiny_config, "--out", out,
+                           *inputs(trained_dir)) == 0
+            return open(f"{out}/mismatch_sweep.csv", "rb").read()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            serial = sweep(str(tmp_path / "one"))
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("this process may use one CPU, so the sweep cannot run on two workers")
+        assert sweep(str(tmp_path / "two")) == serial
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -671,6 +686,24 @@ def test_kd_divergence_at_zero_shift_names_the_rate(tmp_path, trained_dir, capsy
                    "--teacher", f"{trained_dir}/teacher.json", *args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: kd.lr 1e+300: KD training diverged at iteration "), err
+    assert err.count("\n") == 1, err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["kd-baseline", "analyze-mismatch"])
+def test_kd_divergence_at_a_shift_names_shift_and_rate(tmp_path, trained_dir, capsys, command):
+    # a shift or the rate can make training diverge: both commands name both, in one wording
+    config = tmp_path / "steep.json"
+    config.write_text(json.dumps(dict(TINY, kd=dict(TINY["kd"], lr=1e300), analysis=dict(
+        TINY["analysis"], m_sweep=[1.0], seeds=[0]))))
+    args = ["--mismatch", "1.0"] if command == "kd-baseline" else \
+        ["--store", f"{trained_dir}/store.jsonl"]
+    shift = "--mismatch 1.0" if command == "kd-baseline" else "analysis.m_sweep value 1.0"
+    assert run_cli(command, "--config", str(config), "--out", str(tmp_path / "o"),
+                   "--teacher", f"{trained_dir}/teacher.json", *args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {shift} is too large to train on with kd.lr 1e+300: "
+                          "KD training diverged at iteration "), err
     assert err.count("\n") == 1, err
 
 

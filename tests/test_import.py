@@ -1,5 +1,6 @@
 """Importing the package pins BLAS to one thread, and warns when numpy
-was imported first with nothing pinned, since the pin is then too late."""
+was imported first with nothing pinned, since the pin is then too late;
+importing the CLI loads no process pool."""
 
 import os
 import subprocess
@@ -29,3 +30,13 @@ def test_late_blas_pin_warns(code, pinned, warns):
         assert "RuntimeWarning" in res.stderr and all(v in res.stderr for v in BLAS_VARS)
     else:
         assert res.stderr == ""
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only parallel_map imports them, so a command that maps nothing skips their import time
+    code = ("import sys, flowdistill.cli; "
+            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & {*sys.modules}))")
+    res = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
